@@ -11,6 +11,7 @@
 // <array> was previously picked up transitively through the arch
 // headers; PlatformResult::phaseFrac needs it directly.
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <string>
 
@@ -32,6 +33,10 @@ struct PlatformResult
     std::array<double, arch::kNumPhases> phaseFrac{};
     /** Energy split (Fig. 12(d)): ACC / BUF / DDR-SB / DDR-DY. */
     double accMj = 0.0, bufMj = 0.0, ddrSbMj = 0.0, ddrDyMj = 0.0;
+    /** DRAM read + write bursts the simulation moved. */
+    double dramBursts = 0.0;
+    /** Host seconds spent in Accelerator::run (0 for the GPU model). */
+    double simHostS = 0.0;
 };
 
 inline PlatformResult
@@ -48,6 +53,22 @@ fromPerfReport(const arch::PerfReport &r)
     out.bufMj = r.energy.bufPj * 1e-9;
     out.ddrSbMj = r.energy.ddrStandbyPj * 1e-9;
     out.ddrDyMj = r.energy.ddrDynamicPj * 1e-9;
+    out.dramBursts =
+        r.activity.get("dram.reads") + r.activity.get("dram.writes");
+    return out;
+}
+
+/** Simulate a compiled program, timing the simulation on the host. */
+inline PlatformResult
+simulate(const arch::CambriconQConfig &cfg, const arch::Program &prog)
+{
+    arch::Accelerator acc(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    const arch::PerfReport report = acc.run(prog);
+    const std::chrono::duration<double> host =
+        std::chrono::steady_clock::now() - t0;
+    PlatformResult out = fromPerfReport(report);
+    out.simHostS = host.count();
     return out;
 }
 
@@ -57,9 +78,7 @@ runCambriconQ(const compiler::WorkloadIR &ir,
               const arch::CambriconQConfig &cfg,
               const compiler::CodegenOptions &opts = {})
 {
-    arch::Accelerator acc(cfg);
-    return fromPerfReport(
-        acc.run(compiler::generateProgram(ir, cfg, opts)));
+    return simulate(cfg, compiler::generateProgram(ir, cfg, opts));
 }
 
 /** Run on the TPU baseline. */
@@ -67,7 +86,7 @@ inline PlatformResult
 runTpu(const compiler::WorkloadIR &ir,
        const compiler::CodegenOptions &opts = {})
 {
-    return fromPerfReport(baseline::simulateTpu(ir, opts));
+    return simulate(baseline::tpuConfig(), baseline::compileTpu(ir, opts));
 }
 
 /** Run on a GPU model. */

@@ -22,17 +22,21 @@ tpuConfig()
     return cfg;
 }
 
+arch::Program
+compileTpu(const compiler::WorkloadIR &ir,
+           const compiler::CodegenOptions &base)
+{
+    compiler::CodegenOptions opts = base;
+    opts.target = compiler::CodegenOptions::Target::Tpu;
+    return compiler::generateProgram(ir, tpuConfig(), opts);
+}
+
 arch::PerfReport
 simulateTpu(const compiler::WorkloadIR &ir,
             const compiler::CodegenOptions &base)
 {
-    const arch::CambriconQConfig cfg = tpuConfig();
-    compiler::CodegenOptions opts = base;
-    opts.target = compiler::CodegenOptions::Target::Tpu;
-    const arch::Program prog =
-        compiler::generateProgram(ir, cfg, opts);
-    arch::Accelerator acc(cfg);
-    return acc.run(prog);
+    arch::Accelerator acc(tpuConfig());
+    return acc.run(compileTpu(ir, base));
 }
 
 } // namespace cq::baseline

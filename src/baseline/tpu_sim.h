@@ -26,6 +26,11 @@ namespace cq::baseline {
 /** The aligned TPU configuration (32x32 INT8 @ 1 GHz, 17.06 GB/s). */
 arch::CambriconQConfig tpuConfig();
 
+/** Compile one training minibatch of @p ir for the TPU baseline. */
+arch::Program compileTpu(const compiler::WorkloadIR &ir,
+                         const compiler::CodegenOptions &base =
+                             compiler::CodegenOptions{});
+
 /** Simulate one training minibatch of @p ir on the TPU baseline. */
 arch::PerfReport simulateTpu(const compiler::WorkloadIR &ir,
                              const compiler::CodegenOptions &base =

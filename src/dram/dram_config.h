@@ -46,7 +46,6 @@ struct DramConfig
     Tick tRP = 14;   ///< PRECHARGE -> ACTIVATE
     Tick tCAS = 14;  ///< column command -> first data
     Tick tRAS = 33;  ///< ACTIVATE -> PRECHARGE
-    Tick tWR = 15;   ///< end of write data -> PRECHARGE
     /**
      * Data-bus occupancy of one 64 B burst. 64 B at 17.06 GB/s is
      * 3.75 ns; we model it as alternating 4/4/4/3 tick bursts to keep

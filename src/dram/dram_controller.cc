@@ -6,6 +6,8 @@
 #include "dram/dram_controller.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -26,10 +28,73 @@ DramConfig::scaled(unsigned factor)
     return cfg;
 }
 
+namespace {
+
+void
+requirePowerOfTwo(std::uint64_t value, const char *field)
+{
+    CQ_ASSERT_MSG(std::has_single_bit(value),
+                  "DramConfig::%s = %llu is not a power of two", field,
+                  static_cast<unsigned long long>(value));
+}
+
+void
+requireWholePj(PicoJoule value, const char *field)
+{
+    CQ_ASSERT_MSG(std::isfinite(value) && std::trunc(value) == value,
+                  "DramConfig::%s = %g is not a whole number of pJ",
+                  field, value);
+}
+
+} // namespace
+
 DramController::DramController(DramConfig config)
     : config_(config), banks_(config.numBanks * config.channels)
 {
+    requirePowerOfTwo(config_.burstBytes, "burstBytes");
+    requirePowerOfTwo(config_.rowBytes, "rowBytes");
+    requirePowerOfTwo(config_.numBanks, "numBanks");
+    requirePowerOfTwo(config_.channels, "channels");
     CQ_ASSERT(config_.rowBytes % config_.burstBytes == 0);
+    // Whole-pJ constants keep every partial energy sum exact, so a run
+    // of n bursts may add n x e at once and stay bitwise equal to n
+    // separate additions.
+    requireWholePj(config_.eActPre, "eActPre");
+    requireWholePj(config_.eReadBurst, "eReadBurst");
+    requireWholePj(config_.eWriteBurst, "eWriteBurst");
+    requireWholePj(config_.eNdpPerElement, "eNdpPerElement");
+    requireWholePj(config_.eRefresh, "eRefresh");
+
+    burstShift_ = std::countr_zero(config_.burstBytes);
+    bankShift_ = std::countr_zero(config_.numBanks);
+    windowShift_ = std::countr_zero(config_.rowBytes) - burstShift_ +
+                   std::countr_zero(config_.channels);
+    channelMask_ = config_.channels - 1;
+    bankMask_ = config_.numBanks - 1;
+
+    for (unsigned p = 0; p < 4; ++p) {
+        // 4/4/4/3 pattern: average 3.75 ticks -> 17.06 GB/s on 64 B.
+        burstDur_[p] = config_.tBurst;
+        if (config_.fractionalBurst && p == 3)
+            burstDur_[p] -= 1;
+        // With multiple channels each channel has its own bus; we model
+        // the aggregate as `channels` bursts being able to overlap by
+        // crediting the shared-bus time 1/channels per burst.
+        burstBus_[p] = std::max<Tick>(1, burstDur_[p] / config_.channels);
+    }
+
+    // A row hit starts the moment the bus frees if its bank is ready by
+    // then. The bank finished the channel's previous burst C bursts
+    // earlier, and those C bursts held the bus for at least
+    // busSpan(p, C) ticks. When that covers the bank time from every
+    // phase (C = 1, and C >= 4 under 4/4/4/3), row runs are exact;
+    // otherwise (C = 2) every burst takes the per-burst step.
+    bool bus_bound = true;
+    for (unsigned p = 0; p < 4; ++p)
+        bus_bound = bus_bound &&
+                    busSpan(p, config_.channels) >= burstDur_[p];
+    stepBursts_ = bus_bound ? config_.channels
+                            : std::uint64_t{1} << windowShift_;
     nextRefresh_ = config_.tREFI;
 }
 
@@ -68,22 +133,15 @@ DramController::checkRange(Addr addr, Bytes bytes) const
 }
 
 void
-DramController::mapAddress(Addr addr, std::size_t &bank,
-                           std::uint64_t &row) const
+DramController::mapBurst(std::uint64_t burst, std::size_t &bank,
+                         std::uint64_t &row) const
 {
     // Channel interleave at burst granularity (for scaled configs),
     // then Row : Bank : Column within the channel. Bank bits above the
     // column bits keep sequential streams inside one open row.
-    const Bytes chan_stride = config_.burstBytes;
-    const std::size_t chan =
-        (addr / chan_stride) % config_.channels;
-    const Addr in_chan = addr / (chan_stride * config_.channels) *
-                             chan_stride +
-                         addr % chan_stride;
-    const std::uint64_t row_global = in_chan / config_.rowBytes;
-    const std::size_t bank_in_chan = row_global % config_.numBanks;
-    row = row_global / config_.numBanks;
-    bank = chan * config_.numBanks + bank_in_chan;
+    const std::uint64_t window = burst >> windowShift_;
+    row = window >> bankShift_;
+    bank = ((burst & channelMask_) << bankShift_) | (window & bankMask_);
 }
 
 Tick
@@ -114,16 +172,73 @@ DramController::prepareRow(Tick earliest, std::size_t bank,
 }
 
 Tick
-DramController::burstDuration()
+DramController::burstStep(Tick earliest, std::uint64_t burst)
 {
-    Tick d = config_.tBurst;
-    if (config_.fractionalBurst) {
-        // 4/4/4/3 pattern: average 3.75 ticks -> 17.06 GB/s on 64 B.
-        if (burstPhase_ == 3)
-            d -= 1;
-        burstPhase_ = (burstPhase_ + 1) % 4;
+    std::size_t bank;
+    std::uint64_t row;
+    mapBurst(burst, bank, row);
+    // The burst needs the bank ready and the data bus free.
+    const Tick start =
+        std::max(prepareRow(earliest, bank, row), busFreeAt_);
+    const unsigned phase = burstPhase_;
+    burstPhase_ = (phase + 1) & 3;
+    busFreeAt_ = start + burstBus_[phase];
+    banks_[bank].readyAt = start + burstDur_[phase];
+    return start + config_.tCAS + burstDur_[phase];
+}
+
+Tick
+DramController::rowRun(std::uint64_t burst, std::uint64_t count)
+{
+    // Burst j starts busSpan(phase, j) after the first. Only the last
+    // burst on each channel leaves its mark on a bank.
+    const unsigned phase = burstPhase_;
+    const std::size_t bank_in_chan =
+        (burst >> windowShift_) & bankMask_;
+    const std::uint64_t tail =
+        std::min<std::uint64_t>(count, config_.channels);
+    Tick start = busFreeAt_ + busSpan(phase, count - tail);
+    for (std::uint64_t j = count - tail; j < count; ++j) {
+        const unsigned p = (phase + j) & 3;
+        const std::size_t bank =
+            (((burst + j) & channelMask_) << bankShift_) | bank_in_chan;
+        banks_[bank].readyAt = start + burstDur_[p];
+        start += burstBus_[p];
     }
-    return d;
+    busFreeAt_ = start;
+    burstPhase_ = (phase + count) & 3;
+    nRowHits_ += count;
+    const unsigned last = (phase + count - 1) & 3;
+    return start - burstBus_[last] + config_.tCAS + burstDur_[last];
+}
+
+std::uint64_t
+DramController::runBeforeRefresh(std::uint64_t count) const
+{
+    // A refresh falls due before a burst once an earlier burst of the
+    // transfer finished at or after nextRefresh_. Along a row run the
+    // finish ticks never fall (each burst starts at least one bus tick
+    // after the previous and lasts at most one tick less), so the run
+    // keeps its bursts up to the first that finishes that late.
+    if (!config_.refreshEnabled || count == 1)
+        return count;
+    const unsigned phase = burstPhase_;
+    // Finish of run burst j, less the first start and tCAS.
+    const auto reach = [&](std::uint64_t j) {
+        return busSpan(phase, j) + burstDur_[(phase + j) & 3];
+    };
+    const Tick first = busFreeAt_ + config_.tCAS;
+    if (first + reach(count - 2) < nextRefresh_)
+        return count;
+    if (nextRefresh_ <= first + reach(0))
+        return 1;
+    // reach(4q + r) = q x busSpan(0, 4) + reach(r): bursts up to 4q
+    // finish in time, and the fourth burst after that no longer does.
+    const Tick budget = nextRefresh_ - first;
+    std::uint64_t j = (budget - reach(0) - 1) / busSpan(0, 4) * 4;
+    while (reach(j + 1) < budget)
+        ++j;
+    return j + 2;
 }
 
 Tick
@@ -135,44 +250,42 @@ DramController::transfer(Tick earliest, Addr addr, Bytes bytes,
                   static_cast<unsigned long long>(addr));
     checkRange(addr, bytes);
     applyRefreshUpTo(earliest);
+
+    // Burst k carries the transfer's bytes in [k, k + 1) x burstBytes.
+    std::uint64_t burst = addr >> burstShift_;
+    const std::uint64_t end = ((addr + bytes - 1) >> burstShift_) + 1;
+    const std::uint64_t count = end - burst;
+    busBytes_ += bytes;
+    if (is_write) {
+        nWrites_ += count;
+        dynamicEnergy_ +=
+            config_.eWriteBurst * static_cast<double>(count);
+    } else {
+        nReads_ += count;
+        dynamicEnergy_ += config_.eReadBurst * static_cast<double>(count);
+    }
+
     Tick done = earliest;
-    Addr cur = addr;
-    Bytes remaining = bytes;
-    while (remaining > 0) {
-        if (config_.refreshEnabled && done >= nextRefresh_)
-            applyRefreshUpTo(done);
-        const Bytes in_burst =
-            std::min<Bytes>(remaining,
-                            config_.burstBytes -
-                                cur % config_.burstBytes);
-        std::size_t bank;
-        std::uint64_t row;
-        mapAddress(cur, bank, row);
-        const Tick col_ready = prepareRow(earliest, bank, row);
-        // The burst needs the bank ready and the data bus free. With
-        // multiple channels each channel has its own bus; we model the
-        // aggregate as `channels` bursts being able to overlap by
-        // crediting the shared-bus time 1/channels per burst.
-        Tick start = std::max(col_ready, busFreeAt_);
-        const Tick dur = burstDuration();
-        const Tick bus_dur =
-            std::max<Tick>(1, dur / config_.channels);
-        busFreeAt_ = start + bus_dur;
-        const Tick finish = start + config_.tCAS + dur;
-        banks_[bank].readyAt = start + dur;
-        done = std::max(done, finish);
-
-        busBytes_ += in_burst;
-        if (is_write) {
-            ++nWrites_;
-            dynamicEnergy_ += config_.eWriteBurst;
-        } else {
-            ++nReads_;
-            dynamicEnergy_ += config_.eReadBurst;
+    while (burst < end) {
+        // A row window: each channel's bursts in it share one row.
+        const std::uint64_t window_end =
+            std::min(end, ((burst >> windowShift_) + 1) << windowShift_);
+        std::uint64_t hits_from = burst + stepBursts_;
+        while (burst < window_end) {
+            if (config_.refreshEnabled && done >= nextRefresh_) {
+                applyRefreshUpTo(done);
+                hits_from = burst + stepBursts_; // every row closed
+            }
+            if (burst < hits_from) {
+                done = std::max(done, burstStep(earliest, burst));
+                ++burst;
+            } else {
+                const std::uint64_t run =
+                    runBeforeRefresh(window_end - burst);
+                done = std::max(done, rowRun(burst, run));
+                burst += run;
+            }
         }
-
-        cur += in_burst;
-        remaining -= in_burst;
     }
     return done;
 }
@@ -191,6 +304,7 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
     applyRefreshUpTo(earliest);
     const std::size_t per_row =
         static_cast<std::size_t>(config_.rowBytes / element_bytes);
+    const std::size_t bank_wrap = banks_.size() - 1;
     Tick t = earliest;
     std::size_t remaining = num_elements;
     Addr cur = addr;
@@ -205,14 +319,13 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
         // row commands).
         std::size_t bank;
         std::uint64_t row;
-        mapAddress(cur, bank, row);
+        mapBurst(cur >> burstShift_, bank, row);
         Tick row_ready = 0;
         for (int r = 0; r < 3; ++r) {
-            const std::size_t b = (bank + r) % banks_.size();
             // The m/v rows track the weight row index within their
             // banks; modeling them as the same row id in neighbour
             // banks preserves the timing behaviour.
-            BankState &bs = banks_[b];
+            BankState &bs = banks_[(bank + r) & bank_wrap];
             Tick bt = std::max(t + static_cast<Tick>(r) * config_.tCmd,
                                bs.readyAt);
             if (bs.rowOpen) {
@@ -229,26 +342,26 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
             row_ready = std::max(row_ready, bt + config_.tRCD);
         }
 
-        // Gradient WRITE bursts cross the bus; w/m/v do not. The NDPO
-        // pipeline updates one element per tick once filled, which is
-        // never the bottleneck against the bus bursts.
+        // Gradient WRITE bursts cross the bus; w/m/v do not. They touch
+        // no bank state, so after the first each starts when the one
+        // before frees the bus. The NDPO pipeline updates one element
+        // per tick once filled, which is never the bottleneck against
+        // the bus bursts.
         const Bytes grad_bytes =
             static_cast<Bytes>(in_row) * element_bytes;
-        Tick data_done = row_ready;
-        Bytes sent = 0;
-        while (sent < grad_bytes) {
-            const Bytes chunk =
-                std::min<Bytes>(config_.burstBytes, grad_bytes - sent);
-            Tick start = std::max(row_ready, busFreeAt_);
-            const Tick dur = burstDuration();
-            busFreeAt_ =
-                start + std::max<Tick>(1, dur / config_.channels);
-            data_done = start + config_.tCAS + dur;
-            sent += chunk;
-            ++nWrites_;
-            busBytes_ += chunk;
-            dynamicEnergy_ += config_.eWriteBurst;
-        }
+        const std::uint64_t bursts =
+            (grad_bytes + config_.burstBytes - 1) >> burstShift_;
+        const unsigned phase = burstPhase_;
+        const unsigned last = (phase + bursts - 1) & 3;
+        busFreeAt_ = std::max(row_ready, busFreeAt_) +
+                     busSpan(phase, bursts);
+        burstPhase_ = (phase + bursts) & 3;
+        Tick data_done = busFreeAt_ - burstBus_[last] + config_.tCAS +
+                         burstDur_[last];
+        nWrites_ += bursts;
+        busBytes_ += grad_bytes;
+        dynamicEnergy_ +=
+            config_.eWriteBurst * static_cast<double>(bursts);
 
         // NDPO datapath energy + the trailing pipeline drain.
         dynamicEnergy_ +=
@@ -258,8 +371,7 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
 
         // Three PRECHARGEs write the updated rows back.
         for (int r = 0; r < 3; ++r) {
-            const std::size_t b = (bank + r) % banks_.size();
-            BankState &bs = banks_[b];
+            BankState &bs = banks_[(bank + r) & bank_wrap];
             const Tick pt =
                 std::max({data_done + static_cast<Tick>(r) * config_.tCmd,
                           bs.lastActivate + config_.tRAS,

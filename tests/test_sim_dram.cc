@@ -1,18 +1,26 @@
 /**
  * @file
- * Tests for the event queue and the DRAM controller model.
+ * Tests for the event queue and the DRAM controller model, including
+ * the differential test of the controller's row runs against the
+ * per-burst oracle in dram_reference.h.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "arch/ndp_engine.h"
 #include "common/rng.h"
 #include "dram/dram_controller.h"
+#include "dram_reference.h"
 #include "nn/optimizer.h"
 #include "sim/event_queue.h"
 
@@ -312,6 +320,113 @@ TEST(Dram, RefreshDisableRestoresThroughput)
               1.12 * static_cast<double>(t_without));
 }
 
+// ------------------------------------------ row runs vs per-burst oracle
+
+/** Every observable of @p fast equals that of the per-burst @p ref. */
+::testing::AssertionResult
+sameState(const dram::DramController &fast, const test::ReferenceDram &ref)
+{
+    if (fast.busFreeAt() != ref.busFreeAt())
+        return ::testing::AssertionFailure()
+               << "busFreeAt " << fast.busFreeAt() << " vs "
+               << ref.busFreeAt();
+    if (std::bit_cast<std::uint64_t>(fast.dynamicEnergy()) !=
+        std::bit_cast<std::uint64_t>(ref.dynamicEnergy()))
+        return ::testing::AssertionFailure()
+               << "dynamicEnergy bits " << fast.dynamicEnergy() << " vs "
+               << ref.dynamicEnergy();
+    if (fast.stats().all() != ref.stats().all())
+        return ::testing::AssertionFailure()
+               << "stats\n" << fast.stats().dump("row runs")
+               << ref.stats().dump("per burst");
+    return ::testing::AssertionSuccess();
+}
+
+/** (channels, refresh enabled, fractional bursts) */
+class DramDiff
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool, bool>>
+{
+};
+
+TEST_P(DramDiff, RowRunsMatchPerBurstModel)
+{
+    const auto [channels, refresh, fractional] = GetParam();
+    Rng rng(1000 * channels + 10 * refresh + fractional);
+    for (int trial = 0; trial < 4; ++trial) {
+        dram::DramConfig cfg = dram::DramConfig::scaled(channels);
+        cfg.refreshEnabled = refresh;
+        cfg.fractionalBurst = fractional;
+        // A short refresh interval lands refreshes inside row runs.
+        cfg.tREFI = 600 + rng.below(1501);
+        dram::DramController fast(cfg);
+        test::ReferenceDram ref(cfg);
+        Tick t = 0;
+        Tick last_done = 0;
+        for (int call = 0; call < 1500; ++call) {
+            // Non-decreasing call ticks: back-to-back posts, short
+            // gaps, dependent chains and idle stretches.
+            const std::uint64_t gap = rng.below(10);
+            if (gap < 3)
+                t += rng.below(100);
+            else if (gap < 5)
+                t = std::max(t, last_done);
+            else if (gap == 5)
+                t += rng.below(20000);
+            // A small hot region re-hits open rows across calls.
+            Addr addr = rng.below(8) == 0 ? rng.below(1ull << 30)
+                                          : rng.below(256 << 10);
+            if (rng.below(2) == 0)
+                addr &= ~Addr{63};
+            const std::uint64_t kind = rng.below(20);
+            std::string what;
+            Tick got = 0, want = 0;
+            if (kind < 2) {
+                const std::size_t elems = 1 + rng.below(3000);
+                constexpr Bytes kElemBytes[] = {2, 4, 4, 8, 12};
+                const Bytes elem_bytes = kElemBytes[rng.below(5)];
+                what = "ndpUpdate(" + std::to_string(t) + ", " +
+                       std::to_string(addr) + ", " +
+                       std::to_string(elems) + ", " +
+                       std::to_string(elem_bytes) + ")";
+                got = fast.ndpUpdate(t, addr, elems, elem_bytes);
+                want = ref.ndpUpdate(t, addr, elems, elem_bytes);
+            } else {
+                const std::uint64_t size_class = rng.below(3);
+                const Bytes bytes =
+                    1 + rng.below(size_class == 0   ? 256
+                                  : size_class == 1 ? 4096
+                                                    : 40960);
+                const bool is_write = kind % 2 == 0;
+                // The executor's QMOVE posts its write one tick after
+                // its read, so the next call may start a tick earlier.
+                const Tick at = kind == 19 ? t + 1 : t;
+                what = std::string(is_write ? "write(" : "read(") +
+                       std::to_string(at) + ", " + std::to_string(addr) +
+                       ", " + std::to_string(bytes) + ")";
+                got = fast.transfer(at, addr, bytes, is_write);
+                want = ref.transfer(at, addr, bytes, is_write);
+            }
+            last_done = want;
+            ASSERT_EQ(got, want)
+                << what << " at call " << call << ", tREFI "
+                << cfg.tREFI;
+            ASSERT_TRUE(sameState(fast, ref))
+                << what << " at call " << call << ", tREFI "
+                << cfg.tREFI;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChannelsRefreshBursts, DramDiff,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 16u),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const auto &info) {
+        return "ch" + std::to_string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_refresh" : "_norefresh") +
+               (std::get<2>(info.param) ? "_frac" : "_whole");
+    });
+
 // ------------------------------------------------------------ error paths
 
 TEST(DramDeath, TransferBeyondCapacityPanics)
@@ -324,6 +439,45 @@ TEST(DramDeath, TransferBeyondCapacityPanics)
     // (guards the overflow-safe form of the check).
     EXPECT_DEATH(ctrl.transfer(0, capacity - 32, 64, false),
                  "exceeds DRAM capacity");
+}
+
+/** Construct a controller from the default config after @p edit. */
+void
+constructWith(const std::function<void(dram::DramConfig &)> &edit)
+{
+    dram::DramConfig cfg = dram::DramConfig::lpddr4_2133();
+    edit(cfg);
+    dram::DramController ctrl(cfg);
+}
+
+TEST(DramDeath, NonPowerOfTwoGeometryPanics)
+{
+    EXPECT_DEATH(constructWith([](auto &c) { c.burstBytes = 48; }),
+                 "burstBytes = 48 is not a power of two");
+    EXPECT_DEATH(constructWith([](auto &c) { c.rowBytes = 3000; }),
+                 "rowBytes = 3000 is not a power of two");
+    EXPECT_DEATH(constructWith([](auto &c) { c.numBanks = 6; }),
+                 "numBanks = 6 is not a power of two");
+    EXPECT_DEATH(constructWith([](auto &c) { c.channels = 3; }),
+                 "channels = 3 is not a power of two");
+    EXPECT_DEATH(constructWith([](auto &c) { c.channels = 0; }),
+                 "channels = 0 is not a power of two");
+}
+
+TEST(DramDeath, FractionalEnergyConstantPanics)
+{
+    EXPECT_DEATH(constructWith([](auto &c) { c.eActPre = 12000.5; }),
+                 "eActPre = 12000.5 is not a whole number of pJ");
+    EXPECT_DEATH(constructWith([](auto &c) { c.eReadBurst = 7999.9; }),
+                 "eReadBurst = 7999.9 is not a whole number of pJ");
+    EXPECT_DEATH(constructWith([](auto &c) { c.eWriteBurst = 0.25; }),
+                 "eWriteBurst = 0.25 is not a whole number of pJ");
+    EXPECT_DEATH(
+        constructWith([](auto &c) { c.eNdpPerElement = 25.5; }),
+        "eNdpPerElement = 25.5 is not a whole number of pJ");
+    EXPECT_DEATH(
+        constructWith([](auto &c) { c.eRefresh = std::nan(""); }),
+        "eRefresh = nan is not a whole number of pJ");
 }
 
 TEST(DramDeath, ZeroByteTransferPanics)
