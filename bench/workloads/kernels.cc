@@ -14,10 +14,12 @@
  * which keeps the reported "speedup" honest.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/ndp_engine.h"
@@ -128,6 +130,47 @@ runQuant(const WorkloadContext &ctx)
 
 // ---------------- GEMM ----------------
 
+/**
+ * The three GEMMs of the conv3 layer of the train-cnn-hqt trainer
+ * (cols 1152 x 144 with ReLU-like zeros, weights 144 x 16, output
+ * gradient 1152 x 16) at pool width 1: forward matmul(cols, w), dW =
+ * matmulTransA(cols, dy) and dX = matmulTransB(dy, w). Records each
+ * variant's GFLOP/s over its fastest of @p iters calls, and the
+ * slowest variant's as gemm_conv3_min_gflops.
+ */
+void
+recordTrainerGemms(WorkloadResult &out, int iters)
+{
+    constexpr std::size_t rows = 1152, patch = 144, outCh = 16;
+    Rng rng(3);
+    Tensor cols({rows, patch}), w({patch, outCh}), dy({rows, outCh});
+    for (std::size_t i = 0; i < cols.numel(); ++i)
+        cols[i] = rng.below(2) == 0 ? 0.0f
+                                    : static_cast<float>(rng.gaussian());
+    w.fillGaussian(rng, 0.0f, 0.1f);
+    dy.fillGaussian(rng, 0.0f, 0.01f);
+    const double flops = 2.0 * rows * patch * outCh;
+    ThreadPool::instance().setNumThreads(1);
+    double slowest = 0.0;
+    const std::pair<const char *, std::function<Tensor()>> variants[] = {
+        {"matmul", [&] { return matmul(cols, w); }},
+        {"transA", [&] { return matmulTransA(cols, dy); }},
+        {"transB", [&] { return matmulTransB(dy, w); }}};
+    for (const auto &[name, gemm] : variants) {
+        double best = 0.0;
+        for (int i = 0; i < iters; ++i) {
+            const double ms = timeIt(1, [&] { gemm(); }).wallMs;
+            best = i == 0 ? ms : std::min(best, ms);
+        }
+        const double gflops = flops / (best * 1e-3) * 1e-9;
+        out.setTiming(std::string("gemm_conv3_") + name + "_gflops", gflops,
+                      "GFLOP/s");
+        slowest = slowest == 0.0 ? gflops : std::min(slowest, gflops);
+    }
+    ThreadPool::instance().setNumThreads(0);
+    out.setTiming("gemm_conv3_min_gflops", slowest, "GFLOP/s");
+}
+
 WorkloadResult
 runGemm(const WorkloadContext &ctx)
 {
@@ -179,8 +222,10 @@ runGemm(const WorkloadContext &ctx)
     }
     ThreadPool::instance().setNumThreads(0);
     out.set("gemm_scaling_n", static_cast<double>(n));
+    recordTrainerGemms(out, ctx.quick ? 5 : 20);
     out.notes = "matmul over the shared pool; speedup is wall-clock "
-                "vs the 1-thread width";
+                "vs the 1-thread width; conv3 rows are the trainer's "
+                "three GEMMs at width 1 (PERF-09 gates the slowest)";
     return out;
 }
 

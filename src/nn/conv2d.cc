@@ -41,22 +41,22 @@ Conv2d::forward(const Tensor &input)
     cachedCols_ = im2col(input, geom_);
 
     // (N*P*Q, CRS) x (CRS, K) -> (N*P*Q, K)
-    Tensor flat = matmul(cachedCols_, weight_.value);
-    if (hasBias_) {
-        for (std::size_t r = 0; r < flat.dim(0); ++r)
-            for (std::size_t k = 0; k < geom_.outChannels; ++k)
-                flat.at2(r, k) += bias_.value[k];
-    }
+    const Tensor flat = matmul(cachedCols_, weight_.value);
 
-    // Rearrange (N*P*Q, K) -> (N, K, P, Q).
-    Tensor out({n, geom_.outChannels, p, q});
+    // Rearrange (N*P*Q, K) -> (N, K, P, Q), adding the bias on the way.
+    const std::size_t kout = geom_.outChannels;
+    const std::size_t pq = p * q;
+    Tensor out({n, kout, p, q});
+    const float *src = flat.data();
+    const float *bias = bias_.value.data();
+    float *dst = out.data();
     for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t oy = 0; oy < p; ++oy)
-            for (std::size_t ox = 0; ox < q; ++ox) {
-                const std::size_t row = (in * p + oy) * q + ox;
-                for (std::size_t k = 0; k < geom_.outChannels; ++k)
-                    out.at4(in, k, oy, ox) = flat.at2(row, k);
-            }
+        for (std::size_t pos = 0; pos < pq; ++pos) {
+            const float *row = src + (in * pq + pos) * kout;
+            float *col = dst + in * kout * pq + pos;
+            for (std::size_t k = 0; k < kout; ++k)
+                col[k * pq] = hasBias_ ? row[k] + bias[k] : row[k];
+        }
     return out;
 }
 
@@ -71,23 +71,26 @@ Conv2d::backward(const Tensor &grad_output)
     const std::size_t q = grad_output.dim(3);
     CQ_ASSERT(k == geom_.outChannels);
 
-    // Flatten dY to (N*P*Q, K) matching the forward layout.
-    Tensor flat({n * p * q, k});
+    // Flatten dY to (N*P*Q, K) matching the forward layout; the bias
+    // gradient sums dY over rows in ascending row order.
+    const std::size_t pq = p * q;
+    Tensor flat({n * pq, k});
+    const float *src = grad_output.data();
+    float *dst = flat.data();
+    float *dbias = bias_.grad.data();
     for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t oy = 0; oy < p; ++oy)
-            for (std::size_t ox = 0; ox < q; ++ox) {
-                const std::size_t row = (in * p + oy) * q + ox;
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    flat.at2(row, kk) = grad_output.at4(in, kk, oy, ox);
+        for (std::size_t pos = 0; pos < pq; ++pos) {
+            const float *col = src + in * k * pq + pos;
+            float *row = dst + (in * pq + pos) * k;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                row[kk] = col[kk * pq];
+                if (hasBias_)
+                    dbias[kk] += row[kk];
             }
+        }
 
-    // dW = cols^T * dY ; dBias = column sums of dY.
+    // dW = cols^T * dY.
     accumulate(weight_.grad, matmulTransA(cachedCols_, flat));
-    if (hasBias_) {
-        for (std::size_t r = 0; r < flat.dim(0); ++r)
-            for (std::size_t kk = 0; kk < k; ++kk)
-                bias_.grad[kk] += flat.at2(r, kk);
-    }
 
     // dX = col2im(dY * W^T).
     Tensor dcols = matmulTransB(flat, weight_.value);

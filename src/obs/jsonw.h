@@ -2,7 +2,8 @@
  * @file
  * Minimal JSON writing helpers shared by the observability exporters
  * (Chrome trace events, metric snapshots, telemetry JSONL). Writing
- * only — the repo never needs to parse JSON, so there is no parser.
+ * only: reading JSON (gate files, serve job files, tests) goes through
+ * the strict parser in src/common/json.{h,cc}.
  */
 
 #ifndef CQ_OBS_JSONW_H

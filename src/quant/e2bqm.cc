@@ -81,56 +81,217 @@ E2bqmConfig::adaptivePrecision(ErrorMetric metric)
 namespace {
 
 /**
- * Quantize @p x with one candidate given the precomputed max-abs
- * statistic. Shiftable candidates pick the per-element scale greedily
- * as fakeQuantizeShiftable does, but here we record levels and select
- * bits so the result is a faithful hardware representation.
+ * One candidate's formats for one block, fixed by the block's max-abs
+ * statistic: a plain format, or a shiftable fine/wide pair.
+ */
+struct CandidatePlan
+{
+    CandidatePlan(const QuantCandidate &cand, double max_abs)
+        : shiftable(cand.shift > 0)
+    {
+        if (shiftable) {
+            const ShiftableFormat sf = shiftableForMaxAbs(
+                max_abs * cand.clipRatio, cand.bits, cand.shift);
+            fine = sf.fine();
+            wide = sf.wide();
+        } else {
+            fine = wide = formatForMaxAbs(max_abs * cand.clipRatio,
+                                          cand.bits);
+        }
+        fineRange = static_cast<double>(fine.qmax()) * fine.scale;
+    }
+
+    bool shiftable;
+    IntFormat fine;
+    /** Equal to fine for a plain candidate. */
+    IntFormat wide;
+    double fineRange;
+};
+
+/** One element through one candidate. */
+struct ElementQuant
+{
+    std::int32_t level;
+    /** Scale-select bit: the level is in the wide format. */
+    bool wide;
+    /** The dequantized value the error statistic compares against. */
+    double deq;
+};
+
+/**
+ * Quantize one element with one candidate. A shiftable candidate
+ * picks the element's scale greedily, as fakeQuantizeShiftable does,
+ * and forces the wide scale beyond the fine range.
+ */
+inline ElementQuant
+quantizeElement(double v, const CandidatePlan &plan)
+{
+    const std::int32_t qf = quantizeValue(v, plan.fine);
+    const double vf = dequantizeValue(qf, plan.fine);
+    if (!plan.shiftable)
+        return {qf, false, vf};
+    const std::int32_t qw = quantizeValue(v, plan.wide);
+    const double vw = dequantizeValue(qw, plan.wide);
+    const bool use_wide = std::fabs(v) > plan.fineRange ||
+                          std::fabs(vw - v) < std::fabs(vf - v);
+    return use_wide ? ElementQuant{qw, true, vw}
+                    : ElementQuant{qf, false, vf};
+}
+
+/**
+ * The arbiter's comparison: does a candidate with @p error and
+ * @p bits beat the current best? Smaller |error| wins; errors within
+ * kArbitrationRelEps (relative) of each other tie, and a tie goes to
+ * fewer bits, else stays with the earlier candidate.
+ */
+bool
+beatsBest(double error, int bits, double best_error, int best_bits)
+{
+    // Signed metrics (MeanBias) arbitrate on magnitude.
+    const double ea = std::fabs(error);
+    const double eb = std::fabs(best_error);
+    const double tol = kArbitrationRelEps * std::max(ea, eb);
+    if (std::fabs(ea - eb) <= tol)
+        return bits < best_bits; // (near-)equal: the cheaper format
+    return ea < eb;
+}
+
+/**
+ * Hardware-faithful candidate pass: every element's level and
+ * scale-select bit are recorded, and the error accumulates every
+ * metric.
  */
 CandidateResult
 runCandidate(const Tensor &x, double max_abs, const QuantCandidate &cand,
              ErrorMetric metric)
 {
+    const CandidatePlan plan(cand, max_abs);
     CandidateResult res;
     res.candidate = cand;
-    ErrorStat err;
-
-    if (cand.shift > 0) {
-        const ShiftableFormat sf =
-            shiftableForMaxAbs(max_abs * cand.clipRatio, cand.bits,
-                               cand.shift);
-        const IntFormat fine = sf.fine();
-        const IntFormat wide = sf.wide();
-        res.format = fine;
-        res.levels.resize(x.numel());
+    res.format = plan.fine;
+    res.levels.resize(x.numel());
+    if (plan.shiftable)
         res.wideBits.resize(x.numel());
-        const double fine_range =
-            static_cast<double>(fine.qmax()) * fine.scale;
-        for (std::size_t i = 0; i < x.numel(); ++i) {
-            const double v = x[i];
-            const std::int32_t qf = quantizeValue(v, fine);
-            const std::int32_t qw = quantizeValue(v, wide);
-            const double vf = dequantizeValue(qf, fine);
-            const double vw = dequantizeValue(qw, wide);
-            bool use_wide = std::fabs(v) > fine_range ||
-                            std::fabs(vw - v) < std::fabs(vf - v);
-            res.levels[i] =
-                static_cast<std::int16_t>(use_wide ? qw : qf);
-            res.wideBits[i] = use_wide ? 1 : 0;
-            err.observe(v, use_wide ? vw : vf);
-        }
-    } else {
-        const IntFormat fmt =
-            formatForMaxAbs(max_abs * cand.clipRatio, cand.bits);
-        res.format = fmt;
-        res.levels.resize(x.numel());
-        for (std::size_t i = 0; i < x.numel(); ++i) {
-            const std::int32_t q = quantizeValue(x[i], fmt);
-            res.levels[i] = static_cast<std::int16_t>(q);
-            err.observe(x[i], dequantizeValue(q, fmt));
-        }
+    ErrorStat err;
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+        const double v = x[i];
+        const ElementQuant e = quantizeElement(v, plan);
+        res.levels[i] = static_cast<std::int16_t>(e.level);
+        if (plan.shiftable)
+            res.wideBits[i] = e.wide ? 1 : 0;
+        err.observe(v, e.deq);
     }
     res.error = err.value(metric);
     return res;
+}
+
+/** One candidate's error over @p n elements, metric @p M only. */
+template <ErrorMetric M>
+double
+candidateError(const float *x, std::size_t n, const CandidatePlan &plan)
+{
+    ErrorStat err;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = x[i];
+        err.observeFor<M>(v, quantizeElement(v, plan).deq);
+    }
+    return err.value(M);
+}
+
+double
+candidateError(const float *x, std::size_t n, const CandidatePlan &plan,
+               ErrorMetric metric)
+{
+    switch (metric) {
+      case ErrorMetric::Rectilinear:
+        return candidateError<ErrorMetric::Rectilinear>(x, n, plan);
+      case ErrorMetric::CosineDistance:
+        return candidateError<ErrorMetric::CosineDistance>(x, n, plan);
+      case ErrorMetric::MeanBias:
+        return candidateError<ErrorMetric::MeanBias>(x, n, plan);
+      case ErrorMetric::MaxError:
+        return candidateError<ErrorMetric::MaxError>(x, n, plan);
+    }
+    panic("unknown error metric");
+}
+
+/**
+ * fakeQuantizeE2bqm/Hqt: E2BQM over @p nblocks consecutive blocks of
+ * @p x, fused the way the SQU streams a buffered block (Sec. III-B):
+ * the max-abs statistic, each candidate's error (the configured
+ * metric only; candidates split across the pool when this is not
+ * already a pool chunk), arbitration, then only the winner is
+ * quantized, straight into the output. Nothing is allocated per
+ * block.
+ */
+Tensor
+fakeQuantizeBlocks(const Tensor &x, std::size_t block_size,
+                   std::size_t nblocks, const E2bqmConfig &config,
+                   E2bqmSelectionInfo *info)
+{
+    CQ_ASSERT_MSG(!config.candidates.empty(),
+                  "E2BQM requires at least one candidate");
+    CQ_TRACE_SCOPE("quant.e2bqm_sweep");
+    const std::vector<QuantCandidate> &cands = config.candidates;
+    const std::size_t n = x.numel();
+    Tensor out(x.shape());
+    // Chosen bit widths land in a per-block slot (disjoint writes)
+    // and are tallied serially after the join, so requesting the info
+    // stays race-free and thread-count independent.
+    std::vector<int> chosenBits;
+    if (info != nullptr)
+        chosenBits.resize(nblocks, 0);
+    // Blocks are quantized independently and write disjoint output
+    // slices; the nested candidate loop then runs inline.
+    parallelFor(0, nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
+        std::vector<double> errors(cands.size());
+        const float *xb = nullptr;
+        std::size_t len = 0;
+        double max_abs = 0.0;
+        // Built once per chunk, so no block allocates a closure.
+        const ThreadPool::RangeFn candidateErrors =
+            [&](std::size_t clo, std::size_t chi) {
+                for (std::size_t c = clo; c < chi; ++c)
+                    errors[c] = candidateError(
+                        xb, len, CandidatePlan(cands[c], max_abs),
+                        config.metric);
+            };
+        for (std::size_t blk = blo; blk < bhi; ++blk) {
+            const std::size_t lo = blk * block_size;
+            xb = x.data() + lo;
+            len = std::min(lo + block_size, n) - lo;
+            MaxAbsStat stat;
+            for (std::size_t i = 0; i < len; ++i)
+                stat.observe(xb[i]);
+            max_abs = stat.value();
+            // A lone candidate wins whatever its error, so its error
+            // pass is skipped.
+            if (cands.size() > 1)
+                parallelFor(0, cands.size(), 1, candidateErrors);
+            std::size_t best = 0;
+            for (std::size_t c = 1; c < cands.size(); ++c)
+                if (beatsBest(errors[c], cands[c].bits, errors[best],
+                              cands[best].bits))
+                    best = c;
+            // The output is what the hardware reconstructs from the
+            // int16 level it stores (CandidateResult::dequantize).
+            const CandidatePlan plan(cands[best], max_abs);
+            float *ob = out.data() + lo;
+            for (std::size_t i = 0; i < len; ++i) {
+                const ElementQuant e = quantizeElement(xb[i], plan);
+                ob[i] = static_cast<float>(dequantizeValue(
+                    static_cast<std::int16_t>(e.level),
+                    e.wide ? plan.wide : plan.fine));
+            }
+            if (info != nullptr)
+                chosenBits[blk] = cands[best].bits;
+        }
+    });
+    if (info != nullptr) {
+        for (int bits : chosenBits)
+            ++info->bitsTally[bits];
+    }
+    return out;
 }
 
 } // namespace
@@ -140,20 +301,11 @@ arbitrate(const std::vector<CandidateResult> &candidates)
 {
     CQ_ASSERT(!candidates.empty());
     std::size_t best = 0;
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-        // Signed metrics (MeanBias) arbitrate on magnitude.
-        const double ea = std::fabs(candidates[i].error);
-        const double eb = std::fabs(candidates[best].error);
-        const double tol = kArbitrationRelEps * std::max(ea, eb);
-        if (std::fabs(ea - eb) <= tol) {
-            // (Near-)equal error: the cheaper format wins.
-            if (candidates[i].candidate.bits <
-                candidates[best].candidate.bits)
-                best = i;
-        } else if (ea < eb) {
+    for (std::size_t i = 1; i < candidates.size(); ++i)
+        if (beatsBest(candidates[i].error, candidates[i].candidate.bits,
+                      candidates[best].error,
+                      candidates[best].candidate.bits))
             best = i;
-        }
-    }
     return best;
 }
 
@@ -162,10 +314,7 @@ e2bqmQuantize(const Tensor &x, const E2bqmConfig &config)
 {
     CQ_ASSERT_MSG(!config.candidates.empty(),
                   "E2BQM requires at least one candidate");
-    // Deliberately span-free: this runs once per *block* (hundreds of
-    // times per training step), so its trace scope lives in the
-    // per-tensor entry points below — micro-spans here would blow the
-    // PERF-07 observability budget without adding signal.
+    // Deliberately span-free, like the per-block sweep it mirrors.
     // Step 1: one-pass statistic over the original data.
     MaxAbsStat stat;
     for (std::size_t i = 0; i < x.numel(); ++i)
@@ -197,11 +346,9 @@ Tensor
 fakeQuantizeE2bqm(const Tensor &x, const E2bqmConfig &config,
                   E2bqmSelectionInfo *info)
 {
-    CQ_TRACE_SCOPE("quant.e2bqm_sweep");
-    const E2bqmResult result = e2bqmQuantize(x, config);
-    if (info != nullptr)
-        ++info->bitsTally[result.best().candidate.bits];
-    return result.best().dequantize(x.shape());
+    // One block spanning the tensor (one block even when empty).
+    return fakeQuantizeBlocks(x, std::max<std::size_t>(x.numel(), 1), 1,
+                              config, info);
 }
 
 Tensor
@@ -209,38 +356,9 @@ fakeQuantizeHqt(const Tensor &x, std::size_t block_size,
                 const E2bqmConfig &config, E2bqmSelectionInfo *info)
 {
     CQ_ASSERT(block_size > 0);
-    CQ_TRACE_SCOPE("quant.e2bqm_sweep");
-    Tensor out(x.shape());
-    const std::size_t n = x.numel();
-    const std::size_t nblocks = (n + block_size - 1) / block_size;
-    // Chosen bit widths land in a per-block slot (disjoint writes)
-    // and are tallied serially after the join, so requesting the info
-    // stays race-free and thread-count independent.
-    std::vector<int> chosenBits;
-    if (info != nullptr)
-        chosenBits.resize(nblocks, 0);
-    // Blocks are quantized independently and write disjoint output
-    // slices; the nested E2BQM candidate sweep runs inline.
-    parallelFor(0, nblocks, 1, [&](std::size_t blo, std::size_t bhi) {
-        for (std::size_t blk = blo; blk < bhi; ++blk) {
-            const std::size_t lo = blk * block_size;
-            const std::size_t hi = std::min(lo + block_size, n);
-            Tensor block({hi - lo});
-            for (std::size_t i = lo; i < hi; ++i)
-                block[i - lo] = x[i];
-            const E2bqmResult res = e2bqmQuantize(block, config);
-            if (info != nullptr)
-                chosenBits[blk] = res.best().candidate.bits;
-            const Tensor deq = res.best().dequantize(block.shape());
-            for (std::size_t i = lo; i < hi; ++i)
-                out[i] = deq[i - lo];
-        }
-    });
-    if (info != nullptr) {
-        for (int bits : chosenBits)
-            ++info->bitsTally[bits];
-    }
-    return out;
+    return fakeQuantizeBlocks(x, block_size,
+                              (x.numel() + block_size - 1) / block_size,
+                              config, info);
 }
 
 } // namespace cq::quant

@@ -132,14 +132,19 @@ struct E2bqmSelectionInfo
     std::map<int, std::uint64_t> bitsTally;
 };
 
-/** Round-trip through the selected candidate. */
+/**
+ * Round-trip through the selected candidate: bit for bit
+ * e2bqmQuantize(x, config).best().dequantize(x.shape()), computed by
+ * a fused sweep that never materializes the candidates' levels.
+ */
 Tensor fakeQuantizeE2bqm(const Tensor &x, const E2bqmConfig &config,
                          E2bqmSelectionInfo *info = nullptr);
 
 /**
  * Blocked E2BQM: apply the multiplexer independently to consecutive
  * blocks of @p block_size elements (LDQ + E2BQM composed, i.e. the
- * full HQT path). Returns the dequantized reconstruction.
+ * full HQT path). Returns the dequantized reconstruction, each block
+ * equal to fakeQuantizeE2bqm of that block alone.
  */
 Tensor fakeQuantizeHqt(const Tensor &x, std::size_t block_size,
                        const E2bqmConfig &config,

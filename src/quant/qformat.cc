@@ -33,22 +33,6 @@ formatForMaxAbs(double max_abs, int bits)
     return fmt;
 }
 
-std::int32_t
-quantizeValue(double x, const IntFormat &fmt)
-{
-    const double level = std::nearbyint(x / fmt.scale);
-    const double clamped =
-        std::clamp(level, static_cast<double>(fmt.qmin()),
-                   static_cast<double>(fmt.qmax()));
-    return static_cast<std::int32_t>(clamped);
-}
-
-double
-dequantizeValue(std::int32_t q, const IntFormat &fmt)
-{
-    return static_cast<double>(q) * fmt.scale;
-}
-
 std::vector<std::int32_t>
 quantizeTensor(const Tensor &x, const IntFormat &fmt)
 {
@@ -163,7 +147,7 @@ roundToFloatFormat(double x, const FloatFormat &fmt)
     // Subnormal range: quantum fixed at the minimum exponent.
     const int q_exp = std::max(exp, emin) - fmt.mantBits;
     const double quantum = std::ldexp(1.0, q_exp);
-    const double rounded = std::nearbyint(mag / quantum) * quantum;
+    const double rounded = std::rint(mag / quantum) * quantum;
     return std::copysign(rounded, x);
 }
 

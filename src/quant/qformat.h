@@ -15,6 +15,8 @@
 #ifndef CQ_QUANT_QFORMAT_H
 #define CQ_QUANT_QFORMAT_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,11 +53,27 @@ struct IntFormat
  */
 IntFormat formatForMaxAbs(double max_abs, int bits);
 
-/** Quantize one value: round(x / scale), saturating to the level range. */
-std::int32_t quantizeValue(double x, const IntFormat &fmt);
+/**
+ * Quantize one value: round(x / scale) to nearest-even, saturating to
+ * the level range. std::rint rounds in the current mode, which the
+ * repository never changes from the default round-to-nearest.
+ */
+inline std::int32_t
+quantizeValue(double x, const IntFormat &fmt)
+{
+    const double level = std::rint(x / fmt.scale);
+    const double clamped =
+        std::clamp(level, static_cast<double>(fmt.qmin()),
+                   static_cast<double>(fmt.qmax()));
+    return static_cast<std::int32_t>(clamped);
+}
 
 /** Dequantize one level. */
-double dequantizeValue(std::int32_t q, const IntFormat &fmt);
+inline double
+dequantizeValue(std::int32_t q, const IntFormat &fmt)
+{
+    return static_cast<double>(q) * fmt.scale;
+}
 
 /** Quantize a whole tensor into int32 levels (caller packs). */
 std::vector<std::int32_t> quantizeTensor(const Tensor &x,

@@ -11,13 +11,6 @@
 namespace cq::quant {
 
 void
-MaxAbsStat::observe(double x)
-{
-    maxAbs_ = std::max(maxAbs_, std::fabs(x));
-    ++count_;
-}
-
-void
 MaxAbsStat::reset()
 {
     maxAbs_ = 0.0;
@@ -34,19 +27,6 @@ errorMetricName(ErrorMetric metric)
       case ErrorMetric::MaxError:       return "max-error";
     }
     return "?";
-}
-
-void
-ErrorStat::observe(double x, double xq)
-{
-    const double d = x - xq;
-    sumAbsDiff_ += std::fabs(d);
-    sumDiff_ += d;
-    maxDiff_ = std::max(maxDiff_, std::fabs(d));
-    dot_ += x * xq;
-    normX_ += x * x;
-    normQ_ += xq * xq;
-    ++count_;
 }
 
 void

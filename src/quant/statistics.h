@@ -13,6 +13,8 @@
 #ifndef CQ_QUANT_STATISTICS_H
 #define CQ_QUANT_STATISTICS_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string>
 
@@ -22,7 +24,13 @@ namespace cq::quant {
 class MaxAbsStat
 {
   public:
-    void observe(double x);
+    /** A NaN leaves the maximum unchanged. */
+    void
+    observe(double x)
+    {
+        maxAbs_ = std::max(maxAbs_, std::fabs(x));
+        ++count_;
+    }
     void reset();
     /** Current max |x| over everything observed. */
     double value() const { return maxAbs_; }
@@ -59,7 +67,43 @@ class ErrorStat
 {
   public:
     /** Observe one (original, dequantized) pair. */
-    void observe(double x, double xq);
+    void
+    observe(double x, double xq)
+    {
+        const double d = x - xq;
+        sumAbsDiff_ += std::fabs(d);
+        sumDiff_ += d;
+        maxDiff_ = std::max(maxDiff_, std::fabs(d));
+        dot_ += x * xq;
+        normX_ += x * x;
+        normQ_ += xq * xq;
+        ++count_;
+    }
+
+    /**
+     * observe() restricted to the accumulators value(M) reads: the
+     * same operations on those, none on the rest. A pass that only
+     * needs one metric (the fused E2BQM sweep) uses this.
+     */
+    template <ErrorMetric M>
+    void
+    observeFor(double x, double xq)
+    {
+        const double d = x - xq;
+        if constexpr (M == ErrorMetric::Rectilinear) {
+            sumAbsDiff_ += std::fabs(d);
+        } else if constexpr (M == ErrorMetric::MeanBias) {
+            sumDiff_ += d;
+        } else if constexpr (M == ErrorMetric::MaxError) {
+            maxDiff_ = std::max(maxDiff_, std::fabs(d));
+        } else {
+            dot_ += x * xq;
+            normX_ += x * x;
+            normQ_ += xq * xq;
+        }
+        ++count_;
+    }
+
     void reset();
 
     /** Value of the requested metric over everything observed. */

@@ -6,7 +6,12 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
@@ -42,6 +47,20 @@ rowGrain(std::size_t work_per_row)
 {
     return std::max<std::size_t>(
         1, kMinParallelWork / std::max<std::size_t>(work_per_row, 1));
+}
+
+/**
+ * The kernel taps t in [0, kernel) that land inside the image, i.e.
+ * 0 <= origin + t < extent, as the range [first, second).
+ */
+std::pair<std::size_t, std::size_t>
+validTaps(std::ptrdiff_t origin, std::size_t kernel, std::size_t extent)
+{
+    const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(kernel);
+    const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-origin, 0, k);
+    const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(
+        static_cast<std::ptrdiff_t>(extent) - origin, lo, k);
+    return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
 }
 
 } // namespace
@@ -108,6 +127,134 @@ accumulate(Tensor &a, const Tensor &b, float s)
                 });
 }
 
+namespace {
+
+/**
+ * Columns [0, W) of one output row of a float GEMM: the W partial
+ * sums stay in registers over the whole k loop. @p arow walks the row
+ * of op(A) at stride @p lda; each sum starts at +0 and adds av * b in
+ * ascending k. A term with av == 0 (of either sign) is skipped: its
+ * product is masked to +0, which leaves the sum bitwise unchanged
+ * because a sum that starts at +0 can never become -0. Masking
+ * instead of branching keeps ReLU-sparse rows free of mispredicts,
+ * and 0 * Inf never turns an output into NaN.
+ */
+template <std::size_t W>
+void
+floatTile(const float *arow, std::size_t lda, const float *b,
+          std::size_t n, std::size_t k, float *crow)
+{
+    float acc[W] = {};
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const float av = arow[kk * lda];
+        const std::uint32_t keep =
+            0u - static_cast<std::uint32_t>(av != 0.0f);
+        const float *brow = b + kk * n;
+#pragma GCC unroll 16
+        for (std::size_t t = 0; t < W; ++t)
+            acc[t] += std::bit_cast<float>(
+                std::bit_cast<std::uint32_t>(av * brow[t]) & keep);
+    }
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < W; ++t)
+        crow[t] = acc[t];
+}
+
+/**
+ * Columns [0, W) of one output row of matmulTransB: W double sums
+ * over a W-wide strip of the packed B^T panel (k rows of W doubles,
+ * contiguous), no zero skip.
+ */
+template <std::size_t W>
+void
+doubleTile(const float *arow, const double *strip, std::size_t k,
+           float *crow)
+{
+    double acc[W] = {};
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const double av = arow[kk];
+        const double *prow = strip + kk * W;
+#pragma GCC unroll 8
+        for (std::size_t t = 0; t < W; ++t)
+            acc[t] += av * prow[t];
+    }
+#pragma GCC unroll 8
+    for (std::size_t t = 0; t < W; ++t)
+        crow[t] = static_cast<float>(acc[t]);
+}
+
+/**
+ * Rows [lo, hi) of an (m x n) product, walked one column strip at a
+ * time (W = 16, 8 or 4, then single columns) so the strip of B stays
+ * in cache across the rows. @p tile(W-tag, i, j) computes row i,
+ * columns [j, j + W).
+ */
+template <std::size_t Wide, typename Tile>
+void
+forEachTile(std::size_t n, std::size_t lo, std::size_t hi, Tile &&tile)
+{
+    auto strip = [&](auto width, std::size_t j) {
+        for (std::size_t i = lo; i < hi; ++i)
+            tile(width, i, j);
+    };
+    std::size_t j = 0;
+    for (; j + Wide <= n; j += Wide)
+        strip(std::integral_constant<std::size_t, Wide>{}, j);
+    if constexpr (Wide > 8) {
+        if (j + 8 <= n) {
+            strip(std::integral_constant<std::size_t, 8>{}, j);
+            j += 8;
+        }
+    }
+    if (j + 4 <= n) {
+        strip(std::integral_constant<std::size_t, 4>{}, j);
+        j += 4;
+    }
+    for (; j < n; ++j)
+        strip(std::integral_constant<std::size_t, 1>{}, j);
+}
+
+/**
+ * The float GEMM core of matmul and matmulTransA: C = op(A) * B with
+ * op(A)(i, kk) = a[i * rs + kk * ks] and B (k x n). Output rows are
+ * chunked across the pool; each output is summed by floatTile in
+ * ascending k whatever the chunking, so the result is bitwise
+ * independent of the thread count.
+ */
+Tensor
+floatGemm(const float *a, std::size_t rs, std::size_t ks, const Tensor &b,
+          std::size_t m, std::size_t k)
+{
+    const std::size_t n = b.dim(1);
+    Tensor c({m, n});
+    if (k == 0)
+        return c;
+    const float *pb = b.data();
+    float *pc = c.data();
+    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
+        forEachTile<16>(n, lo, hi, [&](auto width, std::size_t i,
+                                       std::size_t j) {
+            floatTile<decltype(width)::value>(a + i * rs, ks, pb + j, n, k,
+                                              pc + i * n + j);
+        });
+    });
+    return c;
+}
+
+void
+countGemm(std::size_t m, std::size_t k, std::size_t n)
+{
+    static obs::Counter &calls =
+        obs::MetricRegistry::instance().counter("gemm.calls");
+    static obs::Counter &macs =
+        obs::MetricRegistry::instance().counter("gemm.macs");
+    calls.inc();
+    macs.add(static_cast<double>(m) * static_cast<double>(k) *
+             static_cast<double>(n));
+}
+
+} // namespace
+
 Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
@@ -124,34 +271,8 @@ matmul(const Tensor &a, const Tensor &b)
     if (const abft::AbftConfig *cfg = abft::AbftScope::active())
         return abft::abftMatmul(a, b, *cfg);
     CQ_TRACE_SCOPE("gemm.matmul");
-    static obs::Counter &calls =
-        obs::MetricRegistry::instance().counter("gemm.calls");
-    static obs::Counter &macs =
-        obs::MetricRegistry::instance().counter("gemm.macs");
-    calls.inc();
-    macs.add(static_cast<double>(m) * static_cast<double>(k) *
-             static_cast<double>(n));
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    // i-k-j loop order: unit-stride access on b and c rows. Output
-    // rows are independent, so chunking over i is deterministic: each
-    // c[i][j] accumulates in ascending kk order on every thread count.
-    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = pa[i * k + kk];
-                if (av == 0.0f)
-                    continue;
-                const float *brow = pb + kk * n;
-                float *crow = pc + i * n;
-                for (std::size_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    });
-    return c;
+    countGemm(m, k, n);
+    return floatGemm(a.data(), k, 1, b, m, k);
 }
 
 Tensor
@@ -167,34 +288,8 @@ matmulTransA(const Tensor &a, const Tensor &b)
                   k, b.dim(0), shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
     CQ_TRACE_SCOPE("gemm.matmulTransA");
-    static obs::Counter &calls =
-        obs::MetricRegistry::instance().counter("gemm.calls");
-    static obs::Counter &macs =
-        obs::MetricRegistry::instance().counter("gemm.macs");
-    calls.inc();
-    macs.add(static_cast<double>(m) * static_cast<double>(k) *
-             static_cast<double>(n));
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    // i outermost so output rows can be chunked across threads; for a
-    // fixed (i, j) the accumulation still runs in ascending kk order,
-    // so the result is bitwise independent of the thread count.
-    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            float *crow = pc + i * n;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = pa[kk * m + i];
-                if (av == 0.0f)
-                    continue;
-                const float *brow = pb + kk * n;
-                for (std::size_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    });
-    return c;
+    countGemm(m, k, n);
+    return floatGemm(a.data(), 1, m, b, m, k);
 }
 
 Tensor
@@ -210,28 +305,33 @@ matmulTransB(const Tensor &a, const Tensor &b)
                   k, b.dim(1), shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
     CQ_TRACE_SCOPE("gemm.matmulTransB");
-    static obs::Counter &calls =
-        obs::MetricRegistry::instance().counter("gemm.calls");
-    static obs::Counter &macs =
-        obs::MetricRegistry::instance().counter("gemm.macs");
-    calls.inc();
-    macs.add(static_cast<double>(m) * static_cast<double>(k) *
-             static_cast<double>(n));
+    countGemm(m, k, n);
     Tensor c({m, n});
-    const float *pa = a.data();
+    if (k == 0)
+        return c;
+    // B^T is packed once, as doubles, into the column strips the
+    // tiles walk: the strip of columns [j, j + W) holds k rows of W
+    // contiguous doubles at offset j * k (the one-row range [0, 1)
+    // visits each strip once). The panel is read-only while the pool
+    // runs. A float product is exact in double, so every output still
+    // sums the same double terms in ascending k.
+    std::vector<double> panel(k * n);
     const float *pb = b.data();
+    forEachTile<8>(n, 0, 1, [&](auto width, std::size_t, std::size_t j) {
+        constexpr std::size_t W = decltype(width)::value;
+        for (std::size_t kk = 0; kk < k; ++kk)
+            for (std::size_t t = 0; t < W; ++t)
+                panel[j * k + kk * W + t] = pb[(j + t) * k + kk];
+    });
+    const float *pa = a.data();
     float *pc = c.data();
     parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const float *arow = pa + i * k;
-            for (std::size_t j = 0; j < n; ++j) {
-                const float *brow = pb + j * k;
-                double acc = 0.0;
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    acc += static_cast<double>(arow[kk]) * brow[kk];
-                pc[i * n + j] = static_cast<float>(acc);
-            }
-        }
+        forEachTile<8>(n, lo, hi, [&](auto width, std::size_t i,
+                                      std::size_t j) {
+            doubleTile<decltype(width)::value>(pa + i * k,
+                                               panel.data() + j * k, k,
+                                               pc + i * n + j);
+        });
     });
     return c;
 }
@@ -281,38 +381,33 @@ im2col(const Tensor &input, const Conv2dGeometry &g)
     const std::size_t patch = c * g.kernelH * g.kernelW;
 
     CQ_TRACE_SCOPE("tensor.im2col");
+    // Zero-filled, so only the taps inside the image are written.
     Tensor cols({n * p * q, patch});
+    const float *src = input.data();
     float *out = cols.data();
+    const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(w);
+    const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
     // Every patch row of the output is written by exactly one index,
     // so chunking the flattened (n, oy, ox) space is race-free.
     parallelFor(0, n * p * q, rowGrain(patch),
                 [&](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) {
             const std::size_t in = r / (p * q);
-            const std::size_t oy = (r / q) % p;
-            const std::size_t ox = r % q;
-            float *row = out + r * patch;
-            std::size_t idx = 0;
+            const std::ptrdiff_t y0 =
+                static_cast<std::ptrdiff_t>((r / q) % p * g.stride) - pad;
+            const std::ptrdiff_t x0 =
+                static_cast<std::ptrdiff_t>(r % q * g.stride) - pad;
+            const auto [ky0, ky1] = validTaps(y0, g.kernelH, h);
+            const auto [kx0, kx1] = validTaps(x0, g.kernelW, w);
             for (std::size_t ic = 0; ic < c; ++ic) {
-                for (std::size_t ky = 0; ky < g.kernelH; ++ky) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    for (std::size_t kx = 0; kx < g.kernelW; ++kx) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(
-                                ox * g.stride + kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        float v = 0.0f;
-                        if (iy >= 0 && ix >= 0 &&
-                            iy < static_cast<std::ptrdiff_t>(h) &&
-                            ix < static_cast<std::ptrdiff_t>(w)) {
-                            v = input.at4(in, ic,
-                                          static_cast<std::size_t>(iy),
-                                          static_cast<std::size_t>(ix));
-                        }
-                        row[idx++] = v;
-                    }
+                const float *plane = src + (in * c + ic) * h * w;
+                float *taps = out + r * patch + ic * g.kernelH * g.kernelW;
+                for (std::size_t ky = ky0; ky < ky1; ++ky) {
+                    const float *line =
+                        plane + (y0 + static_cast<std::ptrdiff_t>(ky)) * iw;
+                    float *dst = taps + ky * g.kernelW;
+                    for (std::size_t kx = kx0; kx < kx1; ++kx)
+                        dst[kx] = line[x0 + static_cast<std::ptrdiff_t>(kx)];
                 }
             }
         }
@@ -339,6 +434,9 @@ col2im(const Tensor &cols, const Shape &inputShape, const Conv2dGeometry &g)
     CQ_TRACE_SCOPE("tensor.col2im");
     Tensor out(inputShape);
     const float *in = cols.data();
+    float *dst = out.data();
+    const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(w);
+    const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
     // Overlapping patches accumulate into the same input pixels, so
     // the parallel dimension is the (image, channel) plane: each plane
     // is touched by exactly one chunk, and inside a plane the patches
@@ -348,31 +446,27 @@ col2im(const Tensor &cols, const Shape &inputShape, const Conv2dGeometry &g)
                 [&](std::size_t lo, std::size_t hi) {
         for (std::size_t plane = lo; plane < hi; ++plane) {
             const std::size_t inn = plane / c;
-            const std::size_t ic = plane % c;
-            const std::size_t patch_base = ic * g.kernelH * g.kernelW;
+            const std::size_t patch_base =
+                plane % c * g.kernelH * g.kernelW;
+            float *pix = dst + plane * h * w;
             for (std::size_t oy = 0; oy < p; ++oy) {
+                const std::ptrdiff_t y0 =
+                    static_cast<std::ptrdiff_t>(oy * g.stride) - pad;
+                const auto [ky0, ky1] = validTaps(y0, g.kernelH, h);
                 for (std::size_t ox = 0; ox < q; ++ox) {
-                    const float *row =
-                        in + ((inn * p + oy) * q + ox) * patch;
-                    std::size_t idx = patch_base;
-                    for (std::size_t ky = 0; ky < g.kernelH; ++ky) {
-                        const std::ptrdiff_t iy =
-                            static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        for (std::size_t kx = 0; kx < g.kernelW; ++kx) {
-                            const std::ptrdiff_t ix =
-                                static_cast<std::ptrdiff_t>(
-                                    ox * g.stride + kx) -
-                                static_cast<std::ptrdiff_t>(g.pad);
-                            const float v = row[idx++];
-                            if (iy >= 0 && ix >= 0 &&
-                                iy < static_cast<std::ptrdiff_t>(h) &&
-                                ix < static_cast<std::ptrdiff_t>(w)) {
-                                out.at4(inn, ic,
-                                        static_cast<std::size_t>(iy),
-                                        static_cast<std::size_t>(ix)) += v;
-                            }
-                        }
+                    const std::ptrdiff_t x0 =
+                        static_cast<std::ptrdiff_t>(ox * g.stride) - pad;
+                    const auto [kx0, kx1] = validTaps(x0, g.kernelW, w);
+                    const float *taps = in +
+                                        ((inn * p + oy) * q + ox) * patch +
+                                        patch_base;
+                    for (std::size_t ky = ky0; ky < ky1; ++ky) {
+                        float *line =
+                            pix + (y0 + static_cast<std::ptrdiff_t>(ky)) * iw;
+                        const float *row = taps + ky * g.kernelW;
+                        for (std::size_t kx = kx0; kx < kx1; ++kx)
+                            line[x0 + static_cast<std::ptrdiff_t>(kx)] +=
+                                row[kx];
                     }
                 }
             }

@@ -30,16 +30,28 @@ Tensor scale(const Tensor &a, float s);
 void accumulate(Tensor &a, const Tensor &b, float s = 1.0f);
 
 /**
- * Matrix multiply: (m x k) * (k x n) -> (m x n).
- * Plain triple loop with k-inner accumulation in double; correctness
- * reference for the accelerator's MM instruction.
+ * Matrix multiply: (m x k) * (k x n) -> (m x n); correctness reference
+ * for the accelerator's MM instruction. Each output is a float sum
+ * that starts at +0 and adds a[i][kk] * b[kk][j] in ascending kk,
+ * skipping every term whose a[i][kk] is zero (+0 or -0), so a zero in
+ * a never meets an Inf or NaN in b. Bitwise identical at any thread
+ * count; inside an abft::AbftScope the product is checksum-verified.
  */
 Tensor matmul(const Tensor &a, const Tensor &b);
 
-/** Matrix multiply with the left operand transposed: a^T * b. */
+/**
+ * Matrix multiply with the left operand transposed: a^T * b for a
+ * (k x m). Same numerics as matmul: float sums in ascending k, terms
+ * with a zero element of a skipped.
+ */
 Tensor matmulTransA(const Tensor &a, const Tensor &b);
 
-/** Matrix multiply with the right operand transposed: a * b^T. */
+/**
+ * Matrix multiply with the right operand transposed: a * b^T for b
+ * (n x k). Each output is a double sum of the exact double products
+ * a[i][kk] * b[j][kk] in ascending kk, no term skipped, rounded to
+ * float once at the end.
+ */
 Tensor matmulTransB(const Tensor &a, const Tensor &b);
 
 /** 2-d transpose. */

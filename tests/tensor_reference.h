@@ -1,0 +1,222 @@
+/**
+ * @file
+ * Test oracle for the trainer kernels: the plain loops they replaced.
+ *
+ * matmul and matmulTransA hold register tiles of outputs, matmulTransB
+ * sums over a packed double panel of B^T, im2col/col2im index raw
+ * pointers, and fakeQuantizeE2bqm/fakeQuantizeHqt run a fused,
+ * allocation-free sweep per block. Each stays bitwise equal to the
+ * straightforward formulation kept here, which the differential tests
+ * in test_tensor.cc and test_quant.cc compare against. Test-only and
+ * deliberately unoptimized: keep it a literal statement of the
+ * numerics, not a second fast path.
+ */
+
+#ifndef CQ_TESTS_TENSOR_REFERENCE_H
+#define CQ_TESTS_TENSOR_REFERENCE_H
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
+#include "quant/e2bqm.h"
+#include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
+
+namespace cq::test {
+
+/**
+ * "" when @p got and @p want have the same shape, every non-NaN
+ * element is bitwise equal and the NaNs sit at the same positions
+ * (their payload bits may differ); otherwise the first difference.
+ */
+inline std::string
+bitDifference(const Tensor &got, const Tensor &want)
+{
+    if (got.shape() != want.shape())
+        return "shape " + shapeToString(got.shape()) + " vs " +
+               shapeToString(want.shape());
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        const bool nanGot = std::isnan(got[i]);
+        const bool nanWant = std::isnan(want[i]);
+        if (nanGot && nanWant)
+            continue;
+        if (nanGot != nanWant || std::bit_cast<std::uint32_t>(got[i]) !=
+                                     std::bit_cast<std::uint32_t>(want[i]))
+            return "element " + std::to_string(i) + ": " +
+                   std::to_string(got[i]) + " vs " +
+                   std::to_string(want[i]);
+    }
+    return "";
+}
+
+/** (m x k) * (k x n): i-k-j, float sums, zero a skipped. */
+inline Tensor
+referenceMatmul(const Tensor &a, const Tensor &b)
+{
+    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    Tensor c({m, n});
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float av = a[i * k + kk];
+            if (av == 0.0f)
+                continue;
+            for (std::size_t j = 0; j < n; ++j)
+                c[i * n + j] += av * b[kk * n + j];
+        }
+    }
+    return c;
+}
+
+/** a^T * b for a (k x m): as referenceMatmul, a read down a column. */
+inline Tensor
+referenceMatmulTransA(const Tensor &a, const Tensor &b)
+{
+    const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+    Tensor c({m, n});
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float av = a[kk * m + i];
+            if (av == 0.0f)
+                continue;
+            for (std::size_t j = 0; j < n; ++j)
+                c[i * n + j] += av * b[kk * n + j];
+        }
+    }
+    return c;
+}
+
+/** a * b^T for b (n x k): one serial double sum per output. */
+inline Tensor
+referenceMatmulTransB(const Tensor &a, const Tensor &b)
+{
+    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+    Tensor c({m, n});
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t kk = 0; kk < k; ++kk)
+                acc += static_cast<double>(a[i * k + kk]) * b[j * k + kk];
+            c[i * n + j] = static_cast<float>(acc);
+        }
+    }
+    return c;
+}
+
+/** True when (iy, ix) lies inside an h x w image. */
+inline bool
+referenceInside(std::ptrdiff_t iy, std::ptrdiff_t ix, std::size_t h,
+                std::size_t w)
+{
+    return iy >= 0 && ix >= 0 && iy < static_cast<std::ptrdiff_t>(h) &&
+           ix < static_cast<std::ptrdiff_t>(w);
+}
+
+/** im2col through bounds-checked at4 reads, zero outside the image. */
+inline Tensor
+referenceIm2col(const Tensor &input, const Conv2dGeometry &g)
+{
+    const std::size_t n = input.dim(0), c = input.dim(1);
+    const std::size_t h = input.dim(2), w = input.dim(3);
+    const std::size_t p = g.outH(h), q = g.outW(w);
+    const std::size_t patch = c * g.kernelH * g.kernelW;
+    Tensor cols({n * p * q, patch});
+    for (std::size_t r = 0; r < n * p * q; ++r) {
+        const std::size_t in = r / (p * q);
+        const std::size_t oy = (r / q) % p, ox = r % q;
+        std::size_t idx = 0;
+        for (std::size_t ic = 0; ic < c; ++ic)
+            for (std::size_t ky = 0; ky < g.kernelH; ++ky)
+                for (std::size_t kx = 0; kx < g.kernelW; ++kx) {
+                    const std::ptrdiff_t iy =
+                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                        static_cast<std::ptrdiff_t>(g.pad);
+                    const std::ptrdiff_t ix =
+                        static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                        static_cast<std::ptrdiff_t>(g.pad);
+                    cols.at2(r, idx++) =
+                        referenceInside(iy, ix, h, w)
+                            ? input.at4(in, ic,
+                                        static_cast<std::size_t>(iy),
+                                        static_cast<std::size_t>(ix))
+                            : 0.0f;
+                }
+    }
+    return cols;
+}
+
+/** col2im: scatter-add in (n, c, oy, ox, ky, kx) order through at4. */
+inline Tensor
+referenceCol2im(const Tensor &cols, const Shape &inputShape,
+                const Conv2dGeometry &g)
+{
+    const std::size_t n = inputShape[0], c = inputShape[1];
+    const std::size_t h = inputShape[2], w = inputShape[3];
+    const std::size_t p = g.outH(h), q = g.outW(w);
+    Tensor out(inputShape);
+    for (std::size_t in = 0; in < n; ++in)
+        for (std::size_t ic = 0; ic < c; ++ic)
+            for (std::size_t oy = 0; oy < p; ++oy)
+                for (std::size_t ox = 0; ox < q; ++ox) {
+                    const std::size_t r = (in * p + oy) * q + ox;
+                    std::size_t idx = ic * g.kernelH * g.kernelW;
+                    for (std::size_t ky = 0; ky < g.kernelH; ++ky)
+                        for (std::size_t kx = 0; kx < g.kernelW; ++kx) {
+                            const float v = cols.at2(r, idx++);
+                            const std::ptrdiff_t iy =
+                                static_cast<std::ptrdiff_t>(
+                                    oy * g.stride + ky) -
+                                static_cast<std::ptrdiff_t>(g.pad);
+                            const std::ptrdiff_t ix =
+                                static_cast<std::ptrdiff_t>(
+                                    ox * g.stride + kx) -
+                                static_cast<std::ptrdiff_t>(g.pad);
+                            if (referenceInside(iy, ix, h, w))
+                                out.at4(in, ic,
+                                        static_cast<std::size_t>(iy),
+                                        static_cast<std::size_t>(ix)) += v;
+                        }
+                }
+    return out;
+}
+
+/**
+ * E2BQM fake quantization by composition: copy each block into its
+ * own tensor, run the hardware-faithful e2bqmQuantize on it (levels
+ * and error of every candidate), dequantize the winner. A block size
+ * of 0 means one block spanning the tensor (fakeQuantizeE2bqm).
+ */
+inline Tensor
+referenceFakeQuantizeHqt(const Tensor &x, std::size_t block_size,
+                         const quant::E2bqmConfig &config,
+                         quant::E2bqmSelectionInfo *info)
+{
+    const std::size_t n = x.numel();
+    if (block_size == 0) {
+        const quant::E2bqmResult res = quant::e2bqmQuantize(x, config);
+        if (info != nullptr)
+            ++info->bitsTally[res.best().candidate.bits];
+        return res.best().dequantize(x.shape());
+    }
+    Tensor out(x.shape());
+    for (std::size_t lo = 0; lo < n; lo += block_size) {
+        const std::size_t hi = std::min(lo + block_size, n);
+        Tensor block({hi - lo});
+        for (std::size_t i = lo; i < hi; ++i)
+            block[i - lo] = x[i];
+        const quant::E2bqmResult res = quant::e2bqmQuantize(block, config);
+        if (info != nullptr)
+            ++info->bitsTally[res.best().candidate.bits];
+        const Tensor deq = res.best().dequantize(block.shape());
+        for (std::size_t i = lo; i < hi; ++i)
+            out[i] = deq[i - lo];
+    }
+    return out;
+}
+
+} // namespace cq::test
+
+#endif // CQ_TESTS_TENSOR_REFERENCE_H

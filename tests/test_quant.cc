@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "quant/block_quant.h"
 #include "quant/e2bqm.h"
 #include "quant/policy.h"
 #include "quant/qformat.h"
 #include "quant/statistics.h"
 #include "tensor/tensor_ops.h"
+#include "tensor_reference.h"
 
 namespace cq::quant {
 namespace {
@@ -421,6 +424,134 @@ TEST(E2bqm, CandidateDequantizeConsistent)
     for (const auto &cand : result.candidates) {
         const Tensor deq = cand.dequantize(x.shape());
         EXPECT_NEAR(cand.error, rectilinearDistance(x, deq), 1e-6);
+    }
+}
+
+// ------------------------------------------ differential (vs oracle)
+
+/**
+ * Seeded gradient-like data: N(0, 0.05) with heavy-tail outliers, runs
+ * of zeros (whole all-zero blocks at small block sizes) and, when
+ * @p specials, a few +-Inf and NaN.
+ */
+Tensor
+e2bqmData(Rng &rng, std::size_t n, bool specials)
+{
+    Tensor x({n});
+    for (std::size_t i = 0; i < n; ++i) {
+        const double u = rng.uniform();
+        double v = rng.gaussian(0.0, 0.05);
+        if (u < 0.02)
+            v *= 60.0;
+        else if (u < 0.3)
+            v = 0.0;
+        x[i] = static_cast<float>(v);
+    }
+    const std::size_t zeroRun = rng.below(n + 1);
+    for (std::size_t i = zeroRun; i < std::min(n, zeroRun + 300); ++i)
+        x[i] = 0.0f;
+    if (specials) {
+        const float inf = std::numeric_limits<float>::infinity();
+        const float nan = std::numeric_limits<float>::quiet_NaN();
+        for (float v : {inf, -inf, nan})
+            x[rng.below(n)] = v;
+    }
+    return x;
+}
+
+TEST(E2bqmDiff, FusedSweepMatchesPerBlockComposition)
+{
+    // Every ladder and a lone candidate x every metric x block sizes
+    // 1..600: the output and the chosen-bits tally equal the per-block
+    // composition of e2bqmQuantize(block).best().dequantize().
+    const ErrorMetric metrics[] = {
+        ErrorMetric::Rectilinear, ErrorMetric::CosineDistance,
+        ErrorMetric::MeanBias, ErrorMetric::MaxError};
+    Rng rng(31);
+    int trial = 0;
+    for (ErrorMetric metric : metrics) {
+        const E2bqmConfig configs[] = {
+            E2bqmConfig::clippingLadder(8, metric),
+            E2bqmConfig::clippingLadder(4, metric),
+            E2bqmConfig::shiftableLadder(8, metric),
+            E2bqmConfig::shiftableLadder(12, metric),
+            E2bqmConfig::adaptivePrecision(metric),
+            E2bqmConfig{{QuantCandidate{8, 1.0, 0}}, metric},
+            E2bqmConfig{{QuantCandidate{8, 0.5, 2}}, metric}};
+        for (const E2bqmConfig &cfg : configs) {
+            for (int rep = 0; rep < 4; ++rep, ++trial) {
+                const std::size_t n = 1 + rng.below(2000);
+                const std::size_t bs =
+                    rep == 0 ? 1 + rng.below(4) : 1 + rng.below(600);
+                const Tensor x = e2bqmData(rng, n, trial % 3 == 2);
+                SCOPED_TRACE("trial " + std::to_string(trial) + " " +
+                             errorMetricName(metric) + " n " +
+                             std::to_string(n) + " block " +
+                             std::to_string(bs));
+                E2bqmSelectionInfo wantInfo, wantOne;
+                const Tensor want =
+                    test::referenceFakeQuantizeHqt(x, bs, cfg, &wantInfo);
+                const Tensor wantWhole =
+                    test::referenceFakeQuantizeHqt(x, 0, cfg, &wantOne);
+                for (unsigned threads : {1u, 4u}) {
+                    ThreadPool::instance().setNumThreads(threads);
+                    E2bqmSelectionInfo info, one;
+                    EXPECT_EQ(test::bitDifference(
+                                  fakeQuantizeHqt(x, bs, cfg, &info), want),
+                              "");
+                    EXPECT_EQ(info.bitsTally, wantInfo.bitsTally);
+                    EXPECT_EQ(test::bitDifference(
+                                  fakeQuantizeE2bqm(x, cfg, &one),
+                                  wantWhole),
+                              "");
+                    EXPECT_EQ(one.bitsTally, wantOne.bitsTally);
+                }
+            }
+        }
+    }
+    ThreadPool::instance().setNumThreads(0);
+}
+
+TEST(E2bqmDiff, DegenerateBlocksMatchComposition)
+{
+    // All-zero, all-Inf, all-NaN and mixed special blocks, and the
+    // empty tensor (one tallied block for fakeQuantizeE2bqm, none for
+    // fakeQuantizeHqt).
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<std::vector<float>> blocks = {
+        {0.0f, -0.0f, 0.0f, 0.0f},
+        {inf, inf, -inf, inf},
+        {nan, nan, nan},
+        {1.0f, nan, -2.0f, inf, 0.0f, -0.0f, 3e-40f},
+        {}};
+    for (ErrorMetric metric :
+         {ErrorMetric::Rectilinear, ErrorMetric::CosineDistance,
+          ErrorMetric::MeanBias, ErrorMetric::MaxError}) {
+        for (const E2bqmConfig &cfg :
+             {E2bqmConfig::clippingLadder(8, metric),
+              E2bqmConfig::shiftableLadder(8, metric),
+              E2bqmConfig::adaptivePrecision(metric)}) {
+            for (const std::vector<float> &data : blocks) {
+                const Tensor x({data.size()}, data);
+                for (std::size_t bs : {std::size_t(1), std::size_t(3)}) {
+                    E2bqmSelectionInfo info, want;
+                    EXPECT_EQ(test::bitDifference(
+                                  fakeQuantizeHqt(x, bs, cfg, &info),
+                                  test::referenceFakeQuantizeHqt(
+                                      x, bs, cfg, &want)),
+                              "");
+                    EXPECT_EQ(info.bitsTally, want.bitsTally);
+                }
+                E2bqmSelectionInfo info, want;
+                EXPECT_EQ(test::bitDifference(
+                              fakeQuantizeE2bqm(x, cfg, &info),
+                              test::referenceFakeQuantizeHqt(x, 0, cfg,
+                                                             &want)),
+                          "");
+                EXPECT_EQ(info.bitsTally, want.bitsTally);
+            }
+        }
     }
 }
 

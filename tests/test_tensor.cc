@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
+#include "tensor_reference.h"
 
 namespace cq {
 namespace {
@@ -208,6 +211,148 @@ TEST(TensorOps, CosineSimilarityIdentical)
     a.fillGaussian(rng, 0.0f, 1.0f);
     EXPECT_NEAR(cosineSimilarity(a, a), 1.0, 1e-9);
     EXPECT_NEAR(cosineSimilarity(a, scale(a, -2.0f)), -1.0, 1e-9);
+}
+
+// ------------------------------------------ differential (vs oracle)
+
+/**
+ * Seeded operand: N(0, 1) with a @p zero_frac share of +0/-0 (ReLU-like
+ * sparsity) and, when @p specials, ~3 % subnormals, +-Inf and NaN.
+ */
+Tensor
+diffOperand(Rng &rng, Shape shape, double zero_frac, bool specials)
+{
+    Tensor t(std::move(shape));
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        const double u = rng.uniform();
+        float v = static_cast<float>(rng.gaussian());
+        if (u < zero_frac) {
+            v = rng.below(2) == 0 ? 0.0f : -0.0f;
+        } else if (specials && u < zero_frac + 0.03) {
+            switch (rng.below(4)) {
+              case 0:
+                v = std::numeric_limits<float>::denorm_min() *
+                    static_cast<float>(1 + rng.below(1000)) *
+                    (rng.below(2) == 0 ? 1.0f : -1.0f);
+                break;
+              case 1: v = std::numeric_limits<float>::infinity(); break;
+              case 2: v = -std::numeric_limits<float>::infinity(); break;
+              default: v = std::numeric_limits<float>::quiet_NaN(); break;
+            }
+        }
+        t[i] = v;
+    }
+    return t;
+}
+
+TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
+{
+    // Widths 1..100 cover every 16/8/4/1 tile mix; each shape runs on
+    // one thread and on a 4-wide pool (whose threads share the packed
+    // B^T panel of matmulTransB).
+    Rng rng(2024);
+    const double zeroFracs[] = {0.0, 0.5, 0.95};
+    for (int trial = 0; trial < 72; ++trial) {
+        const std::size_t m = 1 + rng.below(100);
+        const std::size_t k = trial == 0 ? 0 : 1 + rng.below(100);
+        const std::size_t n = 1 + rng.below(100);
+        const double zf = zeroFracs[trial % 3];
+        const bool specials = trial % 4 == 3;
+        Tensor a = diffOperand(rng, {m, k}, zf, specials);
+        Tensor at = diffOperand(rng, {k, m}, zf, specials);
+        Tensor b = diffOperand(rng, {k, n}, 0.1, specials);
+        Tensor bt = diffOperand(rng, {n, k}, 0.1, specials);
+        if (trial % 6 == 5 && k >= 2) {
+            // Every output gets +h * b and -h * b (h ~ 2^62) at two k
+            // positions p < q, so the sum keeps only the terms after
+            // q: a reordered sum keeps others. This also exposes a
+            // reordered double sum, whose float result is otherwise
+            // nearly order-blind.
+            const std::size_t p = rng.below(k - 1);
+            const std::size_t q = p + 1 + rng.below(k - 1 - p);
+            for (std::size_t i = 0; i < m; ++i) {
+                const float h = std::ldexp(
+                    1.0f + static_cast<float>(rng.uniform()), 62);
+                a[i * k + p] = at[p * m + i] = h;
+                a[i * k + q] = at[q * m + i] = -h;
+            }
+            for (std::size_t j = 0; j < n; ++j) {
+                b[q * n + j] = b[p * n + j];
+                bt[j * k + q] = bt[j * k + p];
+            }
+        }
+        const Tensor wantC = test::referenceMatmul(a, b);
+        const Tensor wantA = test::referenceMatmulTransA(at, b);
+        const Tensor wantB = test::referenceMatmulTransB(a, bt);
+        for (unsigned threads : {1u, 4u}) {
+            ThreadPool::instance().setNumThreads(threads);
+            SCOPED_TRACE("trial " + std::to_string(trial) + " " +
+                         std::to_string(m) + "x" + std::to_string(k) +
+                         "x" + std::to_string(n) + " threads " +
+                         std::to_string(threads));
+            EXPECT_EQ(test::bitDifference(matmul(a, b), wantC), "");
+            EXPECT_EQ(test::bitDifference(matmulTransA(at, b), wantA), "");
+            EXPECT_EQ(test::bitDifference(matmulTransB(a, bt), wantB), "");
+        }
+    }
+    ThreadPool::instance().setNumThreads(0);
+}
+
+TEST(TensorDiff, SignedZerosAndSpecialsAreExact)
+{
+    // A zero of either sign in A is skipped (so 0 * Inf never turns an
+    // output into NaN), and an all-skipped output stays +0.
+    const float inf = std::numeric_limits<float>::infinity();
+    const Tensor a({2, 3}, std::vector<float>{-0.0f, 0.0f, 2.0f,
+                                              -0.0f, 0.0f, -0.0f});
+    const Tensor b({3, 2}, std::vector<float>{inf, -inf, 1.0f, 2.0f,
+                                              -0.0f, 0.0f});
+    const Tensor c = matmul(a, b);
+    EXPECT_EQ(test::bitDifference(c, test::referenceMatmul(a, b)), "");
+    EXPECT_FALSE(std::signbit(c[2]));
+    EXPECT_FALSE(std::signbit(c[3]));
+    EXPECT_EQ(test::bitDifference(matmulTransA(transpose(a), b),
+                                  test::referenceMatmul(a, b)),
+              "");
+    // matmulTransB has no skip: 0 * Inf is NaN there, as it was.
+    const Tensor cb = matmulTransB(a, transpose(b));
+    EXPECT_EQ(test::bitDifference(
+                  cb, test::referenceMatmulTransB(a, transpose(b))),
+              "");
+    EXPECT_TRUE(std::isnan(cb[0]));
+}
+
+TEST(TensorDiff, Im2colCol2imMatchReferenceLoops)
+{
+    Rng rng(77);
+    for (int trial = 0; trial < 60; ++trial) {
+        Conv2dGeometry g{};
+        g.inChannels = 1 + rng.below(4);
+        g.outChannels = 1;
+        g.kernelH = 1 + rng.below(5);
+        g.kernelW = 1 + rng.below(5);
+        g.stride = 1 + rng.below(3);
+        g.pad = rng.below(3);
+        const std::size_t n = 1 + rng.below(3);
+        const std::size_t h = g.kernelH + rng.below(10);
+        const std::size_t w = g.kernelW + rng.below(10);
+        const Tensor x =
+            diffOperand(rng, {n, g.inChannels, h, w}, 0.3, trial % 4 == 3);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        for (unsigned threads : {1u, 4u}) {
+            ThreadPool::instance().setNumThreads(threads);
+            const Tensor cols = im2col(x, g);
+            EXPECT_EQ(test::bitDifference(cols, test::referenceIm2col(x, g)),
+                      "");
+            const Tensor grads =
+                diffOperand(rng, cols.shape(), 0.3, trial % 4 == 3);
+            EXPECT_EQ(test::bitDifference(
+                          col2im(grads, x.shape(), g),
+                          test::referenceCol2im(grads, x.shape(), g)),
+                      "");
+        }
+    }
+    ThreadPool::instance().setNumThreads(0);
 }
 
 // ------------------------------------------------- shape-check panics
