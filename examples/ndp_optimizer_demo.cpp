@@ -4,7 +4,8 @@
  * paper's Table IV, run in-place weight updates against simulated
  * DRAM rows, verify bit-exactness against the software optimizer,
  * and show the DDR-bus traffic / latency advantage over an explicit
- * (non-NDP) update.
+ * (non-NDP) update. Exits 1 if any optimizer's NDP update is not
+ * bit-exact.
  */
 
 #include <cstdio>
@@ -27,6 +28,7 @@ main()
                 "explicit) | update time\n",
                 "optim");
 
+    bool allExact = true;
     for (auto kind :
          {nn::OptimizerKind::SGD, nn::OptimizerKind::AdaGrad,
           nn::OptimizerKind::RMSProp, nn::OptimizerKind::Adam}) {
@@ -56,6 +58,7 @@ main()
         bool exact = true;
         for (std::size_t i = 0; i < w.size(); ++i)
             exact = exact && w[i] == param.value[i];
+        allExact = allExact && exact;
 
         // ---- timing/traffic: NDP vs explicit update ----
         dram::DramController ndp_mem(dram::DramConfig::lpddr4_2133());
@@ -84,5 +87,5 @@ main()
                     ndp_mem.busBytes() / 1e6, exp_mem.busBytes() / 1e6,
                     t_ndp / 1e6, t / 1e6);
     }
-    return 0;
+    return allExact ? 0 : 1;
 }

@@ -7,9 +7,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <tuple>
 
 #include "common/logging.h"
-#include "sim/event_queue.h"
 
 namespace cq::arch {
 
@@ -80,12 +80,23 @@ unitFor(Opcode op)
     return Unit::Sfu;
 }
 
+/** A unit executes one instruction at a time; its slot holds that
+ *  instruction's pending completion. */
+struct Slot
+{
+    bool busy = false;
+    std::uint32_t instr = 0;
+    Tick finish = 0;
+    /** Start order: of two slots finishing on the same tick, the one
+     *  that started first completes first. */
+    std::uint64_t seq = 0;
+};
+
 /** Internal executor state. */
 struct Executor
 {
     const CambriconQConfig &cfg;
     const Program &prog;
-    sim::EventQueue events;
     dram::DramController dram;
     PeArray pe;
     Squ squ;
@@ -93,11 +104,12 @@ struct Executor
 
     std::vector<std::uint32_t> remainingDeps;
     std::vector<std::vector<std::uint32_t>> children;
-    std::vector<Tick> doneAt;
     std::array<std::deque<std::uint32_t>, kNumUnits> queues;
-    std::array<bool, kNumUnits> unitBusy{};
+    std::array<Slot, kNumUnits> slots{};
+    std::uint64_t started = 0;
+    /** Simulated time: the finish tick of the latest completion. */
+    Tick now = 0;
     std::size_t completed = 0;
-    Tick lastDone = 0;
     bool collectTrace = false;
 
     /** @name Fast activity counters (hot path: no map lookups) */
@@ -169,7 +181,6 @@ struct Executor
     execute(std::uint32_t idx)
     {
         const Instr &ins = prog[idx];
-        const Tick now = events.now();
         Tick done = now + 1;
 
         switch (ins.op) {
@@ -320,32 +331,45 @@ struct Executor
     tryIssue(Unit unit)
     {
         const auto u = static_cast<std::size_t>(unit);
-        if (unitBusy[u] || queues[u].empty())
+        if (slots[u].busy || queues[u].empty())
             return;
         const std::uint32_t idx = queues[u].front();
         if (remainingDeps[idx] > 0)
             return;
         queues[u].pop_front();
-        unitBusy[u] = true;
-        const Tick start = events.now();
         const Tick done = execute(idx);
+        CQ_ASSERT(done >= now); // never complete into the past
         if (collectTrace) {
             report.trace.push_back(TraceEntry{
-                idx, unit, prog[idx].phase, start, done});
+                idx, unit, prog[idx].phase, now, done});
         }
-        events.scheduleAt(done, [this, idx, unit] {
-            complete(idx, unit);
-        });
+        slots[u] = Slot{true, idx, done, started++};
+    }
+
+    /** The busy slot that completes next: earliest finish tick, ties
+     *  to the earlier start (kNumUnits when every unit is idle). */
+    std::size_t
+    nextCompletion() const
+    {
+        std::size_t next = kNumUnits;
+        for (std::size_t u = 0; u < kNumUnits; ++u) {
+            const Slot &s = slots[u];
+            if (s.busy && (next == kNumUnits ||
+                           std::tie(s.finish, s.seq) <
+                               std::tie(slots[next].finish,
+                                        slots[next].seq)))
+                next = u;
+        }
+        return next;
     }
 
     void
-    complete(std::uint32_t idx, Unit unit)
+    complete(std::size_t u)
     {
-        const auto u = static_cast<std::size_t>(unit);
-        doneAt[idx] = events.now();
-        lastDone = std::max(lastDone, events.now());
+        const std::uint32_t idx = slots[u].instr;
+        now = slots[u].finish;
         ++completed;
-        unitBusy[u] = false;
+        slots[u].busy = false;
         for (std::uint32_t child : children[idx]) {
             CQ_ASSERT(remainingDeps[child] > 0);
             --remainingDeps[child];
@@ -364,7 +388,6 @@ struct Executor
         const std::size_t n = prog.size();
         remainingDeps.assign(n, 0);
         children.assign(n, {});
-        doneAt.assign(n, kMaxTick);
         for (std::uint32_t i = 0; i < n; ++i) {
             remainingDeps[i] =
                 static_cast<std::uint32_t>(prog[i].deps.size());
@@ -376,12 +399,14 @@ struct Executor
 
         for (std::size_t i = 0; i < kNumUnits; ++i)
             tryIssue(static_cast<Unit>(i));
-        events.run();
+        for (std::size_t u = nextCompletion(); u < kNumUnits;
+             u = nextCompletion())
+            complete(u);
 
         CQ_ASSERT_MSG(completed == n,
                       "deadlock: %zu of %zu instructions completed",
                       completed, n);
-        report.totalTicks = lastDone;
+        report.totalTicks = now;
     }
 };
 

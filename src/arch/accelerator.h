@@ -3,13 +3,14 @@
  * Top-level Cambricon-Q timing simulator.
  *
  * Executes a Program (tile-granular instruction stream with explicit
- * dependences) on an event-driven model of the chip: two DMA engines
+ * dependences) on a model of the chip: two DMA engines
  * (load/store) sharing the DRAM controller, the PE array, the SFU and
  * the NDP engine, with the SQU constraining the throughput of Q*
  * instructions. Latencies of compute instructions come from the
  * analytical PE-array occupancy model; every memory burst goes through
  * the command-level DRAM model. The load/compute/store overlap that
- * double buffering provides falls out of the per-unit queues.
+ * double buffering provides falls out of the per-unit queues; each
+ * unit executes one instruction at a time.
  */
 
 #ifndef CQ_ARCH_ACCELERATOR_H

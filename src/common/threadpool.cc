@@ -200,7 +200,13 @@ ThreadPool::reinitAfterFork()
 {
     // The old State's mutexes may have been cloned mid-lock and its
     // workers vector holds joinable std::threads whose OS threads no
-    // longer exist; both make destruction UB/terminate. Leak it.
+    // longer exist; both make destruction UB/terminate. Abandon it,
+    // but keep it reachable from a static that is never destroyed, or
+    // LeakSanitizer's exit-time check reports it in every child that
+    // exits normally. (A function-local container does not do: it is
+    // destroyed before that check runs.)
+    static auto *abandoned = new std::vector<State *>;
+    abandoned->push_back(state_);
     state_ = new State;
     tlsInParallelRegion = false;
     spawnWorkers(numThreads_);

@@ -56,11 +56,13 @@ class ThreadPool
      * threads do not survive fork — the child inherits only the
      * forking thread, plus mutexes/condvars cloned in whatever state
      * they were in — so the inherited State is unusable and is
-     * deliberately leaked (joining dead std::threads would terminate,
-     * destroying a possibly-locked mutex is UB). A fresh State is
+     * deliberately abandoned (joining dead std::threads would
+     * terminate, destroying a possibly-locked mutex is UB), kept
+     * reachable so leak checkers do not flag it. A fresh State is
      * allocated and workers respawned at the previous thread count.
      * Call immediately after fork() in the child, before any kernel
      * runs; the fork itself must happen outside a parallel region.
+     * runIsolated() (common/isolated_trial.h) is the one caller.
      */
     void reinitAfterFork();
 

@@ -5,9 +5,9 @@
  * Transfers are split into bus bursts; each burst is scheduled against
  * per-bank row state (ACTIVATE / PRECHARGE timing) and the shared data
  * bus. The model is transaction-driven: callers present transfers in
- * nondecreasing simulated time (the event-driven executor guarantees
- * this) and receive the completion tick. Row-hit/miss behaviour,
- * bandwidth saturation and per-command energy are all tracked.
+ * nondecreasing simulated time (the executor guarantees this) and
+ * receive the completion tick. Row-hit/miss behaviour, bandwidth
+ * saturation and per-command energy are all tracked.
  *
  * Row runs. With C channels, an aligned window of rowBytes x C bytes
  * maps to one (bank, row) per channel. The first burst a call sends

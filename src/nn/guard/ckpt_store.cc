@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "common/backoff.h"
 #include "common/fileutil.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -621,9 +622,9 @@ AsyncCheckpointWriter::writerLoop()
                 // keeps a genuinely broken disk from spinning hot,
                 // while an EINTR storm or flaky injected hook gets a
                 // second (and third) chance before poisoning the run.
-                const unsigned backoff = std::min(
-                    retry_.backoffCapMicros,
-                    retry_.backoffBaseMicros << attempt);
+                const std::uint64_t backoff =
+                    cappedBackoff(retry_.backoffBaseMicros,
+                                  retry_.backoffCapMicros, attempt);
                 if (backoff > 0)
                     std::this_thread::sleep_for(
                         std::chrono::microseconds(backoff));

@@ -198,7 +198,8 @@ class AsyncCheckpointWriter
         /** Additional attempts after the first failure (0 = the
          *  pre-retry behaviour: fail straight through). */
         unsigned maxRetries = 2;
-        /** Backoff before retry k (0-based): min(cap, base << k). */
+        /** Backoff before retry k (0-based): min(cap, base * 2^k),
+         *  saturating (common/backoff.h). */
         unsigned backoffBaseMicros = 500;
         unsigned backoffCapMicros = 20000;
     };

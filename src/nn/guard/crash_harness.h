@@ -17,8 +17,8 @@
  *
  * Crash consistency holds iff the resume leg's masters are bitwise
  * identical to the reference leg's, for every planned kill point.
- * The legs run in forked children (tools/cq_crashtest.cc and
- * tests/test_crash_resume.cc) so a kill never takes the driver down.
+ * tools/cq_crashtest.cc runs the legs as isolated trials
+ * (common/isolated_trial.h) so a kill never takes the tool down.
  */
 
 #ifndef CQ_NN_GUARD_CRASH_HARNESS_H

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/backoff.h"
 #include "common/fileutil.h"
 #include "common/threadpool.h"
 #include "obs/context.h"
@@ -107,11 +108,8 @@ std::uint64_t
 Scheduler::backoffNsFor(const std::string &id,
                         std::uint32_t retry) const
 {
-    const unsigned shift = std::min<std::uint32_t>(retry - 1, 20);
-    const double baseMs =
-        std::min<double>(config_.backoffCapMs,
-                         static_cast<double>(config_.backoffBaseMs) *
-                             static_cast<double>(1ull << shift));
+    const double baseMs = static_cast<double>(cappedBackoff(
+        config_.backoffBaseMs, config_.backoffCapMs, retry - 1));
     const std::uint64_t h = splitmix64(
         fnv1a(id) ^ (config_.jitterSeed + 0x9e3779b97f4a7c15ull *
                                               (retry + 1ull)));

@@ -69,8 +69,9 @@ struct SchedulerConfig
     double shrinkWatermark = 0.75;
 
     /** Retry backoff before retry k (1-based):
-     *  min(cap, base << (k-1)) * (1 + jitterFrac * u) * scale, with u
-     *  in [0,1) a deterministic hash of (jitterSeed, job id, k). */
+     *  min(cap, base * 2^(k-1)) * (1 + jitterFrac * u) * scale, with
+     *  u in [0,1) a deterministic hash of (jitterSeed, job id, k);
+     *  the capped part is common/backoff.h's cappedBackoff(). */
     std::uint32_t backoffBaseMs = 10;
     std::uint32_t backoffCapMs = 2000;
     double backoffJitterFrac = 0.5;

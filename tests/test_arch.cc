@@ -566,6 +566,48 @@ TEST(Accelerator, TraceDependenciesRespected)
     EXPECT_GE(mm_start, load_end);
 }
 
+TEST(Accelerator, SameTickCompletionsRunInStartOrder)
+{
+    // The SFU op starts at tick 0; the vector op waits for a 4-cycle
+    // CROSET and starts later, on a lower-numbered unit. Both finish
+    // on tick T. The one that started first (the SFU op) must
+    // complete first, so its dependent load starts, and is traced,
+    // before the vector op's dependent store, although both start
+    // at T.
+    const CambriconQConfig cfg = CambriconQConfig::edge();
+    const std::uint64_t vecElems = 1000;
+    const Tick t = 4 + PeArray(cfg).vectorCycles(vecElems);
+
+    Instr croset; // 0: Ndp, ticks 0..4
+    Instr sfu;    // 1: Sfu, ticks 0..T
+    sfu.op = Opcode::SFU;
+    sfu.elems = t * cfg.sfuElemsPerCycle;
+    Instr vadd;   // 2: Pe, ticks 4..T
+    vadd.op = Opcode::VADD;
+    vadd.elems = vecElems;
+    vadd.deps = {0};
+    Instr ld = load(0, 4096); // 3: DmaLoad, after the SFU op
+    ld.deps = {1};
+    Instr st;                 // 4: DmaStore, after the vector op
+    st.op = Opcode::VSTORE;
+    st.addr = 1 << 20;
+    st.bytes = 4096;
+    st.deps = {2};
+    const PerfReport r = Accelerator(cfg).run(
+        {croset, sfu, vadd, ld, st}, true);
+
+    ASSERT_EQ(r.trace.size(), 5u);
+    std::size_t at[5] = {};
+    for (std::size_t i = 0; i < r.trace.size(); ++i)
+        at[r.trace[i].instr] = i;
+    EXPECT_EQ(r.trace[at[1]].end, t);
+    EXPECT_EQ(r.trace[at[2]].end, t);
+    EXPECT_LT(at[1], at[2]); // the SFU op started first
+    EXPECT_EQ(r.trace[at[3]].start, t);
+    EXPECT_EQ(r.trace[at[4]].start, t);
+    EXPECT_LT(at[3], at[4]); // ...so it completed first
+}
+
 TEST(Accelerator, QbcRequantsCountedOnWgGemms)
 {
     Instr mm;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the common support library: RNG determinism and
- * distributions, stats registry semantics, the JSON parser's typed
+ * distributions, the capped backoff, stats registry semantics, the
+ * JSON parser's typed
  * error classes (notably the nesting-depth resource limit), and the
  * fileutil error paths (parentDir edges, fsync/CRC/stat of
  * unreadable paths, listDirEx's empty-vs-unreadable distinction).
@@ -11,9 +12,11 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 
+#include "common/backoff.h"
 #include "common/crc32.h"
 #include "common/fileutil.h"
 #include "common/json.h"
@@ -104,6 +107,31 @@ TEST(Rng, GaussianScaled)
     for (int i = 0; i < n; ++i)
         sum += rng.gaussian(10.0, 2.0);
     EXPECT_NEAR(sum / n, 10.0, 0.05);
+}
+
+TEST(Backoff, NeverAboveTheCapAndNeverDecreasing)
+{
+    // The checkpoint writer's and the job scheduler's defaults, the
+    // test configs, and extremes; a plain shift overflows long
+    // before k = 63.
+    const std::uint64_t configs[][2] = {
+        {500, 20000}, {10, 2000}, {5, 50},       {1, 5},
+        {1, UINT64_MAX}, {UINT64_MAX, UINT64_MAX}, {3, 0}, {0, 7}};
+    for (const auto &[base, cap] : configs) {
+        std::uint64_t prev = 0;
+        for (unsigned k = 0; k < 64; ++k) {
+            const std::uint64_t b = cappedBackoff(base, cap, k);
+            EXPECT_LE(b, cap) << base << " " << cap << " k=" << k;
+            EXPECT_GE(b, prev) << base << " " << cap << " k=" << k;
+            prev = b;
+        }
+    }
+    // Below the cap it is exactly base << k.
+    EXPECT_EQ(cappedBackoff(500, 20000, 0), 500u);
+    EXPECT_EQ(cappedBackoff(500, 20000, 5), 16000u);
+    EXPECT_EQ(cappedBackoff(500, 20000, 6), 20000u);
+    EXPECT_EQ(cappedBackoff(500, 20000, 30), 20000u);
+    EXPECT_EQ(cappedBackoff(1, UINT64_MAX, 63), 1ull << 63);
 }
 
 TEST(StatGroup, CounterStartsAtZero)

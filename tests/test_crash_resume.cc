@@ -2,10 +2,11 @@
  * @file
  * Crash-consistency tests: the durable write protocol under torn
  * writes and bit rot, generation-store retention and manifest
- * atomicity, the async checkpoint writer's hand-off contract, signal
- * shutdown, and the fork-based kill–restart proof that a SIGKILLed
- * run resumed from the store finishes bitwise identical to an
- * uninterrupted one.
+ * atomicity under a SIGKILLed prune, the async checkpoint writer's
+ * hand-off contract and signal shutdown. The kill–restart proof that
+ * a SIGKILLed training run resumes bitwise identical to an
+ * uninterrupted one is tools/cq_crashtest.cc, which ctest runs as
+ * CrashResume.KillRestartSweep.
  *
  * Naming matters for CI: tests that fork (and SIGKILL) children live
  * under CrashResume.*; everything else is fork-free so the TSAN job
@@ -19,30 +20,26 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
 #include "common/fileutil.h"
+#include "common/isolated_trial.h"
 #include "common/rng.h"
 #include "common/signal_flag.h"
-#include "common/threadpool.h"
 #include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/checkpoint.h"
 #include "nn/guard/ckpt_store.h"
-#include "nn/guard/crash_harness.h"
 #include "nn/linear.h"
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
 #include "obs/metrics.h"
-#include "sim/faults/kill_schedule.h"
 
 namespace cq {
 namespace {
@@ -565,91 +562,7 @@ TEST(SignalShutdown, CancelTokenStopsTrainerCheckpointClean)
     EXPECT_EQ(snap.step, 3u);
 }
 
-// ------------------------------------------- fork-based kill–restart
-
-/** Run fn in a forked child; returns the wait status. */
-template <typename Fn>
-int
-inForkedChild(Fn fn)
-{
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        ThreadPool::instance().reinitAfterFork();
-        fn();
-        ::_exit(0);
-    }
-    EXPECT_GT(pid, 0);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    return status;
-}
-
-TEST(CrashResume, KillRestartBitwiseIdentical)
-{
-    const std::string base = freshDir("kill_restart");
-    constexpr std::uint64_t kSteps = 40;
-
-    nn::guard::CrashHarnessConfig ref;
-    ref.seed = 23;
-    ref.steps = kSteps;
-    ref.ckptEvery = 5;
-    ref.dir = base + "/ref";
-    ref.mastersOut = base + "/ref-masters.bin";
-    int status = inForkedChild(
-        [&] { nn::guard::runCrashHarness(ref); });
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    const auto refBytes = readAll(ref.mastersOut);
-    ASSERT_GT(refBytes.size(), 0u);
-
-    sim::KillScheduleConfig scfg;
-    scfg.seed = 5;
-    scfg.kills = 12;
-    scfg.maxStep = kSteps;
-    const auto plan = sim::planKillPoints(scfg);
-    ASSERT_EQ(plan.size(), 12u);
-    std::size_t midWrites = 0;
-
-    for (std::size_t t = 0; t < plan.size(); ++t) {
-        const auto &kp = plan[t];
-        if (kp.midWrite)
-            ++midWrites;
-        const std::string dir =
-            base + "/trial-" + std::to_string(t);
-
-        nn::guard::CrashHarnessConfig kill = ref;
-        kill.dir = dir;
-        kill.mastersOut.clear();
-        if (kp.midWrite)
-            kill.killAtWriteBytes = kp.writeBytes + 1;
-        else
-            kill.killAtStep = kp.step;
-        status = inForkedChild(
-            [&] { nn::guard::runCrashHarness(kill); });
-        ASSERT_TRUE(WIFSIGNALED(status) &&
-                    WTERMSIG(status) == SIGKILL)
-            << "trial " << t << ": child survived its kill point";
-
-        nn::guard::CrashHarnessConfig res = ref;
-        res.dir = dir;
-        res.resume = true;
-        res.mastersOut = dir + "/masters.bin";
-        status = inForkedChild(
-            [&] { nn::guard::runCrashHarness(res); });
-        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-            << "trial " << t << ": resume leg failed";
-
-        const auto gotBytes = readAll(res.mastersOut);
-        ASSERT_EQ(gotBytes.size(), refBytes.size()) << "trial " << t;
-        EXPECT_EQ(std::memcmp(gotBytes.data(), refBytes.data(),
-                              refBytes.size()),
-                  0)
-            << "trial " << t
-            << ": resumed masters differ from uninterrupted run";
-    }
-    // The schedule must exercise the mid-checkpoint-write window.
-    EXPECT_GE(midWrites, 1u);
-}
+// ------------------------------------------- fork-based kills
 
 TEST(CrashResume, ManifestStaysAtomicUnderMidPruneKill)
 {
@@ -668,7 +581,7 @@ TEST(CrashResume, ManifestStaysAtomicUnderMidPruneKill)
                           CheckpointWriteResult::Ok);
         }
 
-        const int status = inForkedChild([&] {
+        const TrialEnd end = runIsolated([&] {
             CheckpointStoreConfig tight;
             tight.dir = dir;
             tight.keep = 1;
@@ -681,14 +594,12 @@ TEST(CrashResume, ManifestStaysAtomicUnderMidPruneKill)
             };
             CheckpointStore store(tight);
             store.prune();
+            return 0;
         });
         // Offsets past the manifest size let the child finish; both
         // outcomes must leave a loadable store.
-        const bool killed =
-            WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-        const bool finished =
-            WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        ASSERT_TRUE(killed || finished);
+        ASSERT_TRUE(end.killedBy(SIGKILL) || end.exitedWith(0))
+            << describe(end);
 
         CheckpointStore store(cfg);
         TrainerSnapshot snap;

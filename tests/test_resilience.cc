@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the resilience subsystem: CRC32, the deterministic fault
- * injector, numerical guardrails, checkpoint/rollback, the NdpEngine
+ * injector, the kill-point planner, numerical guardrails, checkpoint/rollback, the NdpEngine
  * fault hook, and the end-to-end recovery contract — a faulted run
  * with guardrails finishes close to the clean run while the same
  * faults without guardrails diverge.
@@ -30,6 +30,7 @@
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
 #include "sim/faults/fault_injector.h"
+#include "sim/faults/kill_schedule.h"
 
 namespace cq {
 namespace {
@@ -154,6 +155,35 @@ TEST(FaultInjector, BurstFlipsConsecutiveBits)
         setBits += static_cast<std::size_t>(__builtin_popcount(w));
     }
     EXPECT_EQ(setBits, flipped);
+}
+
+// ---------------------------------------------------------- kill plans
+
+TEST(KillSchedule, PlansExactlyKillsWithOneInsideAWrite)
+{
+    // cq_crashtest's defaults and its ctest sweep (12 trials), plus
+    // a single kill and no requested mid-write share: every plan has
+    // exactly `kills` points, at least one of them mid-write, and
+    // every kill leaves the resumed run work to do.
+    for (const std::size_t kills : {1, 12, 20}) {
+        for (const double frac : {0.0, 0.25}) {
+            sim::KillScheduleConfig cfg;
+            cfg.kills = kills;
+            cfg.midWriteFraction = frac;
+            const auto plan = sim::planKillPoints(cfg);
+            ASSERT_EQ(plan.size(), kills);
+            std::size_t midWrites = 0;
+            for (const sim::KillPoint &p : plan) {
+                EXPECT_GE(p.step, 1u);
+                EXPECT_LT(p.step, cfg.maxStep);
+                if (p.midWrite) {
+                    ++midWrites;
+                    EXPECT_LT(p.writeBytes, cfg.maxWriteBytes);
+                }
+            }
+            EXPECT_GE(midWrites, 1u) << kills << " kills";
+        }
+    }
 }
 
 // ------------------------------------------------------------ guardrails

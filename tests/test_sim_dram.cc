@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the event queue and the DRAM controller model, including
+ * Tests for the DRAM controller model, including
  * the differential test of the controller's row runs against the
  * per-burst oracle in dram_reference.h.
  */
@@ -14,7 +14,6 @@
 #include <functional>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "arch/ndp_engine.h"
@@ -22,129 +21,9 @@
 #include "dram/dram_controller.h"
 #include "dram_reference.h"
 #include "nn/optimizer.h"
-#include "sim/event_queue.h"
 
 namespace cq {
 namespace {
-
-// ---------------------------------------------------------------- events
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    sim::EventQueue q;
-    std::vector<int> order;
-    q.scheduleAt(30, [&] { order.push_back(3); });
-    q.scheduleAt(10, [&] { order.push_back(1); });
-    q.scheduleAt(20, [&] { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, SameTickFifoOrder)
-{
-    sim::EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.scheduleAt(7, [&order, i] { order.push_back(i); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, SameTickEventScheduledDuringExecutionRunsLast)
-{
-    // An event scheduled *at the current tick while it executes*
-    // still obeys the (tick, seq) tie-break: it fires after every
-    // event of that tick that was already queued.
-    sim::EventQueue q;
-    std::vector<std::string> order;
-    q.scheduleAt(5, [&] {
-        order.push_back("first");
-        q.scheduleAt(5, [&] { order.push_back("nested"); });
-    });
-    q.scheduleAt(5, [&] { order.push_back("second"); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<std::string>{"first", "second",
-                                               "nested"}));
-}
-
-TEST(EventQueue, TieBreakReplaysIdenticallyAcrossRuns)
-{
-    // Same seeded schedule => bit-identical firing order. The heap's
-    // internal layout must never leak into execution order.
-    const auto runOnce = [](std::uint64_t seed) {
-        sim::EventQueue q;
-        Rng rng(seed);
-        std::vector<std::uint64_t> order;
-        for (std::uint64_t i = 0; i < 500; ++i) {
-            const Tick when = rng.below(16); // dense tick collisions
-            q.scheduleAt(when, [&order, i] { order.push_back(i); });
-        }
-        q.run();
-        return order;
-    };
-    const auto a = runOnce(42), b = runOnce(42);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a.size(), 500u);
-}
-
-TEST(EventQueue, SameTickOrderMatchesStableSortReference)
-{
-    // Oracle check: firing order == stable sort by tick of the
-    // submission sequence (which is exactly the documented
-    // (tick, seq) contract).
-    sim::EventQueue q;
-    Rng rng(7);
-    std::vector<std::pair<Tick, std::uint64_t>> submitted;
-    std::vector<std::uint64_t> fired;
-    for (std::uint64_t i = 0; i < 300; ++i) {
-        const Tick when = rng.below(8);
-        submitted.emplace_back(when, i);
-        q.scheduleAt(when, [&fired, i] { fired.push_back(i); });
-    }
-    std::stable_sort(submitted.begin(), submitted.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    q.run();
-    ASSERT_EQ(fired.size(), submitted.size());
-    for (std::size_t i = 0; i < fired.size(); ++i)
-        EXPECT_EQ(fired[i], submitted[i].second) << "position " << i;
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    sim::EventQueue q;
-    int fired = 0;
-    q.scheduleAt(1, [&] {
-        ++fired;
-        q.scheduleIn(5, [&] { ++fired; });
-    });
-    q.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 6u);
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary)
-{
-    sim::EventQueue q;
-    int fired = 0;
-    q.scheduleAt(5, [&] { ++fired; });
-    q.scheduleAt(15, [&] { ++fired; });
-    q.runUntil(10);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 10u);
-    q.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, PendingCount)
-{
-    sim::EventQueue q;
-    q.scheduleAt(1, [] {});
-    q.scheduleAt(2, [] {});
-    EXPECT_EQ(q.pending(), 2u);
-}
 
 // ---------------------------------------------------------------- DRAM
 

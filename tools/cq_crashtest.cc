@@ -8,8 +8,10 @@
  * finish with master weights bitwise identical to an uninterrupted
  * run.
  *
- * The driver forks three kinds of children (a kill must never take
- * the driver down, and SIGKILL cannot be caught):
+ * The tool runs three kinds of legs, each an isolated trial
+ * (common/isolated_trial.h): a kill must never take the tool down,
+ * SIGKILL cannot be caught, and a leg that overruns the trial
+ * deadline (120 s) is killed and reported as hung.
  *
  *   reference:  train seed-deterministically to --steps, dump masters
  *   kill:       same run, self-SIGKILL at a planned step boundary or
@@ -18,8 +20,11 @@
  *               --resume semantics, train to --steps, dump masters
  *
  * Kill points come from sim::planKillPoints(): seeded, >= 1 of them
- * mid-write. The driver exits 0 iff every resumed dump matches the
- * reference dump byte for byte.
+ * mid-write. A trial passes iff its kill leg died by SIGKILL and its
+ * resumed dump matches the reference dump byte for byte; the tool
+ * exits 0 iff every trial passes. The summary also counts restarts
+ * that resumed from a saved checkpoint and restarts that found none
+ * and cold-started (async commits often land after the kill).
  *
  * Usage:
  *   cq_crashtest [--trials N] [--steps N] [--seed S] [--ckpt-every N]
@@ -28,19 +33,17 @@
  *                [--dir PATH] [--sync] [--verbose]
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
 #include "common/argparse.h"
 #include "common/fileutil.h"
-#include "common/threadpool.h"
+#include "common/isolated_trial.h"
 #include "nn/guard/crash_harness.h"
 #include "sim/faults/kill_schedule.h"
 
@@ -79,52 +82,32 @@ parseFrac(const std::string &flag, const std::string &text)
     return args::parseFrac(kProg, flag, text);
 }
 
-/**
- * Run one harness leg in a forked child. Returns the child's wait
- * status. The child reinitializes the thread pool (workers do not
- * survive fork), runs the leg, appends its result to resultPath, and
- * leaves via _exit so no parent-owned atexit/static state runs twice.
- */
-int
-runLegInChild(const nn::guard::CrashHarnessConfig &cfg,
-              const std::string &resultPath)
+/** Run one harness leg as an isolated trial; a leg that survives
+ *  writes its result line to @p resultPath (when non-empty). */
+TrialEnd
+runLeg(const nn::guard::CrashHarnessConfig &cfg,
+       const std::string &resultPath)
 {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        std::perror("cq_crashtest: fork");
-        std::exit(1);
-    }
-    if (pid == 0) {
-        ThreadPool::instance().reinitAfterFork();
+    return runIsolated([&] {
         const auto r = nn::guard::runCrashHarness(cfg);
-        if (!resultPath.empty()) {
-            std::FILE *f = std::fopen(resultPath.c_str(), "w");
-            if (f == nullptr)
-                ::_exit(4);
-            std::fprintf(f,
-                         "resumed %d gen %llu step %llu skipped %llu "
-                         "stepsRun %llu crc %08x\n",
-                         r.resumed ? 1 : 0,
-                         static_cast<unsigned long long>(
-                             r.resumedGeneration),
-                         static_cast<unsigned long long>(
-                             r.resumedStep),
-                         static_cast<unsigned long long>(
-                             r.skippedCorrupt),
-                         static_cast<unsigned long long>(r.stepsRun),
-                         r.mastersCrc);
-            std::fclose(f);
-        }
-        ::_exit(0);
-    }
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0) {
-        if (errno != EINTR) {
-            std::perror("cq_crashtest: waitpid");
-            std::exit(1);
-        }
-    }
-    return status;
+        if (resultPath.empty())
+            return 0;
+        std::FILE *f = std::fopen(resultPath.c_str(), "w");
+        if (f == nullptr)
+            return 4;
+        std::fprintf(f,
+                     "resumed %d gen %llu step %llu skipped %llu "
+                     "stepsRun %llu crc %08x\n",
+                     r.resumed ? 1 : 0,
+                     static_cast<unsigned long long>(
+                         r.resumedGeneration),
+                     static_cast<unsigned long long>(r.resumedStep),
+                     static_cast<unsigned long long>(r.skippedCorrupt),
+                     static_cast<unsigned long long>(r.stepsRun),
+                     r.mastersCrc);
+        std::fclose(f);
+        return 0;
+    });
 }
 
 /** Parsed result.txt of a surviving leg. */
@@ -245,13 +228,11 @@ main(int argc, char **argv)
         nn::guard::CrashHarnessConfig ref = base;
         ref.dir = baseDir + "/ref";
         ref.mastersOut = refMasters;
-        const int status =
-            runLegInChild(ref, baseDir + "/ref-result.txt");
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        const TrialEnd end = runLeg(ref, "");
+        if (!end.exitedWith(0)) {
             std::fprintf(stderr,
-                         "cq_crashtest: reference leg failed "
-                         "(status %d)\n",
-                         status);
+                         "cq_crashtest: reference leg failed (%s)\n",
+                         describe(end).c_str());
             return 1;
         }
     }
@@ -282,7 +263,7 @@ main(int argc, char **argv)
     std::printf("%-6s %-22s %-10s %-12s %-8s %s\n", "trial", "kill",
                 "killed", "resumed-gen", "steps", "verdict");
 
-    std::size_t failures = 0;
+    std::size_t failures = 0, resumedRuns = 0, coldRuns = 0;
     for (std::size_t t = 0; t < plan.size(); ++t) {
         const auto &kp = plan[t];
         char trialName[32];
@@ -295,18 +276,16 @@ main(int argc, char **argv)
             kill.killAtWriteBytes = kp.writeBytes + 1;
         else
             kill.killAtStep = kp.step;
-        const int killStatus = runLegInChild(kill, "");
-        const bool killed = WIFSIGNALED(killStatus) &&
-                            WTERMSIG(killStatus) == SIGKILL;
+        const TrialEnd killEnd = runLeg(kill, "");
+        const bool killed = killEnd.killedBy(SIGKILL);
 
         nn::guard::CrashHarnessConfig res = base;
         res.dir = dir;
         res.resume = true;
         res.mastersOut = dir + "/masters.bin";
         const std::string resultPath = dir + "/result.txt";
-        const int resStatus = runLegInChild(res, resultPath);
-        const bool resOk =
-            WIFEXITED(resStatus) && WEXITSTATUS(resStatus) == 0;
+        const TrialEnd resEnd = runLeg(res, resultPath);
+        const bool resOk = resEnd.exitedWith(0);
 
         std::vector<char> gotBytes;
         const bool match =
@@ -325,30 +304,38 @@ main(int argc, char **argv)
         else
             std::snprintf(killDesc, sizeof killDesc, "step %llu",
                           static_cast<unsigned long long>(kp.step));
-        char genDesc[24];
-        if (lr.valid && lr.resumed)
-            std::snprintf(genDesc, sizeof genDesc, "%llu", lr.gen);
-        else
-            std::snprintf(genDesc, sizeof genDesc, "cold");
+        const bool finished = resOk && lr.valid;
+        const std::string genDesc = !finished  ? "-"
+                                    : lr.resumed ? std::to_string(lr.gen)
+                                                 : "cold";
+        if (finished)
+            ++(lr.resumed ? resumedRuns : coldRuns);
+        const std::string verdict =
+            !killed  ? "KILL-MISSED"
+            : !resOk ? "RESUME-FAILED (" + describe(resEnd) + ")"
+            : match  ? "bitwise-identical"
+                     : "MISMATCH";
         std::printf("%-6zu %-22s %-10s %-12s %-8llu %s\n", t,
-                    killDesc, killed ? "SIGKILL" : "no",
-                    genDesc, lr.valid ? lr.stepsRun : 0ull,
-                    match ? "bitwise-identical" : "MISMATCH");
+                    killDesc,
+                    killed ? "SIGKILL" : describe(killEnd).c_str(),
+                    genDesc.c_str(), lr.valid ? lr.stepsRun : 0ull,
+                    verdict.c_str());
         if (verbose && lr.valid)
             std::printf(
                 "       resumed-step %llu skipped-corrupt %llu crc "
                 "%08x\n",
                 lr.step, lr.skipped, lr.crc);
-        if (!match)
+        if (!killed || !match)
             ++failures;
     }
 
-    if (failures == 0) {
-        std::printf("cq_crashtest: all %zu resumed runs bitwise "
-                    "identical to the uninterrupted run\n",
-                    plan.size());
+    std::printf("cq_crashtest: %zu/%zu trials killed by SIGKILL and "
+                "bitwise identical after restart; %zu restarts "
+                "resumed from a checkpoint, %zu cold-started\n",
+                plan.size() - failures, plan.size(), resumedRuns,
+                coldRuns);
+    if (failures == 0)
         return 0;
-    }
     std::fprintf(stderr, "cq_crashtest: %zu/%zu trials FAILED\n",
                  failures, plan.size());
     return 1;

@@ -35,33 +35,30 @@
  *   list         print the declared site table
  *   all          sweep + pairs + enospc + obs-identity + selftest
  *
- * Every trial runs in a forked child (a genuinely dying child never
- * takes the sweep down); the parent classifies exit status. Exits 0
+ * Every trial is an isolated trial (common/isolated_trial.h): a
+ * genuinely dying child never takes the sweep down, and the parent
+ * classifies how it ended. Exits 0
  * iff no trial crashed, hung, or violated an invariant AND at least
  * --min-covered sites actually fired.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/argparse.h"
 #include "common/cancel.h"
 #include "common/failpoint.h"
 #include "common/fileutil.h"
+#include "common/isolated_trial.h"
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "dist/dist_harness.h"
 #include "harness/export.h"
 #include "nn/guard/ckpt_store.h"
@@ -105,7 +102,7 @@ struct Options
     std::string dir;
     std::uint64_t pairs = 12;
     std::uint64_t enospcStride = 997;
-    std::uint64_t timeoutMs = 120000;
+    std::uint64_t timeoutMs = kTrialTimeoutMs;
     std::uint64_t seed = 1;
     std::uint64_t minCovered = 0;
     bool verbose = false;
@@ -163,7 +160,7 @@ familyOf(const std::string &site)
 }
 
 // --------------------------------------------------------- scenarios
-// Each runs in the forked child: arm the sites, set trace mode, run
+// Each runs in the trial's child: arm the sites, set trace mode, run
 // the short leg, then check the family's invariants. Return a
 // ChildExit (fired/coverage accounting happens in the caller).
 
@@ -237,30 +234,63 @@ runCkptScenario(const std::string &dir, const std::vector<Arm> &arms,
     return storeStillLoads(cfg.dir) ? kHandled : kInvariantViolation;
 }
 
-/** Single leg with every observability output on — including a live
- *  ObsServer being scraped from a sidecar thread, so the obs.http.*
- *  sites evaluate; an obs failure must never stop training. */
+/**
+ * A live ObsServer on an ephemeral port, scraped from a sidecar
+ * thread while it lives, so the obs.http.* sites evaluate. An armed
+ * obs.http.* site turns scrapes into dropped connections; the scraper
+ * must simply shrug.
+ */
+class ScrapedObsServer
+{
+  public:
+    ScrapedObsServer()
+    {
+        if (server_.start(obs::ObsServerConfig{}))
+            scraper_ = std::thread([this] {
+                while (!stop_.load()) {
+                    scrape("/metrics");
+                    ::usleep(2000);
+                }
+            });
+    }
+
+    /** One last scrape before stopping, so obs.http.accept and
+     *  obs.http.write are evaluated even on a machine where the leg
+     *  outruns the sidecar's first connect. */
+    ~ScrapedObsServer()
+    {
+        if (!scraper_.joinable())
+            return;
+        scrape("/healthz");
+        stop_.store(true);
+        scraper_.join();
+    }
+
+    ScrapedObsServer(const ScrapedObsServer &) = delete;
+    ScrapedObsServer &operator=(const ScrapedObsServer &) = delete;
+
+  private:
+    void
+    scrape(const char *path)
+    {
+        int status = 0;
+        std::string body;
+        obs::httpGet(server_.port(), path, status, body, 500);
+    }
+
+    obs::ObsServer server_;
+    std::atomic<bool> stop_{false};
+    std::thread scraper_;
+};
+
+/** Single leg with every observability output on, while a live
+ *  ObsServer is scraped; an obs failure must never stop training. */
 int
 runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
                CancelToken &cancel)
 {
     armAll(arms);
-
-    obs::ObsServer server;
-    obs::ObsServerConfig scfg; // port 0 = ephemeral
-    const bool serverUp = server.start(scfg);
-    std::atomic<bool> stopScrape{false};
-    std::thread scraper([&] {
-        while (serverUp && !stopScrape.load()) {
-            int status = 0;
-            std::string body;
-            // An armed obs.http.* site turns these into dropped
-            // connections; the scraper must simply shrug.
-            obs::httpGet(server.port(), "/metrics", status, body,
-                         500);
-            ::usleep(2000);
-        }
-    });
+    ScrapedObsServer server;
 
     nn::guard::CrashHarnessConfig cfg;
     cfg.seed = 23;
@@ -272,19 +302,6 @@ runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
     cfg.metricsOut = dir + "/metrics.prom";
     cfg.metricsEvery = 2;
     const auto r = nn::guard::runCrashHarness(cfg);
-
-    // One guaranteed scrape after the leg, so obs.http.accept /
-    // obs.http.write are evaluated even on a machine where the leg
-    // outruns the sidecar's first connect.
-    if (serverUp) {
-        int status = 0;
-        std::string body;
-        obs::httpGet(server.port(), "/healthz", status, body, 500);
-    }
-    stopScrape.store(true);
-    scraper.join();
-    server.stop();
-
     return (!r.cancelled && r.stepsRun == cfg.steps)
                ? kHandled
                : kInvariantViolation;
@@ -361,14 +378,13 @@ runBenchScenario(const std::string &dir, const std::vector<Arm> &arms,
 }
 
 /**
- * Child body for one trial. Never returns: exits with a ChildExit.
- * @p family picks the scenario; arms fire inside it.
+ * Child body for one trial; returns a ChildExit. @p family picks the
+ * scenario; arms fire inside it.
  */
-[[noreturn]] void
-childTrial(const std::string &family, const std::string &dir,
-           const std::vector<Arm> &arms, std::uint64_t timeoutMs)
+int
+trialBody(const std::string &family, const std::string &dir,
+          const std::vector<Arm> &arms, std::uint64_t timeoutMs)
 {
-    ThreadPool::instance().reinitAfterFork();
     fp::Registry::instance().reset();
     fp::Registry::instance().setTrace(true);
     CancelToken cancel;
@@ -394,7 +410,7 @@ childTrial(const std::string &family, const std::string &dir,
                          "%s: site '%s' was evaluated but is not in "
                          "the declared table (common/failpoint.cc)\n",
                          kProg, s.c_str());
-            std::exit(kUndeclaredSite);
+            return kUndeclaredSite;
         }
     }
     // Did the armed sites actually fire?
@@ -403,9 +419,9 @@ childTrial(const std::string &family, const std::string &dir,
         for (const Arm &a : arms)
             fires += fp::Registry::instance().site(a.site).fires();
         if (fires == 0)
-            std::exit(kNotCovered);
+            return kNotCovered;
     }
-    std::exit(rc);
+    return rc;
 }
 
 // ----------------------------------------------------------- parent
@@ -435,34 +451,20 @@ trialResultName(TrialResult r)
     return "?";
 }
 
-/** waitpid with a deadline; a child that outlives it is killed and
- *  classified Hung (invariant 2). */
+/** Classify how a trial's child ended (invariants 1 and 2). */
 TrialResult
-reapWithDeadline(pid_t pid, std::uint64_t timeoutMs)
+classify(const TrialEnd &end)
 {
-    const std::uint64_t pollUs = 2000;
-    std::uint64_t waitedUs = 0;
-    for (;;) {
-        int status = 0;
-        const pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid) {
-            if (WIFSIGNALED(status))
-                return TrialResult::Crashed;
-            switch (WEXITSTATUS(status)) {
-              case kHandled:            return TrialResult::Handled;
-              case kNotCovered:         return TrialResult::NotCovered;
-              case kUndeclaredSite:     return TrialResult::Undeclared;
-              case kInvariantViolation: return TrialResult::Invariant;
-              default:                  return TrialResult::Crashed;
-            }
-        }
-        if (waitedUs / 1000 >= timeoutMs) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, nullptr, 0);
-            return TrialResult::Hung;
-        }
-        ::usleep(pollUs);
-        waitedUs += pollUs;
+    if (end.kind == TrialEnd::Kind::Hung)
+        return TrialResult::Hung;
+    if (end.kind != TrialEnd::Kind::Exited)
+        return TrialResult::Crashed;
+    switch (end.code) {
+      case kHandled:            return TrialResult::Handled;
+      case kNotCovered:         return TrialResult::NotCovered;
+      case kUndeclaredSite:     return TrialResult::Undeclared;
+      case kInvariantViolation: return TrialResult::Invariant;
+      default:                  return TrialResult::Crashed;
     }
 }
 
@@ -483,18 +485,9 @@ runTrial(const Options &opt, const std::string &family,
          const std::vector<Arm> &arms)
 {
     const std::string dir = trialDir(opt, g_trialIndex++);
-    // Children inherit the parent's stdio buffers and would flush
-    // them again at exit, duplicating every buffered line.
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        std::fprintf(stderr, "%s: fork failed\n", kProg);
-        std::exit(2);
-    }
-    if (pid == 0)
-        childTrial(family, dir, arms, opt.timeoutMs);
-    const TrialResult res = reapWithDeadline(pid, opt.timeoutMs);
+    const TrialResult res = classify(runIsolated(
+        [&] { return trialBody(family, dir, arms, opt.timeoutMs); },
+        opt.timeoutMs));
     std::string label;
     for (const Arm &a : arms) {
         if (!label.empty())
@@ -603,57 +596,39 @@ modeObsIdentity(const Options &opt, Tally &tally)
     const auto leg = [&](const std::string &dir, bool lit,
                          std::uint32_t &crcOut) -> bool {
         const std::string crcPath = dir + "/crc.txt";
-        std::fflush(stdout);
-        std::fflush(stderr);
-        const pid_t pid = ::fork();
-        if (pid == 0) {
-            ThreadPool::instance().reinitAfterFork();
-            fp::Registry::instance().reset();
-            nn::guard::CrashHarnessConfig cfg;
-            cfg.seed = 29;
-            cfg.steps = 10;
-            cfg.batchSize = 16;
-            obs::ObsServer server;
-            std::atomic<bool> stopScrape{false};
-            std::thread scraper;
-            if (lit) {
-                fp::Registry::instance().setTrace(true);
-                for (const std::string &s :
-                     fp::Registry::declaredSites())
-                    if (startsWith(s, "obs."))
-                        armAll({{s, "fail"}});
-                cfg.telemetryOut = dir + "/telemetry.jsonl";
-                cfg.traceOut = dir + "/trace.json";
-                cfg.metricsOut = dir + "/metrics.prom";
-                cfg.metricsEvery = 2;
-                obs::ObsServerConfig scfg; // ephemeral port
-                if (server.start(scfg)) {
-                    scraper = std::thread([&] {
-                        while (!stopScrape.load()) {
-                            int status = 0;
-                            std::string body;
-                            obs::httpGet(server.port(), "/metrics",
-                                         status, body, 500);
-                            ::usleep(2000);
-                        }
-                    });
+        const TrialEnd end = runIsolated(
+            [&] {
+                fp::Registry::instance().reset();
+                nn::guard::CrashHarnessConfig cfg;
+                cfg.seed = 29;
+                cfg.steps = 10;
+                cfg.batchSize = 16;
+                std::optional<ScrapedObsServer> server;
+                if (lit) {
+                    fp::Registry::instance().setTrace(true);
+                    for (const std::string &s :
+                         fp::Registry::declaredSites())
+                        if (startsWith(s, "obs."))
+                            armAll({{s, "fail"}});
+                    cfg.telemetryOut = dir + "/telemetry.jsonl";
+                    cfg.traceOut = dir + "/trace.json";
+                    cfg.metricsOut = dir + "/metrics.prom";
+                    cfg.metricsEvery = 2;
+                    server.emplace();
                 }
-            }
-            const auto r = nn::guard::runCrashHarness(cfg);
-            stopScrape.store(true);
-            if (scraper.joinable())
-                scraper.join();
-            server.stop();
-            std::FILE *f = std::fopen(crcPath.c_str(), "w");
-            if (f == nullptr)
-                std::exit(kInvariantViolation);
-            std::fprintf(f, "%u %llu\n", r.mastersCrc,
-                         static_cast<unsigned long long>(r.stepsRun));
-            std::fclose(f);
-            std::exit(kHandled);
-        }
-        if (reapWithDeadline(pid, opt.timeoutMs) !=
-            TrialResult::Handled)
+                const auto r = nn::guard::runCrashHarness(cfg);
+                server.reset();
+                std::FILE *f = std::fopen(crcPath.c_str(), "w");
+                if (f == nullptr)
+                    return int{kInvariantViolation};
+                std::fprintf(f, "%u %llu\n", r.mastersCrc,
+                             static_cast<unsigned long long>(
+                                 r.stepsRun));
+                std::fclose(f);
+                return int{kHandled};
+            },
+            opt.timeoutMs);
+        if (!end.exitedWith(kHandled))
             return false;
         std::FILE *f = std::fopen(crcPath.c_str(), "r");
         if (f == nullptr)
@@ -689,23 +664,19 @@ modeSelftest(const Options &opt, Tally &tally)
     // Deliberately evaluate a site that is NOT in the declared table;
     // the sweep's coverage audit must catch it. If this trial comes
     // back "handled", the audit is broken.
-    const std::string dir = trialDir(opt, g_trialIndex++);
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        ThreadPool::instance().reinitAfterFork();
-        fp::Registry::instance().reset();
-        fp::Registry::instance().setTrace(true);
-        // A hypothetical unregistered failure path in some new code:
-        (void)CQ_FAILPOINT("selftest.unregistered_path");
-        for (const std::string &s :
-             fp::Registry::instance().hitSites())
-            if (!fp::Registry::isDeclared(s))
-                std::exit(kUndeclaredSite);
-        std::exit(kHandled);
-    }
-    const TrialResult res = reapWithDeadline(pid, opt.timeoutMs);
+    const TrialResult res = classify(runIsolated(
+        [] {
+            fp::Registry::instance().reset();
+            fp::Registry::instance().setTrace(true);
+            // A hypothetical unregistered failure path in new code:
+            (void)CQ_FAILPOINT("selftest.unregistered_path");
+            for (const std::string &s :
+                 fp::Registry::instance().hitSites())
+                if (!fp::Registry::isDeclared(s))
+                    return int{kUndeclaredSite};
+            return int{kHandled};
+        },
+        opt.timeoutMs));
     const bool caught = res == TrialResult::Undeclared;
     std::printf("selftest: unregistered failure path %s\n",
                 caught ? "caught by the audit" : "NOT CAUGHT");
