@@ -17,10 +17,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
+#include "common/fileutil.h"
+#include "common/logging.h"
 #include "harness/workload.h"
 #include "nn/activation.h"
 #include "nn/datasets.h"
@@ -42,6 +46,29 @@ enum class Arm
     GuardedComputeAbft, ///< accumulator faults, guardrails + ABFT
 };
 
+/**
+ * A fresh checkpoint directory per protected arm: an arm that trips
+ * before its first checkpoint must find nothing to roll back to, not
+ * the previous arm's snapshot.
+ */
+std::string
+freshCheckpointDir()
+{
+    char tmpl[] = "/tmp/cq-bench-resilience-XXXXXX";
+    CQ_ASSERT_MSG(::mkdtemp(tmpl) != nullptr,
+                  "fault_resilience: mkdtemp failed");
+    return tmpl;
+}
+
+/** Remove a checkpoint directory and the files in it. */
+void
+removeCheckpointDir(const std::string &dir)
+{
+    for (const std::string &f : listDir(dir))
+        std::remove((dir + "/" + f).c_str());
+    ::rmdir(dir.c_str());
+}
+
 nn::Network
 makeMlp(std::uint64_t seed)
 {
@@ -62,8 +89,10 @@ struct SweepPoint
 };
 
 SweepPoint
-runArm(double rate, Arm arm, int steps, const std::string &ckpt)
+runArm(double rate, Arm arm, int steps)
 {
+    const std::string ckpt =
+        arm != Arm::Unprotected ? freshCheckpointDir() : "";
     nn::SpiralDataset data(2, 0.1, 17);
     nn::Network net = makeMlp(18);
 
@@ -72,8 +101,7 @@ runArm(double rate, Arm arm, int steps, const std::string &ckpt)
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.optimizer.lr = 5e-3;
     cfg.resilience.enabled = arm != Arm::Unprotected;
-    cfg.resilience.checkpointPath =
-        arm != Arm::Unprotected ? ckpt : "";
+    cfg.resilience.checkpointDir = ckpt;
     cfg.resilience.checkpointInterval = 10;
     if (arm == Arm::EccAbft) {
         cfg.resilience.ecc.enabled = true;
@@ -111,6 +139,8 @@ runArm(double rate, Arm arm, int steps, const std::string &ckpt)
     p.stats = trainer.resilienceStats();
     if (!std::isfinite(p.accuracyPct))
         p.diverged = true;
+    if (!ckpt.empty())
+        removeCheckpointDir(ckpt);
     return p;
 }
 
@@ -127,15 +157,14 @@ run(const WorkloadContext &ctx)
     const std::vector<double> accRates =
         ctx.quick ? std::vector<double>{10.0}
                   : std::vector<double>{10.0, 50.0};
-    const std::string ckpt = "/tmp/cq_bench_fault_resilience.ckpt";
 
     WorkloadResult out;
     for (const double rate : rates) {
         const std::string tag = std::to_string(
             static_cast<long long>(rate));
         const SweepPoint un =
-            runArm(rate, Arm::Unprotected, steps, ckpt);
-        const SweepPoint ea = runArm(rate, Arm::EccAbft, steps, ckpt);
+            runArm(rate, Arm::Unprotected, steps);
+        const SweepPoint ea = runArm(rate, Arm::EccAbft, steps);
         out.set("acc_unprotected_" + tag,
                 un.diverged ? 0.0 : un.accuracyPct, "%");
         out.set("acc_ecc_abft_" + tag,
@@ -159,7 +188,7 @@ run(const WorkloadContext &ctx)
         const std::string tag = std::to_string(
             static_cast<long long>(rate));
         const SweepPoint ga =
-            runArm(rate, Arm::GuardedComputeAbft, steps, ckpt);
+            runArm(rate, Arm::GuardedComputeAbft, steps);
         out.set("acc_compute_abft_" + tag,
                 ga.diverged ? 0.0 : ga.accuracyPct, "%");
         if (rate == accRates.front()) {
@@ -170,7 +199,6 @@ run(const WorkloadContext &ctx)
                     ga.stats.get("abft.escalations"));
         }
     }
-    std::remove(ckpt.c_str());
     out.notes = "faults on FP32 masters (post-encode for the ECC arm) "
                 "and on PE accumulators; burst length 1";
     return out;

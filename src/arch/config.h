@@ -56,8 +56,6 @@ struct CambriconQConfig
     Bytes nbinBytes = 256 * 1024;
     Bytes sbBytes = 512 * 1024;
     Bytes nboutBytes = 256 * 1024;
-    /** QBC buffer-line: 32 words x 8 bit. */
-    Bytes bufferLineBytes = 32;
     /** @} */
 
     /** @name SQU */

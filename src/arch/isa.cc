@@ -123,32 +123,6 @@ decodeInstr(const EncodedInstr &encoded)
     return ins;
 }
 
-Bytes
-programLoadBytes(const Program &prog)
-{
-    Bytes total = 0;
-    for (const auto &ins : prog) {
-        if (ins.op == Opcode::VLOAD || ins.op == Opcode::SLOAD ||
-            ins.op == Opcode::QLOAD) {
-            total += ins.bytes;
-        }
-    }
-    return total;
-}
-
-Bytes
-programStoreBytes(const Program &prog)
-{
-    Bytes total = 0;
-    for (const auto &ins : prog) {
-        if (ins.op == Opcode::VSTORE || ins.op == Opcode::SSTORE ||
-            ins.op == Opcode::QSTORE || ins.op == Opcode::WGSTORE) {
-            total += ins.bytes;
-        }
-    }
-    return total;
-}
-
 bool
 validateProgram(const Program &prog, std::string *error)
 {

@@ -139,10 +139,6 @@ EncodedInstr encodeInstr(const Instr &instr);
 /** Decode an instruction (deps/tag come back empty). */
 Instr decodeInstr(const EncodedInstr &encoded);
 
-/** Total bytes moved by memory instructions, by direction. */
-Bytes programLoadBytes(const Program &prog);
-Bytes programStoreBytes(const Program &prog);
-
 /** Sanity-check dependence indices (must point backwards). */
 bool validateProgram(const Program &prog, std::string *error = nullptr);
 

@@ -467,7 +467,6 @@ Codegen::gemm(const GemmTask &task)
                                std::max<Bytes>(a_bytes, 64);
         la.bytes = a_tile_bytes;
         la.elems = task.aIsFp32 ? a_tile_bytes / 4 : 0;
-        la.ways = static_cast<std::uint8_t>(task.waysA);
         la.buf = BufId::NBin;
         la.tag = task.layer + ".A";
         return emit(std::move(la), a_deps);
@@ -619,21 +618,21 @@ Codegen::gemm(const GemmTask &task)
 void
 Codegen::stream(const StreamTask &task)
 {
-    // Chunked load -> SFU -> store pipeline.
-    const Bytes in_elem = task.inFp32 ? 4 : 1;
+    // Chunked load -> SFU -> store pipeline; inputs are quantized,
+    // one byte per element.
     const std::uint64_t chunk = 128 * 1024;
     const std::uint64_t chunks =
         std::max<std::uint64_t>(1, (task.inElems + chunk - 1) / chunk);
 
     const Addr in_base = tensorAddr(
         task.inTensor,
-        std::max<Bytes>(task.inElems * in_elem, 64),
+        std::max<Bytes>(task.inElems, 64),
         Region::Activations);
     Addr in2_base = 0;
     if (!task.inTensor2.empty()) {
         in2_base = tensorAddr(
             task.inTensor2,
-            std::max<Bytes>(task.inElems2 * in_elem, 64),
+            std::max<Bytes>(task.inElems2, 64),
             Region::Activations);
     }
     const Region out_region = task.isWeightGradient
@@ -662,8 +661,8 @@ Codegen::stream(const StreamTask &task)
         Instr li;
         li.op = Opcode::VLOAD;
         li.phase = task.phase;
-        li.addr = in_base + c * chunk * in_elem;
-        li.bytes = std::max<Bytes>(in_elems * in_elem, 1);
+        li.addr = in_base + c * chunk;
+        li.bytes = std::max<Bytes>(in_elems, 1);
         li.buf = BufId::NBin;
         li.tag = task.layer + ".in";
         std::vector<std::uint32_t> deps = in_deps;
@@ -674,9 +673,8 @@ Codegen::stream(const StreamTask &task)
             Instr l2;
             l2.op = Opcode::VLOAD;
             l2.phase = task.phase;
-            l2.addr = in2_base + c * chunk * in_elem;
-            l2.bytes = std::max<Bytes>(
-                (task.inElems2 / chunks) * in_elem, 1);
+            l2.addr = in2_base + c * chunk;
+            l2.bytes = std::max<Bytes>(task.inElems2 / chunks, 1);
             l2.buf = BufId::NBin;
             l2.tag = task.layer + ".in2";
             sfu_deps.push_back(emit(std::move(l2), in2_deps));

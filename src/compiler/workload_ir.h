@@ -37,15 +37,11 @@ struct GemmTask
     std::string aTensor;
     /** A is raw FP32 in memory (network input) -> QLOAD at 4 B/elem. */
     bool aIsFp32 = false;
-    int bitsA = 8;
-    /** E2BQM ways used when quantizing A on the fly. */
-    unsigned waysA = 1;
     /** @} */
 
     /** @name Operand B (SB side: weights or a second tensor) */
     /** @{ */
     std::string bTensor;
-    int bitsB = 8;
     /**
      * B is this layer's weight matrix: it must be quantized from the
      * FP32 master once per minibatch (QMOVE on Cambricon-Q; separate
@@ -112,9 +108,8 @@ struct StreamTask
     /** Optional second input (residual adds). */
     std::string inTensor2;
     std::uint64_t inElems2 = 0;
-    /** Elements read (quantized, 1 B each unless inFp32). */
+    /** Elements read (quantized, 1 B each). */
     std::uint64_t inElems = 0;
-    bool inFp32 = false;
     /** Elements written (quantized store unless outFp32). */
     std::uint64_t outElems = 0;
     bool outFp32 = false;

@@ -25,7 +25,6 @@ NetworkBuilder::inputImage(std::size_t channels, std::size_t height,
     height_ = height;
     width_ = width;
     isImage_ = true;
-    inputIsFp32_ = true;
     cur_ = "input";
 }
 
@@ -34,7 +33,6 @@ NetworkBuilder::inputFlat(std::size_t features)
 {
     features_ = features;
     isImage_ = false;
-    inputIsFp32_ = true;
     cur_ = "input";
 }
 
@@ -103,7 +101,6 @@ NetworkBuilder::addGemmLayer(const std::string &name, std::uint64_t m,
     up.numWeights = k * n;
     bw.updateTasks.push_back(Task::make(up));
     backward_.push_back(std::move(bw));
-    ++layerCount_;
 }
 
 void
@@ -125,7 +122,7 @@ NetworkBuilder::conv(const std::string &name, std::size_t out_channels,
         width_;
     const std::uint64_t raw_out = m * out_channels;
     addGemmLayer(name, m, k, out_channels, cur_, out,
-                 cur_ == "input" && inputIsFp32_, relu,
+                 cur_ == "input", relu,
                  cur_ != "input", "grad:" + out, "grad:" + cur_,
                  raw_in, raw_out);
     cur_ = out;
@@ -230,7 +227,7 @@ NetworkBuilder::fc(const std::string &name, std::size_t out_features,
     const std::string out = "act:" + name;
     addGemmLayer(name, rows ? rows : ir_.batch, in_features,
                  out_features, cur_, out,
-                 cur_ == "input" && inputIsFp32_, relu,
+                 cur_ == "input", relu,
                  cur_ != "input", "grad:" + out, "grad:" + cur_);
     cur_ = out;
     features_ = out_features;
@@ -301,7 +298,7 @@ NetworkBuilder::convFrom(const BranchPoint &from, const std::string &name,
         static_cast<std::uint64_t>(ir_.batch) * from.channels *
         from.height * from.width;
     addGemmLayer(name, m, k, out_channels, from.tensor, out,
-                 from.tensor == "input" && inputIsFp32_, relu,
+                 from.tensor == "input", relu,
                  from.tensor != "input", "grad:" + out,
                  "grad:" + from.tensor, raw_in, m * out_channels);
     return {out, out_channels, p, q};
@@ -491,7 +488,6 @@ NetworkBuilder::lstm(const std::string &name, std::size_t hidden,
 
     cur_ = state_prev;
     features_ = hidden;
-    ++layerCount_;
 }
 
 namespace {

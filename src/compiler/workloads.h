@@ -157,12 +157,9 @@ class NetworkBuilder
     std::vector<PendingBackward> backward_;
     /** Current head tensor + geometry. */
     std::string cur_;
-    std::string curGrad_;
     std::size_t channels_ = 0, height_ = 0, width_ = 0;
     std::size_t features_ = 0;
     bool isImage_ = false;
-    bool inputIsFp32_ = true;
-    std::size_t layerCount_ = 0;
 };
 
 } // namespace cq::compiler

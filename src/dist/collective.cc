@@ -18,6 +18,13 @@ namespace {
 
 constexpr std::uint32_t kChunkMagic = 0x43514C44; // "CQLD"
 
+/** Bytes per level on the wire: ceil(bits / 8), so INT8 packs 1:1. */
+std::size_t
+levelBytes(std::uint32_t bits)
+{
+    return (bits + 7) / 8;
+}
+
 void
 put32(std::vector<std::uint8_t> &b, std::uint32_t v)
 {
@@ -86,23 +93,29 @@ encodeLdqChunk(const float *x, std::size_t n, std::size_t blockSize,
     }
     const quant::BlockQuantized q = quant::ldqQuantize(
         Tensor({n}, std::vector<float>(x, x + n)), blockSize, bits);
-    out.reserve(16 + q.numBlocks() * 12 + q.numel() * 2);
+    const std::size_t width = levelBytes(static_cast<std::uint32_t>(bits));
+    out.reserve(32 + q.numBlocks() * 8 + n * width);
     put32(out, kChunkMagic);
     put32(out, static_cast<std::uint32_t>(bits));
     put64(out, n);
     put64(out, blockSize);
     put64(out, q.numBlocks());
+    // Every block shares the header's width; only its scale travels.
     for (const quant::IntFormat &f : q.formats()) {
-        put32(out, static_cast<std::uint32_t>(f.bits));
         std::uint64_t scaleBits;
         std::memcpy(&scaleBits, &f.scale, 8);
         put64(out, scaleBits);
     }
+    // Each level's low `width` bytes, little-endian; a level fits
+    // them because |level| <= 2^(bits-1) - 1.
     const std::size_t off = out.size();
-    out.resize(off + q.numel() * 2);
-    if (q.numel() > 0)
-        std::memcpy(out.data() + off, q.levels().data(),
-                    q.numel() * 2);
+    out.resize(off + n * width);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto level = static_cast<std::uint16_t>(q.levels()[i]);
+        for (std::size_t b = 0; b < width; ++b)
+            out[off + i * width + b] =
+                static_cast<std::uint8_t>(level >> (8 * b));
+    }
     return out;
 }
 
@@ -124,19 +137,25 @@ decodeLdqChunk(const std::vector<std::uint8_t> &bytes,
         return false;
     std::vector<quant::IntFormat> formats(nblocks);
     for (std::uint64_t b = 0; b < nblocks; ++b) {
-        std::uint32_t fbits = 0;
         std::uint64_t scaleBits = 0;
-        if (!get32(bytes, pos, fbits) || !get64(bytes, pos, scaleBits))
+        if (!get64(bytes, pos, scaleBits))
             return false;
-        formats[b].bits = static_cast<int>(fbits);
+        formats[b].bits = static_cast<int>(bits);
         std::memcpy(&formats[b].scale, &scaleBits, 8);
     }
-    if (pos + n * 2 != bytes.size())
+    const std::size_t width = levelBytes(bits);
+    if (pos + n * width != bytes.size())
         return false;
     out.resize(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::int16_t level;
-        std::memcpy(&level, bytes.data() + pos + i * 2, 2);
+        const std::uint8_t *p = bytes.data() + pos + i * width;
+        std::uint16_t raw = 0;
+        for (std::size_t b = 0; b < width; ++b)
+            raw |= static_cast<std::uint16_t>(p[b] << (8 * b));
+        // Sign-extend from the level's width.
+        const std::int32_t level =
+            width == 1 ? static_cast<std::int8_t>(raw)
+                       : static_cast<std::int16_t>(raw);
         out[i] = static_cast<float>(quant::dequantizeValue(
             level, formats[i / blockSize]));
     }

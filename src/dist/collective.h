@@ -105,7 +105,11 @@ ringAllReduceLdq(const std::vector<std::vector<float> *> &grads,
 
 /** @name Wire codec (exposed for tests) */
 /** @{ */
-/** Serialize @p x (length @p n) as an LDQ-quantized chunk. */
+/**
+ * Serialize @p x (length @p n) as an LDQ-quantized chunk: a 32-byte
+ * header (magic, bits, n, blockSize, block count), one 8-byte scale
+ * per block, then n levels of ceil(bits / 8) bytes each.
+ */
 std::vector<std::uint8_t> encodeLdqChunk(const float *x, std::size_t n,
                                          std::size_t blockSize,
                                          int bits);

@@ -6,6 +6,7 @@
 
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -88,45 +89,19 @@ MultiHeadSelfAttention::forward(const Tensor &input)
     const float inv_sqrt_d =
         1.0f / std::sqrt(static_cast<float>(headDim_));
 
-    cachedAttn_ = Tensor({batch_, numHeads_, seqLen_, seqLen_});
+    cachedAttn_.clear();
     Tensor context({batch_ * seqLen_, modelDim_});
 
     // Per (batch, head): scores = Q K^T / sqrt(d); softmax rows;
     // context = attn V.
     for (std::size_t b = 0; b < batch_; ++b) {
         for (std::size_t hh = 0; hh < numHeads_; ++hh) {
-            const std::size_t off = hh * headDim_;
-            Tensor scores({seqLen_, seqLen_});
-            for (std::size_t i = 0; i < seqLen_; ++i) {
-                const std::size_t ri = b * seqLen_ + i;
-                for (std::size_t j = 0; j < seqLen_; ++j) {
-                    const std::size_t rj = b * seqLen_ + j;
-                    double dot = 0.0;
-                    for (std::size_t d = 0; d < headDim_; ++d)
-                        dot += static_cast<double>(
-                                   cachedQ_.at2(ri, off + d)) *
-                               cachedK_.at2(rj, off + d);
-                    scores.at2(i, j) =
-                        static_cast<float>(dot) * inv_sqrt_d;
-                }
-            }
-            const Tensor attn = softmax(scores);
-            for (std::size_t i = 0; i < seqLen_; ++i)
-                for (std::size_t j = 0; j < seqLen_; ++j)
-                    cachedAttn_[((b * numHeads_ + hh) * seqLen_ + i) *
-                                    seqLen_ + j] = attn.at2(i, j);
-            for (std::size_t i = 0; i < seqLen_; ++i) {
-                const std::size_t ri = b * seqLen_ + i;
-                for (std::size_t d = 0; d < headDim_; ++d) {
-                    double acc = 0.0;
-                    for (std::size_t j = 0; j < seqLen_; ++j) {
-                        const std::size_t rj = b * seqLen_ + j;
-                        acc += static_cast<double>(attn.at2(i, j)) *
-                               cachedV_.at2(rj, off + d);
-                    }
-                    context.at2(ri, off + d) = static_cast<float>(acc);
-                }
-            }
+            const Tensor q = headBlock(cachedQ_, b, hh);
+            const Tensor k = headBlock(cachedK_, b, hh);
+            const Tensor v = headBlock(cachedV_, b, hh);
+            cachedAttn_.push_back(
+                softmax(scale(matmulTransB(q, k), inv_sqrt_d)));
+            putHeadBlock(context, b, hh, matmul(cachedAttn_.back(), v));
         }
     }
     return projOut_.forward(context);
@@ -136,7 +111,7 @@ Tensor
 MultiHeadSelfAttention::backward(const Tensor &grad_output)
 {
     // Through the output projection first.
-    Tensor dcontext = projOut_.backward(grad_output);
+    const Tensor dcontext = projOut_.backward(grad_output);
 
     Tensor dq(cachedQ_.shape());
     Tensor dk(cachedK_.shape());
@@ -146,77 +121,32 @@ MultiHeadSelfAttention::backward(const Tensor &grad_output)
 
     for (std::size_t b = 0; b < batch_; ++b) {
         for (std::size_t hh = 0; hh < numHeads_; ++hh) {
-            const std::size_t off = hh * headDim_;
+            const Tensor q = headBlock(cachedQ_, b, hh);
+            const Tensor k = headBlock(cachedK_, b, hh);
+            const Tensor v = headBlock(cachedV_, b, hh);
+            const Tensor dctx = headBlock(dcontext, b, hh);
+            const Tensor &attn = cachedAttn_[b * numHeads_ + hh];
             // dAttn = dcontext V^T ; dV = attn^T dcontext.
-            Tensor dattn({seqLen_, seqLen_});
-            for (std::size_t i = 0; i < seqLen_; ++i) {
-                const std::size_t ri = b * seqLen_ + i;
-                for (std::size_t j = 0; j < seqLen_; ++j) {
-                    const std::size_t rj = b * seqLen_ + j;
-                    double acc = 0.0;
-                    for (std::size_t d = 0; d < headDim_; ++d)
-                        acc += static_cast<double>(
-                                   dcontext.at2(ri, off + d)) *
-                               cachedV_.at2(rj, off + d);
-                    dattn.at2(i, j) = static_cast<float>(acc);
-                }
-            }
-            for (std::size_t j = 0; j < seqLen_; ++j) {
-                const std::size_t rj = b * seqLen_ + j;
-                for (std::size_t d = 0; d < headDim_; ++d) {
-                    double acc = 0.0;
-                    for (std::size_t i = 0; i < seqLen_; ++i) {
-                        const float a =
-                            cachedAttn_[((b * numHeads_ + hh) *
-                                             seqLen_ + i) * seqLen_ + j];
-                        acc += static_cast<double>(a) *
-                               dcontext.at2(b * seqLen_ + i, off + d);
-                    }
-                    dv.at2(rj, off + d) += static_cast<float>(acc);
-                }
-            }
+            const Tensor dattn = matmulTransB(dctx, v);
+            putHeadBlock(dv, b, hh, matmulTransA(attn, dctx));
             // Softmax backward per row: ds = attn * (dattn - sum_j
             // dattn*attn).
             Tensor dscores({seqLen_, seqLen_});
             for (std::size_t i = 0; i < seqLen_; ++i) {
+                const float *arow = attn.data() + i * seqLen_;
+                const float *drow = dattn.data() + i * seqLen_;
                 double row_dot = 0.0;
-                for (std::size_t j = 0; j < seqLen_; ++j) {
-                    const float a =
-                        cachedAttn_[((b * numHeads_ + hh) * seqLen_ +
-                                         i) * seqLen_ + j];
-                    row_dot += static_cast<double>(a) * dattn.at2(i, j);
-                }
-                for (std::size_t j = 0; j < seqLen_; ++j) {
-                    const float a =
-                        cachedAttn_[((b * numHeads_ + hh) * seqLen_ +
-                                         i) * seqLen_ + j];
-                    dscores.at2(i, j) = static_cast<float>(
-                        a * (dattn.at2(i, j) - row_dot));
-                }
+                for (std::size_t j = 0; j < seqLen_; ++j)
+                    row_dot += static_cast<double>(arow[j]) * drow[j];
+                for (std::size_t j = 0; j < seqLen_; ++j)
+                    dscores[i * seqLen_ + j] = static_cast<float>(
+                        arow[j] * (drow[j] - row_dot));
             }
             // dQ = dscores K / sqrt(d) ; dK = dscores^T Q / sqrt(d).
-            for (std::size_t i = 0; i < seqLen_; ++i) {
-                const std::size_t ri = b * seqLen_ + i;
-                for (std::size_t d = 0; d < headDim_; ++d) {
-                    double accq = 0.0;
-                    for (std::size_t j = 0; j < seqLen_; ++j)
-                        accq += static_cast<double>(dscores.at2(i, j)) *
-                                cachedK_.at2(b * seqLen_ + j, off + d);
-                    dq.at2(ri, off + d) +=
-                        static_cast<float>(accq) * inv_sqrt_d;
-                }
-            }
-            for (std::size_t j = 0; j < seqLen_; ++j) {
-                const std::size_t rj = b * seqLen_ + j;
-                for (std::size_t d = 0; d < headDim_; ++d) {
-                    double acck = 0.0;
-                    for (std::size_t i = 0; i < seqLen_; ++i)
-                        acck += static_cast<double>(dscores.at2(i, j)) *
-                                cachedQ_.at2(b * seqLen_ + i, off + d);
-                    dk.at2(rj, off + d) +=
-                        static_cast<float>(acck) * inv_sqrt_d;
-                }
-            }
+            putHeadBlock(dq, b, hh,
+                         scale(matmul(dscores, k), inv_sqrt_d));
+            putHeadBlock(dk, b, hh,
+                         scale(matmulTransA(dscores, q), inv_sqrt_d));
         }
     }
 
@@ -226,6 +156,29 @@ MultiHeadSelfAttention::backward(const Tensor &grad_output)
     accumulate(dx, projK_.backward(dk));
     accumulate(dx, projV_.backward(dv));
     return dx;
+}
+
+Tensor
+MultiHeadSelfAttention::headBlock(const Tensor &x, std::size_t b,
+                                  std::size_t hh) const
+{
+    Tensor block({seqLen_, headDim_});
+    for (std::size_t t = 0; t < seqLen_; ++t)
+        std::copy_n(x.data() + (b * seqLen_ + t) * modelDim_ +
+                        hh * headDim_,
+                    headDim_, block.data() + t * headDim_);
+    return block;
+}
+
+void
+MultiHeadSelfAttention::putHeadBlock(Tensor &x, std::size_t b,
+                                     std::size_t hh,
+                                     const Tensor &block) const
+{
+    for (std::size_t t = 0; t < seqLen_; ++t)
+        std::copy_n(block.data() + t * headDim_, headDim_,
+                    x.data() + (b * seqLen_ + t) * modelDim_ +
+                        hh * headDim_);
 }
 
 std::vector<Param *>

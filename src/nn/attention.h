@@ -38,7 +38,9 @@ class PositionalEncoding : public Layer
  * Multi-head self-attention over an input of shape (B*T, D), where the
  * sequence structure (B sequences of length T) is fixed at
  * construction. Q/K/V/output projections are Linear layers; attention
- * itself is the scaled dot-product with row softmax per head.
+ * itself is the scaled dot-product with row softmax per head, and its
+ * six per-head products (Q K^T, attn V and the four of backward) run
+ * on the same GEMMs as every other layer.
  */
 class MultiHeadSelfAttention : public Layer
 {
@@ -65,9 +67,17 @@ class MultiHeadSelfAttention : public Layer
     Linear projV_;
     Linear projOut_;
 
+    /** The (T, D/H) block of head @p hh of sequence @p b in @p x. */
+    Tensor headBlock(const Tensor &x, std::size_t b,
+                     std::size_t hh) const;
+    /** Write @p block back as head @p hh of sequence @p b of @p x. */
+    void putHeadBlock(Tensor &x, std::size_t b, std::size_t hh,
+                      const Tensor &block) const;
+
     // Caches for backward.
     Tensor cachedQ_, cachedK_, cachedV_;   ///< (B*T, D)
-    Tensor cachedAttn_;                    ///< (B, H, T, T) softmax rows
+    /** Softmax rows, (T, T) per (batch, head) in b * H + h order. */
+    std::vector<Tensor> cachedAttn_;
 };
 
 /**

@@ -491,8 +491,7 @@ QuantTrainer::emitStepTelemetry(double loss, double grad_max_abs)
 bool
 QuantTrainer::checkpointingEnabled() const
 {
-    return store_ != nullptr ||
-           !config_.resilience.checkpointPath.empty();
+    return store_ != nullptr;
 }
 
 void
@@ -543,24 +542,15 @@ QuantTrainer::makeSnapshot() const
 bool
 QuantTrainer::checkpointNow()
 {
-    const ResilienceConfig &r = config_.resilience;
     CQ_ASSERT_MSG(checkpointingEnabled(),
                   "checkpointNow without a checkpoint destination");
-    bool ok;
-    if (store_ != nullptr) {
-        // Synchronous commit: drain in-flight async work first so
-        // this snapshot lands as the newest generation (the final
-        // shutdown checkpoint relies on that ordering).
-        if (asyncWriter_ != nullptr)
-            asyncWriter_->drain();
-        ok = store_->commit(makeSnapshot()) ==
-             guard::CheckpointWriteResult::Ok;
-    } else {
-        ok = guard::writeCheckpointEx(r.checkpointPath,
-                                      makeSnapshot(),
-                                      r.writeOptions) ==
-             guard::CheckpointWriteResult::Ok;
-    }
+    // Synchronous commit: drain in-flight async work first so this
+    // snapshot lands as the newest generation (the final shutdown
+    // checkpoint relies on that ordering).
+    if (asyncWriter_ != nullptr)
+        asyncWriter_->drain();
+    const bool ok = store_->commit(makeSnapshot()) ==
+                    guard::CheckpointWriteResult::Ok;
     if (monitor_ != nullptr)
         monitor_->stats().add(ok ? "guard.checkpointsWritten"
                                  : "guard.checkpointFailures",
@@ -617,31 +607,18 @@ QuantTrainer::rollback()
     if (!checkpointingEnabled())
         return;
     guard::TrainerSnapshot snap;
-    if (store_ != nullptr) {
-        // The newest generation may still be in flight on the writer
-        // thread; drain so the rollback sees everything committed.
-        if (asyncWriter_ != nullptr)
-            asyncWriter_->drain();
-        const auto outcome = store_->loadLatest(snap);
-        if (outcome.result != guard::CheckpointLoadResult::Ok) {
-            warn("rollback: no Ok generation in %s (%s, %llu skipped)",
-                 r.checkpointDir.c_str(),
-                 guard::checkpointLoadResultName(outcome.result),
-                 static_cast<unsigned long long>(
-                     outcome.skippedCorrupt));
-            monitor_->stats().add("guard.rollbackFailures", 1.0);
-            return;
-        }
-    } else {
-        const auto result =
-            guard::readCheckpoint(r.checkpointPath, snap);
-        if (result != guard::CheckpointLoadResult::Ok) {
-            warn("rollback: checkpoint %s unusable (%s)",
-                 r.checkpointPath.c_str(),
-                 guard::checkpointLoadResultName(result));
-            monitor_->stats().add("guard.rollbackFailures", 1.0);
-            return;
-        }
+    // The newest generation may still be in flight on the writer
+    // thread; drain so the rollback sees everything committed.
+    if (asyncWriter_ != nullptr)
+        asyncWriter_->drain();
+    const auto outcome = store_->loadLatest(snap);
+    if (outcome.result != guard::CheckpointLoadResult::Ok) {
+        warn("rollback: no Ok generation in %s (%s, %llu skipped)",
+             r.checkpointDir.c_str(),
+             guard::checkpointLoadResultName(outcome.result),
+             static_cast<unsigned long long>(outcome.skippedCorrupt));
+        monitor_->stats().add("guard.rollbackFailures", 1.0);
+        return;
     }
     if (!restoreFromSnapshot(snap)) {
         monitor_->stats().add("guard.rollbackFailures", 1.0);

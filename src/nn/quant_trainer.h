@@ -84,14 +84,12 @@ struct ResilienceConfig
     /** False keeps the legacy trainer behaviour (no monitoring). */
     bool enabled = false;
     guard::GuardrailConfig guardrails;
-    /** Legacy single-file checkpoint; empty disables it. Superseded
-     *  by checkpointDir when both are set. */
-    std::string checkpointPath;
     /**
      * Generation-store directory (nn/guard/ckpt_store.h): commits are
      * crash-consistent "ckpt-<gen>.bin" files under a CRC'd manifest
      * with keep-K retention, and resumeFrom() can restart a killed
-     * run from the newest Ok generation. Empty = use checkpointPath.
+     * run from the newest Ok generation. Empty disables checkpoints
+     * and rollback.
      */
     std::string checkpointDir;
     /** Generations kept by the store's retention (>= 1). */
@@ -100,8 +98,7 @@ struct ResilienceConfig
      * Serialize + fsync + commit on a background writer thread
      * (guard::AsyncCheckpointWriter): the training thread only copies
      * tensors at the step boundary. Rollback and the final shutdown
-     * checkpoint drain the writer first. Only honoured with
-     * checkpointDir; the legacy path stays synchronous.
+     * checkpoint drain the writer first.
      */
     bool asyncCheckpoint = false;
     /**

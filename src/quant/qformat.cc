@@ -33,26 +33,6 @@ formatForMaxAbs(double max_abs, int bits)
     return fmt;
 }
 
-std::vector<std::int32_t>
-quantizeTensor(const Tensor &x, const IntFormat &fmt)
-{
-    std::vector<std::int32_t> levels(x.numel());
-    for (std::size_t i = 0; i < x.numel(); ++i)
-        levels[i] = quantizeValue(x[i], fmt);
-    return levels;
-}
-
-Tensor
-dequantizeTensor(const std::vector<std::int32_t> &levels,
-                 const Shape &shape, const IntFormat &fmt)
-{
-    CQ_ASSERT(levels.size() == shapeNumel(shape));
-    Tensor out(shape);
-    for (std::size_t i = 0; i < levels.size(); ++i)
-        out[i] = static_cast<float>(dequantizeValue(levels[i], fmt));
-    return out;
-}
-
 Tensor
 fakeQuantizeTensor(const Tensor &x, const IntFormat &fmt)
 {

@@ -19,7 +19,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -74,14 +73,6 @@ dequantizeValue(std::int32_t q, const IntFormat &fmt)
 {
     return static_cast<double>(q) * fmt.scale;
 }
-
-/** Quantize a whole tensor into int32 levels (caller packs). */
-std::vector<std::int32_t> quantizeTensor(const Tensor &x,
-                                         const IntFormat &fmt);
-
-/** Dequantize levels back into a tensor of the given shape. */
-Tensor dequantizeTensor(const std::vector<std::int32_t> &levels,
-                        const Shape &shape, const IntFormat &fmt);
 
 /**
  * Round-trip a tensor through the format ("fake quantization"): the

@@ -5,6 +5,7 @@
 
 #include "tensor/abft.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <vector>
@@ -28,52 +29,6 @@ class ScopeSuspend
   private:
     const AbftConfig *saved_;
 };
-
-/**
- * Recompute output row @p i exactly as the matmul kernel does
- * (i-k-j order, FP32 accumulation, zero-skip), so a retried row is
- * bitwise identical to an uncorrupted first pass.
- */
-void
-recomputeRow(const Tensor &a, const Tensor &b, Tensor &c,
-             std::size_t i)
-{
-    const std::size_t k = a.dim(1), n = b.dim(1);
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *crow = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j)
-        crow[j] = 0.0f;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = pa[i * k + kk];
-        if (av == 0.0f)
-            continue;
-        const float *brow = pb + kk * n;
-        for (std::size_t j = 0; j < n; ++j)
-            crow[j] += av * brow[j];
-    }
-}
-
-/** Recompute output column @p j (same order per element). */
-void
-recomputeCol(const Tensor &a, const Tensor &b, Tensor &c,
-             std::size_t j)
-{
-    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        float acc = 0.0f;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const float av = pa[i * k + kk];
-            if (av == 0.0f)
-                continue;
-            acc += av * pb[kk * n + j];
-        }
-        pc[i * n + j] = acc;
-    }
-}
 
 struct ChecksumVerdict
 {
@@ -214,14 +169,19 @@ abftMatmul(const Tensor &a, const Tensor &b, const AbftConfig &config,
         ++rep.retries;
         if (stats != nullptr)
             stats->add("abft.retries", 1.0);
-        // Recompute the implicated tile: every suspect row, then any
-        // suspect column the row pass did not already cover (a
-        // cancelling corruption can implicate a column alone).
+        // Recompute the implicated tile from one fresh product of the
+        // same kernel, so a retried output is bitwise what a clean
+        // first pass gives: every suspect row, or every suspect column
+        // when none is a row (a cancelling corruption can implicate
+        // columns alone).
+        const Tensor redo = matmul(a, b);
+        const std::size_t m = c.dim(0), n = c.dim(1);
         for (std::size_t i : verdict.rows)
-            recomputeRow(a, b, c, i);
+            std::copy_n(redo.data() + i * n, n, c.data() + i * n);
         if (verdict.rows.empty())
             for (std::size_t j : verdict.cols)
-                recomputeCol(a, b, c, j);
+                for (std::size_t i = 0; i < m; ++i)
+                    c[i * n + j] = redo[i * n + j];
         // A persistently faulty accumulator corrupts the retry too;
         // a transient-upset model (corruptRetries false) retries
         // clean.

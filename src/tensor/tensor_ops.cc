@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
@@ -161,35 +160,12 @@ floatTile(const float *arow, std::size_t lda, const float *b,
 }
 
 /**
- * Columns [0, W) of one output row of matmulTransB: W double sums
- * over a W-wide strip of the packed B^T panel (k rows of W doubles,
- * contiguous), no zero skip.
- */
-template <std::size_t W>
-void
-doubleTile(const float *arow, const double *strip, std::size_t k,
-           float *crow)
-{
-    double acc[W] = {};
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const double av = arow[kk];
-        const double *prow = strip + kk * W;
-#pragma GCC unroll 8
-        for (std::size_t t = 0; t < W; ++t)
-            acc[t] += av * prow[t];
-    }
-#pragma GCC unroll 8
-    for (std::size_t t = 0; t < W; ++t)
-        crow[t] = static_cast<float>(acc[t]);
-}
-
-/**
  * Rows [lo, hi) of an (m x n) product, walked one column strip at a
  * time (W = 16, 8 or 4, then single columns) so the strip of B stays
  * in cache across the rows. @p tile(W-tag, i, j) computes row i,
  * columns [j, j + W).
  */
-template <std::size_t Wide, typename Tile>
+template <typename Tile>
 void
 forEachTile(std::size_t n, std::size_t lo, std::size_t hi, Tile &&tile)
 {
@@ -198,13 +174,11 @@ forEachTile(std::size_t n, std::size_t lo, std::size_t hi, Tile &&tile)
             tile(width, i, j);
     };
     std::size_t j = 0;
-    for (; j + Wide <= n; j += Wide)
-        strip(std::integral_constant<std::size_t, Wide>{}, j);
-    if constexpr (Wide > 8) {
-        if (j + 8 <= n) {
-            strip(std::integral_constant<std::size_t, 8>{}, j);
-            j += 8;
-        }
+    for (; j + 16 <= n; j += 16)
+        strip(std::integral_constant<std::size_t, 16>{}, j);
+    if (j + 8 <= n) {
+        strip(std::integral_constant<std::size_t, 8>{}, j);
+        j += 8;
     }
     if (j + 4 <= n) {
         strip(std::integral_constant<std::size_t, 4>{}, j);
@@ -215,11 +189,11 @@ forEachTile(std::size_t n, std::size_t lo, std::size_t hi, Tile &&tile)
 }
 
 /**
- * The float GEMM core of matmul and matmulTransA: C = op(A) * B with
- * op(A)(i, kk) = a[i * rs + kk * ks] and B (k x n). Output rows are
- * chunked across the pool; each output is summed by floatTile in
- * ascending k whatever the chunking, so the result is bitwise
- * independent of the thread count.
+ * The one float GEMM core of matmul, matmulTransA and matmulTransB:
+ * C = op(A) * B with op(A)(i, kk) = a[i * rs + kk * ks] and B (k x n).
+ * Output rows are chunked across the pool; each output is summed by
+ * floatTile in ascending k whatever the chunking, so the result is
+ * bitwise independent of the thread count.
  */
 Tensor
 floatGemm(const float *a, std::size_t rs, std::size_t ks, const Tensor &b,
@@ -232,8 +206,8 @@ floatGemm(const float *a, std::size_t rs, std::size_t ks, const Tensor &b,
     const float *pb = b.data();
     float *pc = c.data();
     parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        forEachTile<16>(n, lo, hi, [&](auto width, std::size_t i,
-                                       std::size_t j) {
+        forEachTile(n, lo, hi, [&](auto width, std::size_t i,
+                                   std::size_t j) {
             floatTile<decltype(width)::value>(a + i * rs, ks, pb + j, n, k,
                                               pc + i * n + j);
         });
@@ -306,34 +280,10 @@ matmulTransB(const Tensor &a, const Tensor &b)
                   shapeToString(b.shape()).c_str());
     CQ_TRACE_SCOPE("gemm.matmulTransB");
     countGemm(m, k, n);
-    Tensor c({m, n});
-    if (k == 0)
-        return c;
-    // B^T is packed once, as doubles, into the column strips the
-    // tiles walk: the strip of columns [j, j + W) holds k rows of W
-    // contiguous doubles at offset j * k (the one-row range [0, 1)
-    // visits each strip once). The panel is read-only while the pool
-    // runs. A float product is exact in double, so every output still
-    // sums the same double terms in ascending k.
-    std::vector<double> panel(k * n);
-    const float *pb = b.data();
-    forEachTile<8>(n, 0, 1, [&](auto width, std::size_t, std::size_t j) {
-        constexpr std::size_t W = decltype(width)::value;
-        for (std::size_t kk = 0; kk < k; ++kk)
-            for (std::size_t t = 0; t < W; ++t)
-                panel[j * k + kk * W + t] = pb[(j + t) * k + kk];
-    });
-    const float *pa = a.data();
-    float *pc = c.data();
-    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        forEachTile<8>(n, lo, hi, [&](auto width, std::size_t i,
-                                      std::size_t j) {
-            doubleTile<decltype(width)::value>(pa + i * k,
-                                               panel.data() + j * k, k,
-                                               pc + i * n + j);
-        });
-    });
-    return c;
+    // B^T is packed once into the (k x n) operand the kernel reads.
+    // The kernel is called directly, not through matmul, so an ABFT
+    // scope still reroutes matmul alone.
+    return floatGemm(a.data(), k, 1, transpose(b), m, k);
 }
 
 Tensor
@@ -343,9 +293,11 @@ transpose(const Tensor &a)
                   shapeToString(a.shape()).c_str());
     const std::size_t m = a.dim(0), n = a.dim(1);
     Tensor c({n, m});
+    const float *src = a.data();
+    float *dst = c.data();
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            c.at2(j, i) = a.at2(i, j);
+            dst[j * m + i] = src[i * n + j];
     return c;
 }
 

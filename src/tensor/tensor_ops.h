@@ -41,16 +41,16 @@ Tensor matmul(const Tensor &a, const Tensor &b);
 
 /**
  * Matrix multiply with the left operand transposed: a^T * b for a
- * (k x m). Same numerics as matmul: float sums in ascending k, terms
- * with a zero element of a skipped.
+ * (k x m). Same kernel and numerics as matmul: float sums in
+ * ascending k, terms with a zero element of a skipped.
  */
 Tensor matmulTransA(const Tensor &a, const Tensor &b);
 
 /**
  * Matrix multiply with the right operand transposed: a * b^T for b
- * (n x k). Each output is a double sum of the exact double products
- * a[i][kk] * b[j][kk] in ascending kk, no term skipped, rounded to
- * float once at the end.
+ * (n x k), bitwise equal to matmul(a, transpose(b)) outside an ABFT
+ * scope: the same kernel and numerics, with b packed transposed
+ * first. An abft::AbftScope does not reroute it.
  */
 Tensor matmulTransB(const Tensor &a, const Tensor &b);
 

@@ -2,12 +2,15 @@
  * @file
  * Test oracle for the trainer kernels: the plain loops they replaced.
  *
- * matmul and matmulTransA hold register tiles of outputs, matmulTransB
- * sums over a packed double panel of B^T, im2col/col2im index raw
- * pointers, and fakeQuantizeE2bqm/fakeQuantizeHqt run a fused,
- * allocation-free sweep per block. Each stays bitwise equal to the
- * straightforward formulation kept here, which the differential tests
- * in test_tensor.cc and test_quant.cc compare against. Test-only and
+ * matmul, matmulTransA and matmulTransB share one register-tiled
+ * kernel, im2col/col2im index raw pointers, and
+ * fakeQuantizeE2bqm/fakeQuantizeHqt run a fused, allocation-free sweep
+ * per block. Each stays bitwise equal to the straightforward
+ * formulation kept here (referenceMatmul is the one GEMM oracle),
+ * which the differential tests in test_tensor.cc and test_quant.cc
+ * compare against. The attention core is the exception: its old
+ * double-sum loops are kept to show that the GEMM version computes the
+ * same function within float rounding (test_nn.cc). Test-only and
  * deliberately unoptimized: keep it a literal statement of the
  * numerics, not a second fast path.
  */
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "nn/softmax.h"
 #include "quant/e2bqm.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -53,7 +57,12 @@ bitDifference(const Tensor &got, const Tensor &want)
     return "";
 }
 
-/** (m x k) * (k x n): i-k-j, float sums, zero a skipped. */
+/**
+ * (m x k) * (k x n): i-k-j, float sums, zero a skipped. The oracle of
+ * all three GEMMs: matmulTransA(at, b) must equal
+ * referenceMatmul(transpose(at), b), and matmulTransB(a, bt)
+ * referenceMatmul(a, transpose(bt)).
+ */
 inline Tensor
 referenceMatmul(const Tensor &a, const Tensor &b)
 {
@@ -66,41 +75,6 @@ referenceMatmul(const Tensor &a, const Tensor &b)
                 continue;
             for (std::size_t j = 0; j < n; ++j)
                 c[i * n + j] += av * b[kk * n + j];
-        }
-    }
-    return c;
-}
-
-/** a^T * b for a (k x m): as referenceMatmul, a read down a column. */
-inline Tensor
-referenceMatmulTransA(const Tensor &a, const Tensor &b)
-{
-    const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-    Tensor c({m, n});
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const float av = a[kk * m + i];
-            if (av == 0.0f)
-                continue;
-            for (std::size_t j = 0; j < n; ++j)
-                c[i * n + j] += av * b[kk * n + j];
-        }
-    }
-    return c;
-}
-
-/** a * b^T for b (n x k): one serial double sum per output. */
-inline Tensor
-referenceMatmulTransB(const Tensor &a, const Tensor &b)
-{
-    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-    Tensor c({m, n});
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                acc += static_cast<double>(a[i * k + kk]) * b[j * k + kk];
-            c[i * n + j] = static_cast<float>(acc);
         }
     }
     return c;
@@ -215,6 +189,130 @@ referenceFakeQuantizeHqt(const Tensor &x, std::size_t block_size,
             out[i] = deq[i - lo];
     }
     return out;
+}
+
+/** The attention core's forward results. */
+struct ReferenceAttention
+{
+    Tensor context; ///< (B*T, D)
+    Tensor attn;    ///< (B, H, T, T) softmax rows
+};
+
+/**
+ * The core of MultiHeadSelfAttention::forward from the projected
+ * (B*T, D) @p q, @p k, @p v, as double loops: per (batch, head),
+ * scores = Q K^T / sqrt(d) and context = attn V, each output one
+ * double sum rounded to float.
+ */
+inline ReferenceAttention
+referenceAttention(const Tensor &q, const Tensor &k, const Tensor &v,
+                   std::size_t batch, std::size_t seq, std::size_t heads)
+{
+    const std::size_t dim = q.dim(1), hd = dim / heads;
+    const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(hd));
+    ReferenceAttention out{Tensor({batch * seq, dim}),
+                           Tensor({batch, heads, seq, seq})};
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t hh = 0; hh < heads; ++hh) {
+            const std::size_t off = hh * hd;
+            Tensor scores({seq, seq});
+            for (std::size_t i = 0; i < seq; ++i)
+                for (std::size_t j = 0; j < seq; ++j) {
+                    double dot = 0.0;
+                    for (std::size_t d = 0; d < hd; ++d)
+                        dot += static_cast<double>(
+                                   q.at2(b * seq + i, off + d)) *
+                               k.at2(b * seq + j, off + d);
+                    scores.at2(i, j) = static_cast<float>(dot) * inv_sqrt_d;
+                }
+            const Tensor attn = nn::softmax(scores);
+            for (std::size_t i = 0; i < seq; ++i)
+                for (std::size_t j = 0; j < seq; ++j)
+                    out.attn.at4(b, hh, i, j) = attn.at2(i, j);
+            for (std::size_t i = 0; i < seq; ++i)
+                for (std::size_t d = 0; d < hd; ++d) {
+                    double acc = 0.0;
+                    for (std::size_t j = 0; j < seq; ++j)
+                        acc += static_cast<double>(attn.at2(i, j)) *
+                               v.at2(b * seq + j, off + d);
+                    out.context.at2(b * seq + i, off + d) =
+                        static_cast<float>(acc);
+                }
+        }
+    }
+    return out;
+}
+
+/** Gradients of the attention core w.r.t. its Q, K and V inputs. */
+struct ReferenceAttentionGrads
+{
+    Tensor dq, dk, dv; ///< (B*T, D) each
+};
+
+/**
+ * The core of MultiHeadSelfAttention::backward as double loops: from
+ * @p dcontext and the forward's @p attn, dAttn = dctx V^T, dV =
+ * attn^T dctx, the softmax backward, dQ = dS K / sqrt(d) and dK =
+ * dS^T Q / sqrt(d), each output one double sum rounded to float.
+ */
+inline ReferenceAttentionGrads
+referenceAttentionBackward(const Tensor &q, const Tensor &k,
+                           const Tensor &v, const Tensor &attn,
+                           const Tensor &dcontext, std::size_t batch,
+                           std::size_t seq, std::size_t heads)
+{
+    const std::size_t dim = q.dim(1), hd = dim / heads;
+    const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(hd));
+    ReferenceAttentionGrads g{Tensor(q.shape()), Tensor(k.shape()),
+                              Tensor(v.shape())};
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t hh = 0; hh < heads; ++hh) {
+            const std::size_t off = hh * hd;
+            Tensor dattn({seq, seq});
+            for (std::size_t i = 0; i < seq; ++i)
+                for (std::size_t j = 0; j < seq; ++j) {
+                    double acc = 0.0;
+                    for (std::size_t d = 0; d < hd; ++d)
+                        acc += static_cast<double>(
+                                   dcontext.at2(b * seq + i, off + d)) *
+                               v.at2(b * seq + j, off + d);
+                    dattn.at2(i, j) = static_cast<float>(acc);
+                }
+            for (std::size_t j = 0; j < seq; ++j)
+                for (std::size_t d = 0; d < hd; ++d) {
+                    double acc = 0.0;
+                    for (std::size_t i = 0; i < seq; ++i)
+                        acc += static_cast<double>(attn.at4(b, hh, i, j)) *
+                               dcontext.at2(b * seq + i, off + d);
+                    g.dv.at2(b * seq + j, off + d) = static_cast<float>(acc);
+                }
+            Tensor dscores({seq, seq});
+            for (std::size_t i = 0; i < seq; ++i) {
+                double row_dot = 0.0;
+                for (std::size_t j = 0; j < seq; ++j)
+                    row_dot += static_cast<double>(attn.at4(b, hh, i, j)) *
+                               dattn.at2(i, j);
+                for (std::size_t j = 0; j < seq; ++j)
+                    dscores.at2(i, j) = static_cast<float>(
+                        attn.at4(b, hh, i, j) * (dattn.at2(i, j) - row_dot));
+            }
+            for (std::size_t i = 0; i < seq; ++i)
+                for (std::size_t d = 0; d < hd; ++d) {
+                    double accq = 0.0, acck = 0.0;
+                    for (std::size_t j = 0; j < seq; ++j) {
+                        accq += static_cast<double>(dscores.at2(i, j)) *
+                                k.at2(b * seq + j, off + d);
+                        acck += static_cast<double>(dscores.at2(j, i)) *
+                                q.at2(b * seq + j, off + d);
+                    }
+                    g.dq.at2(b * seq + i, off + d) =
+                        static_cast<float>(accq) * inv_sqrt_d;
+                    g.dk.at2(b * seq + i, off + d) =
+                        static_cast<float>(acck) * inv_sqrt_d;
+                }
+        }
+    }
+    return g;
 }
 
 } // namespace cq::test

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -26,6 +27,7 @@
 #include "dist/dist_harness.h"
 #include "dist/dist_trainer.h"
 #include "dist/interconnect.h"
+#include "quant/block_quant.h"
 #include "nn/guard/shard_manifest.h"
 #include "obs/http_export.h"
 #include "obs/metrics.h"
@@ -93,6 +95,35 @@ TEST(LdqWire, RoundTripIsCloseAndDeterministic)
     EXPECT_LT(maxErr, maxAbs / 50.0);
 }
 
+TEST(LdqWire, LevelsPackAtTheirBitWidth)
+{
+    // 32 B header, one 8 B scale per block, ceil(bits / 8) B a level.
+    const std::vector<float> x = randomGrad(517, 43); // 9 blocks of 64
+    EXPECT_EQ(dist::encodeLdqChunk(x.data(), x.size(), 64, 8).size(),
+              32u + 9 * 8 + 517);
+    EXPECT_EQ(dist::encodeLdqChunk(x.data(), x.size(), 64, 4).size(),
+              32u + 9 * 8 + 517);
+    EXPECT_EQ(dist::encodeLdqChunk(x.data(), x.size(), 64, 12).size(),
+              32u + 9 * 8 + 517 * 2);
+    EXPECT_EQ(dist::encodeLdqChunk(nullptr, 0, 64, 8).size(), 32u);
+}
+
+TEST(LdqWire, DecodeEqualsLdqFakeQuantizationBitwise)
+{
+    for (int bits : {4, 8, 12, 16}) {
+        const std::vector<float> x = randomGrad(517, 44);
+        std::vector<float> back;
+        ASSERT_TRUE(dist::decodeLdqChunk(
+            dist::encodeLdqChunk(x.data(), x.size(), 64, bits), back));
+        const Tensor want = quant::fakeQuantizeLdq(
+            Tensor({x.size()}, std::vector<float>(x)), 64, bits);
+        ASSERT_EQ(back.size(), want.numel());
+        EXPECT_EQ(0, std::memcmp(back.data(), want.data(),
+                                 back.size() * sizeof(float)))
+            << "bits " << bits;
+    }
+}
+
 TEST(LdqWire, EmptyChunkRoundTrips)
 {
     const auto bytes = dist::encodeLdqChunk(nullptr, 0, 64, 8);
@@ -103,12 +134,17 @@ TEST(LdqWire, EmptyChunkRoundTrips)
 
 TEST(LdqWire, MalformedBuffersAreRejectedNotCrashed)
 {
+    // 100 elements in 2 blocks: header [0, 32), scales [32, 48),
+    // levels [48, 148).
     const std::vector<float> x = randomGrad(100, 7);
     auto bytes = dist::encodeLdqChunk(x.data(), x.size(), 64, 8);
+    ASSERT_EQ(bytes.size(), 148u);
     std::vector<float> out;
-    // Truncations at every boundary.
+    // Truncations inside and at the end of every section.
     for (std::size_t cut : {std::size_t(0), std::size_t(3),
-                            std::size_t(15), bytes.size() - 1}) {
+                            std::size_t(15), std::size_t(31),
+                            std::size_t(32), std::size_t(40),
+                            std::size_t(48), bytes.size() - 1}) {
         std::vector<std::uint8_t> t(bytes.begin(),
                                     bytes.begin() + cut);
         EXPECT_FALSE(dist::decodeLdqChunk(t, out));
@@ -121,6 +157,13 @@ TEST(LdqWire, MalformedBuffersAreRejectedNotCrashed)
     bad = bytes;
     bad.push_back(0);
     EXPECT_FALSE(dist::decodeLdqChunk(bad, out));
+    // A width the body does not have: 9 bits need 2 B a level, and 17
+    // is out of range.
+    for (std::uint8_t bits : {9, 17}) {
+        bad = bytes;
+        bad[4] = bits;
+        EXPECT_FALSE(dist::decodeLdqChunk(bad, out));
+    }
 }
 
 // ------------------------------------------------------ interconnect

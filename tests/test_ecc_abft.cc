@@ -389,6 +389,52 @@ TEST(Abft, TransientCorruptionRepairedToBitwiseCleanProduct)
     EXPECT_EQ(stats.get("abft.escalations"), 0.0);
 }
 
+/**
+ * One-shot corruption adding +1000 at output (r1, c1) and -1000 at
+ * (r2, c2): the two cancel in one row sum (r1 == r2) or in one column
+ * sum (c1 == c2), so the checksums implicate only the other kind. The
+ * retry must still return the clean product bit for bit.
+ */
+abft::AbftReport
+repairOppositeFlips(std::size_t r1, std::size_t c1, std::size_t r2,
+                    std::size_t c2)
+{
+    const Tensor a = randomTensor(12, 40, 57);
+    const Tensor b = randomTensor(40, 14, 58);
+    const Tensor plain = matmul(a, b);
+    abft::AbftConfig cfg;
+    int shots = 1;
+    cfg.corruptOutput = [&](Tensor &c) {
+        if (shots-- > 0) {
+            c.at2(r1, c1) += 1000.0f;
+            c.at2(r2, c2) -= 1000.0f;
+        }
+    };
+    abft::AbftReport rep;
+    const Tensor checked = abft::abftMatmul(a, b, cfg, &rep);
+    EXPECT_TRUE(rep.corrected);
+    EXPECT_EQ(rep.retries, 1u);
+    EXPECT_EQ(0, std::memcmp(checked.data(), plain.data(),
+                             plain.numel() * sizeof(float)));
+    return rep;
+}
+
+// The flips sit on the edges of the 12 x 14 product, so a retry that
+// copies one row or column short is caught too.
+TEST(Abft, ColumnOnlyImplicationRepairedBitwise)
+{
+    const abft::AbftReport rep = repairOppositeFlips(11, 0, 11, 13);
+    EXPECT_EQ(rep.suspectRows, 0u);
+    EXPECT_EQ(rep.suspectCols, 2u);
+}
+
+TEST(Abft, RowOnlyImplicationRepairedBitwise)
+{
+    const abft::AbftReport rep = repairOppositeFlips(0, 13, 11, 13);
+    EXPECT_EQ(rep.suspectRows, 2u);
+    EXPECT_EQ(rep.suspectCols, 0u);
+}
+
 TEST(Abft, PersistentCorruptionEscalates)
 {
     const Tensor a = randomTensor(10, 16, 55);

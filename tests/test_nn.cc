@@ -27,6 +27,7 @@
 #include "nn/quant_trainer.h"
 #include "nn/softmax.h"
 #include "tensor/tensor_ops.h"
+#include "tensor_reference.h"
 
 namespace cq::nn {
 namespace {
@@ -34,8 +35,8 @@ namespace {
 /**
  * Numerical gradient check. Loss L = sum(weights .* layer(x)); the
  * analytic input/parameter gradients from backward() are compared to
- * central finite differences. Conv/pool layers are checked at every
- * input element; parameter checks sample a subset for speed.
+ * fourth-order central differences. Conv/pool layers are checked at
+ * every input element; parameter checks sample a subset for speed.
  */
 class GradCheck
 {
@@ -68,17 +69,37 @@ class GradCheck
         return layer_.backward(lossWeights_);
     }
 
+    /**
+     * dL/dv from loss(v + d) at d = +-h, +-2h: the Richardson
+     * extrapolation of two central quotients. Its O(h^4) truncation
+     * lets h be large enough that the FP32 round-off of the forward
+     * pass stays far below the tolerances. (Through the Transformer
+     * block that round-off is ~1e-6 in L, so a two-point quotient at
+     * h = 1e-3 misses a 0.02 gradient by up to ~5 %.)
+     */
+    template <typename LossAt>
+    static double
+    derivative(LossAt &&lossAt, double h)
+    {
+        return (8.0 * (lossAt(h) - lossAt(-h)) -
+                (lossAt(2.0 * h) - lossAt(-2.0 * h))) /
+               (12.0 * h);
+    }
+
     /** Max relative error of input gradient vs finite differences. */
     double
-    checkInput(double eps = 1e-3)
+    checkInput(double eps = 1e-2)
     {
         const Tensor analytic_grad = analytic();
         double worst = 0.0;
         for (std::size_t i = 0; i < input_.numel(); ++i) {
-            Tensor xp = input_, xm = input_;
-            xp[i] += static_cast<float>(eps);
-            xm[i] -= static_cast<float>(eps);
-            const double num = (loss(xp) - loss(xm)) / (2.0 * eps);
+            const double num = derivative(
+                [&](double d) {
+                    Tensor x = input_;
+                    x[i] += static_cast<float>(d);
+                    return loss(x);
+                },
+                eps);
             worst = std::max(
                 worst, relErr(num, analytic_grad[i]));
         }
@@ -87,7 +108,7 @@ class GradCheck
 
     /** Max relative error of parameter gradients (sampled). */
     double
-    checkParams(double eps = 1e-3, std::size_t max_per_param = 24)
+    checkParams(double eps = 1e-2, std::size_t max_per_param = 24)
     {
         analytic();
         // Snapshot analytic gradients (finite-difference evaluation
@@ -106,12 +127,13 @@ class GradCheck
                  s < std::min(max_per_param, n); ++s) {
                 const std::size_t i = rng.below(n);
                 const float saved = p->value[i];
-                p->value[i] = saved + static_cast<float>(eps);
-                const double lp = loss(input_);
-                p->value[i] = saved - static_cast<float>(eps);
-                const double lm = loss(input_);
+                const double num = derivative(
+                    [&](double d) {
+                        p->value[i] = saved + static_cast<float>(d);
+                        return loss(input_);
+                    },
+                    eps);
                 p->value[i] = saved;
-                const double num = (lp - lm) / (2.0 * eps);
                 worst = std::max(worst, relErr(num, grads[pi][i]));
             }
         }
@@ -245,6 +267,99 @@ TEST(GradCheckTest, TransformerBlock)
     // exact (verified by Richardson extrapolation), so the bound
     // here is loose.
     EXPECT_LT(check.checkParams(3e-3), 0.12);
+}
+
+/** max |got - want| over max |want|: a normwise relative gap. */
+double
+normwiseGap(const Tensor &got, const Tensor &want)
+{
+    double scale = 0.0;
+    for (std::size_t i = 0; i < want.numel(); ++i)
+        scale = std::max(scale, std::fabs(static_cast<double>(want[i])));
+    return maxAbsDiff(got, want) / scale;
+}
+
+/** max over columns j of sum_r |x[r][j]|. */
+double
+maxColumnAbsSum(const Tensor &x)
+{
+    double worst = 0.0;
+    for (std::size_t j = 0; j < x.dim(1); ++j) {
+        double s = 0.0;
+        for (std::size_t r = 0; r < x.dim(0); ++r)
+            s += std::fabs(static_cast<double>(x.at2(r, j)));
+        worst = std::max(worst, s);
+    }
+    return worst;
+}
+
+TEST(AttentionDiff, GemmCoreMatchesDoubleLoopOracle)
+{
+    // Two sequences of 5 tokens, 3 heads of width 4.
+    const std::size_t batch = 2, seq = 5, dim = 12, heads = 3;
+    Rng rng(31);
+    MultiHeadSelfAttention layer("attn", batch, seq, dim, heads, rng);
+    const Tensor x = randomTensor({batch * seq, dim}, 32, 0.5f);
+    const Tensor dy = randomTensor({batch * seq, dim}, 33);
+    layer.zeroGrads();
+    const Tensor y = layer.forward(x);
+    const Tensor dx = layer.backward(dy);
+
+    // The oracle runs the same projections, as Linear copies of the
+    // layer's q/k/v/out weights, around the double-loop core.
+    const std::vector<Param *> params = layer.params();
+    std::vector<std::unique_ptr<Linear>> proj;
+    for (std::size_t p = 0; p < 4; ++p) {
+        proj.push_back(
+            std::make_unique<Linear>("ref", dim, dim, rng));
+        proj[p]->params()[0]->value = params[2 * p]->value;
+        proj[p]->params()[1]->value = params[2 * p + 1]->value;
+    }
+    const Tensor q = proj[0]->forward(x);
+    const Tensor k = proj[1]->forward(x);
+    const Tensor v = proj[2]->forward(x);
+    const test::ReferenceAttention core =
+        test::referenceAttention(q, k, v, batch, seq, heads);
+    const Tensor yRef = proj[3]->forward(core.context);
+    const test::ReferenceAttentionGrads g =
+        test::referenceAttentionBackward(q, k, v, core.attn,
+                                         proj[3]->backward(dy), batch,
+                                         seq, heads);
+    Tensor dxRef = proj[0]->backward(g.dq);
+    accumulate(dxRef, proj[1]->backward(g.dk));
+    accumulate(dxRef, proj[2]->backward(g.dv));
+
+    // Bound. The two paths differ only in rounding: a float sum of
+    // n terms is within n * u of the sum of their magnitudes (u =
+    // 2^-24), the oracle's double sum within u. The longest path,
+    // to the q/k weight gradients, chains five sums of at most
+    // n = max(batch * seq, dim) = 12 terms (dctx V^T, dS K, and the
+    // projection sum on either side of the core, counted on both
+    // paths), and the softmax backward can double a perturbation of
+    // dAttn. With the sum of magnitudes within 4x of the tensor's
+    // largest element for these N(0, 1)-scaled operands, 5 * 2 * 4 *
+    // n * u bounds every gap: 40 * 12 * 2^-24 = 2.9e-5. (Measured:
+    // 1e-7 to 3e-7.)
+    const double u = std::ldexp(1.0, -24);
+    const double bound = 40.0 * 12.0 * u;
+    EXPECT_LT(normwiseGap(y, yRef), bound);
+    EXPECT_LT(normwiseGap(dx, dxRef), bound);
+    for (std::size_t p = 0; p < 4; ++p)
+        for (std::size_t t = 0; t < 2; ++t) {
+            const Tensor &got = params[2 * p + t]->grad;
+            const Tensor &want = proj[p]->params()[t]->grad;
+            if (p == 1 && t == 1) {
+                // Shifting every key by one vector shifts each score
+                // row by a constant, which softmax ignores: the exact
+                // K-bias gradient is 0 and both paths hold rounding
+                // alone, small against the dK rows it sums.
+                EXPECT_LT(maxAbsDiff(got, want) / maxColumnAbsSum(g.dk),
+                          bound);
+                continue;
+            }
+            EXPECT_LT(normwiseGap(got, want), bound)
+                << params[2 * p + t]->name;
+        }
 }
 
 TEST(GradCheckTest, PositionalEncoding)

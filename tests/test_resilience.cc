@@ -20,11 +20,13 @@
 
 #include "arch/ndp_engine.h"
 #include "common/crc32.h"
+#include "common/fileutil.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/checkpoint.h"
+#include "nn/guard/ckpt_store.h"
 #include "nn/guard/guardrails.h"
 #include "nn/linear.h"
 #include "nn/network.h"
@@ -42,6 +44,25 @@ std::string
 tempPath(const char *name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** rm -rf of the flat layout a checkpoint store leaves. */
+void
+removeDir(const std::string &dir)
+{
+    for (const std::string &f : listDir(dir))
+        std::remove((dir + "/" + f).c_str());
+    ::rmdir(dir.c_str());
+}
+
+/** An empty checkpoint directory under gtest's temp root. */
+std::string
+freshDir(const char *name)
+{
+    const std::string dir = tempPath(name);
+    removeDir(dir);
+    EXPECT_TRUE(ensureDir(dir));
+    return dir;
 }
 
 // ---------------------------------------------------------------- CRC32
@@ -469,14 +490,16 @@ struct RunResult
 };
 
 /**
- * Train the spiral MLP for 150 steps. Faults (when @p faultRate > 0)
+ * Train the spiral MLP for 150 steps, checkpointing into a fresh
+ * directory @p ckptName when guarded. Faults (when @p faultRate > 0)
  * are injected into the master weights during steps 40..60 only, so
  * checkpoints from the early phase are clean and the run has time to
  * recover afterwards.
  */
 RunResult
-runSpiral(bool guardrails, double faultRate, const std::string &ckpt)
+runSpiral(bool guardrails, double faultRate, const char *ckptName)
 {
+    const std::string ckpt = freshDir(ckptName);
     nn::SpiralDataset data(2, 0.1, 17);
     nn::Network net = makeMlp(18);
 
@@ -485,7 +508,7 @@ runSpiral(bool guardrails, double faultRate, const std::string &ckpt)
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.optimizer.lr = 5e-3;
     cfg.resilience.enabled = guardrails;
-    cfg.resilience.checkpointPath = guardrails ? ckpt : "";
+    cfg.resilience.checkpointDir = guardrails ? ckpt : "";
     cfg.resilience.checkpointInterval = 10;
     nn::QuantTrainer trainer(net, cfg);
 
@@ -511,6 +534,7 @@ runSpiral(bool guardrails, double faultRate, const std::string &ckpt)
     const StatGroup stats = trainer.resilienceStats();
     r.watchdogTrips = stats.get("guard.watchdogTrips");
     r.breakerTrips = stats.get("guard.breakerTrips");
+    removeDir(ckpt);
     return r;
 }
 
@@ -519,16 +543,15 @@ constexpr double kAggressiveRate = 4000.0;
 
 TEST(Resilience, EndToEndRecoveryVsDivergence)
 {
-    const std::string ckpt = tempPath("ckpt_e2e.bin");
-
     // Clean run: the tolerance baseline.
-    const RunResult clean = runSpiral(true, 0.0, ckpt);
+    const RunResult clean = runSpiral(true, 0.0, "ckpt_e2e_clean");
     EXPECT_EQ(clean.rollbacks, 0u);
     EXPECT_GT(clean.accuracy, 0.88);
 
     // Faulted run with guardrails: trips must fire, rollbacks must
     // restore CRC-verified state, and the run must end close to clean.
-    const RunResult guarded = runSpiral(true, kAggressiveRate, ckpt);
+    const RunResult guarded =
+        runSpiral(true, kAggressiveRate, "ckpt_e2e_guarded");
     EXPECT_GT(guarded.breakerTrips + guarded.watchdogTrips, 0.0);
     EXPECT_GE(guarded.rollbacks, 1u);
     EXPECT_TRUE(std::isfinite(guarded.finalLoss));
@@ -537,7 +560,8 @@ TEST(Resilience, EndToEndRecoveryVsDivergence)
 
     // Same faults, guardrails off: the run must visibly diverge —
     // non-finite losses or a final state far from the clean run.
-    const RunResult bare = runSpiral(false, kAggressiveRate, ckpt);
+    const RunResult bare =
+        runSpiral(false, kAggressiveRate, "ckpt_e2e_bare");
     const bool diverged =
         bare.sawNonFinite || !std::isfinite(bare.finalLoss) ||
         bare.finalLoss > 10.0 * clean.finalLoss + 1.0 ||
@@ -545,20 +569,18 @@ TEST(Resilience, EndToEndRecoveryVsDivergence)
     EXPECT_TRUE(diverged)
         << "unguarded run: loss=" << bare.finalLoss
         << " acc=" << bare.accuracy;
-
-    std::remove(ckpt.c_str());
 }
 
 TEST(Resilience, FaultedTrainingDeterministicAcrossThreadCounts)
 {
-    const std::string ckptA = tempPath("ckpt_thr1.bin");
-    const std::string ckptB = tempPath("ckpt_thr4.bin");
     auto &pool = ThreadPool::instance();
 
     pool.setNumThreads(1);
-    const RunResult serial = runSpiral(true, kAggressiveRate, ckptA);
+    const RunResult serial =
+        runSpiral(true, kAggressiveRate, "ckpt_thr1");
     pool.setNumThreads(4);
-    const RunResult parallel = runSpiral(true, kAggressiveRate, ckptB);
+    const RunResult parallel =
+        runSpiral(true, kAggressiveRate, "ckpt_thr4");
     pool.setNumThreads(0);
 
     // The whole faulted, guarded training run is bitwise reproducible:
@@ -568,32 +590,32 @@ TEST(Resilience, FaultedTrainingDeterministicAcrossThreadCounts)
     EXPECT_EQ(serial.rollbacks, parallel.rollbacks);
     EXPECT_EQ(serial.watchdogTrips, parallel.watchdogTrips);
     EXPECT_EQ(serial.breakerTrips, parallel.breakerTrips);
-    std::remove(ckptA.c_str());
-    std::remove(ckptB.c_str());
 }
 
 TEST(Resilience, CheckpointNowWritesLoadableSnapshot)
 {
-    const std::string ckpt = tempPath("ckpt_now.bin");
+    const std::string dir = freshDir("ckpt_now");
     nn::SpiralDataset data(2, 0.1, 17);
     nn::Network net = makeMlp(18);
     nn::QuantTrainerConfig cfg;
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.resilience.enabled = true;
-    cfg.resilience.checkpointPath = ckpt;
+    cfg.resilience.checkpointDir = dir;
     nn::QuantTrainer trainer(net, cfg);
     for (int i = 0; i < 3; ++i) {
         const auto b = data.sample(32);
         trainer.stepClassification(b.inputs, b.labels);
     }
     ASSERT_TRUE(trainer.checkpointNow());
+    nn::guard::CheckpointStoreConfig scfg;
+    scfg.dir = dir;
     TrainerSnapshot snap;
-    ASSERT_EQ(nn::guard::readCheckpoint(ckpt, snap),
+    ASSERT_EQ(nn::guard::CheckpointStore(scfg).loadLatest(snap).result,
               CheckpointLoadResult::Ok);
     EXPECT_EQ(snap.step, 3u);
     EXPECT_EQ(snap.optimizerStep, 3u);
     EXPECT_EQ(snap.masters.size(), 4u); // fc1 w/b + fc2 w/b
-    std::remove(ckpt.c_str());
+    removeDir(dir);
 }
 
 TEST(Resilience, DisabledResilienceMatchesLegacyTrainer)

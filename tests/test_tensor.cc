@@ -248,8 +248,8 @@ diffOperand(Rng &rng, Shape shape, double zero_frac, bool specials)
 TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
 {
     // Widths 1..100 cover every 16/8/4/1 tile mix; each shape runs on
-    // one thread and on a 4-wide pool (whose threads share the packed
-    // B^T panel of matmulTransB).
+    // one thread and on a 4-wide pool. All three variants share one
+    // kernel, so one oracle checks them all.
     Rng rng(2024);
     const double zeroFracs[] = {0.0, 0.5, 0.95};
     for (int trial = 0; trial < 72; ++trial) {
@@ -265,9 +265,7 @@ TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
         if (trial % 6 == 5 && k >= 2) {
             // Every output gets +h * b and -h * b (h ~ 2^62) at two k
             // positions p < q, so the sum keeps only the terms after
-            // q: a reordered sum keeps others. This also exposes a
-            // reordered double sum, whose float result is otherwise
-            // nearly order-blind.
+            // q: a reordered sum keeps others.
             const std::size_t p = rng.below(k - 1);
             const std::size_t q = p + 1 + rng.below(k - 1 - p);
             for (std::size_t i = 0; i < m; ++i) {
@@ -282,8 +280,8 @@ TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
             }
         }
         const Tensor wantC = test::referenceMatmul(a, b);
-        const Tensor wantA = test::referenceMatmulTransA(at, b);
-        const Tensor wantB = test::referenceMatmulTransB(a, bt);
+        const Tensor wantA = test::referenceMatmul(transpose(at), b);
+        const Tensor wantB = test::referenceMatmul(a, transpose(bt));
         for (unsigned threads : {1u, 4u}) {
             ThreadPool::instance().setNumThreads(threads);
             SCOPED_TRACE("trial " + std::to_string(trial) + " " +
@@ -314,12 +312,12 @@ TEST(TensorDiff, SignedZerosAndSpecialsAreExact)
     EXPECT_EQ(test::bitDifference(matmulTransA(transpose(a), b),
                                   test::referenceMatmul(a, b)),
               "");
-    // matmulTransB has no skip: 0 * Inf is NaN there, as it was.
+    // matmulTransB skips the same terms: 0 * Inf is no NaN there
+    // either.
     const Tensor cb = matmulTransB(a, transpose(b));
-    EXPECT_EQ(test::bitDifference(
-                  cb, test::referenceMatmulTransB(a, transpose(b))),
-              "");
-    EXPECT_TRUE(std::isnan(cb[0]));
+    EXPECT_EQ(test::bitDifference(cb, test::referenceMatmul(a, b)), "");
+    EXPECT_FALSE(std::isnan(cb[0]));
+    EXPECT_FALSE(std::signbit(cb[3]));
 }
 
 TEST(TensorDiff, Im2colCol2imMatchReferenceLoops)

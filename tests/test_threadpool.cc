@@ -4,7 +4,8 @@
  * (coverage, disjointness, grain, nesting, exceptions) and the
  * bitwise 1-vs-N-thread determinism guarantee of every parallelized
  * kernel (GEMM variants, elementwise ops, im2col/col2im, E2BQM/HQT,
- * and the functional quantized GEMM).
+ * the functional quantized GEMM, and the attention layers built on
+ * the GEMMs).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "arch/quantized_gemm.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "nn/attention.h"
 #include "quant/e2bqm.h"
 #include "tensor/tensor_ops.h"
 
@@ -356,6 +358,39 @@ TEST(Determinism, QuantizedMatmulBitwiseIdentical)
     arch::QuantizedGemmOptions opt;
     expectBitwiseEqualAcrossThreads(
         [&] { return arch::quantizedMatmul(a, b, opt); });
+}
+
+/** Output, input gradient and every parameter gradient of one
+ *  forward + backward pass of @p layer, end to end in one tensor. */
+Tensor
+forwardBackward(nn::Layer &layer, const Tensor &x, const Tensor &dy)
+{
+    layer.zeroGrads();
+    std::vector<float> all = layer.forward(x).vec();
+    const Tensor dx = layer.backward(dy);
+    all.insert(all.end(), dx.vec().begin(), dx.vec().end());
+    for (const nn::Param *p : layer.params())
+        all.insert(all.end(), p->grad.vec().begin(), p->grad.vec().end());
+    const std::size_t n = all.size();
+    return Tensor({n}, std::move(all));
+}
+
+TEST(Determinism, AttentionBitwiseIdentical)
+{
+    // 2 sequences of 16 tokens, width 64, 4 heads: every projection
+    // GEMM (32 x 64 x 64) splits into several chunks on the pool.
+    const std::size_t batch = 2, seq = 16, dim = 64, heads = 4;
+    Rng rng(28);
+    Tensor x({batch * seq, dim}), dy({batch * seq, dim});
+    x.fillGaussian(rng, 0.0f, 0.5f);
+    dy.fillGaussian(rng, 0.0f, 1.0f);
+    nn::MultiHeadSelfAttention attn("attn", batch, seq, dim, heads, rng);
+    expectBitwiseEqualAcrossThreads(
+        [&] { return forwardBackward(attn, x, dy); });
+    nn::TransformerBlock block("blk", batch, seq, dim, heads, 2 * dim,
+                               rng);
+    expectBitwiseEqualAcrossThreads(
+        [&] { return forwardBackward(block, x, dy); });
 }
 
 } // namespace
