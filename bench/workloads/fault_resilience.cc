@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -26,9 +25,7 @@
 #include "common/fileutil.h"
 #include "common/logging.h"
 #include "harness/workload.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
-#include "nn/linear.h"
 #include "nn/quant_trainer.h"
 #include "sim/faults/fault_injector.h"
 #include "workloads/all.h"
@@ -69,17 +66,6 @@ removeCheckpointDir(const std::string &dir)
     ::rmdir(dir.c_str());
 }
 
-nn::Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
-    return net;
-}
-
 struct SweepPoint
 {
     double accuracyPct = 0.0;
@@ -94,7 +80,7 @@ runArm(double rate, Arm arm, int steps)
     const std::string ckpt =
         arm != Arm::Unprotected ? freshCheckpointDir() : "";
     nn::SpiralDataset data(2, 0.1, 17);
-    nn::Network net = makeMlp(18);
+    nn::Network net = nn::makeSpiralMlp(18);
 
     nn::QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);

@@ -231,10 +231,7 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
     if (!abft_cfg.verify)
         return c;
 
-    const double rel_tol = abft_cfg.relTol > 0.0
-                               ? abft_cfg.relTol
-                               : abft::abftAutoRelTol(k);
-    constexpr double kAbsTol = 1e-30;
+    const double rel_tol = abft::abftAutoRelTol(k);
     StatGroup *stats = abft_cfg.stats;
     if (stats != nullptr)
         stats->add("abft.gemms", 1.0);
@@ -242,7 +239,7 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
     abft::AbftReport rep;
     Suspects suspects = verifyChecksums(rows, cols, c, k,
                                         options.blockK, rel_tol,
-                                        kAbsTol);
+                                        abft::kAbftAbsTol);
     rep.suspectRows = suspects.rows.size();
     rep.suspectCols = suspects.cols.size();
     if (!suspects.clean() && stats != nullptr) {
@@ -253,8 +250,7 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
                    static_cast<double>(suspects.cols.size()));
     }
 
-    int retries_left = abft_cfg.maxRetries;
-    while (!suspects.clean() && retries_left-- > 0) {
+    if (!suspects.clean()) {
         ++rep.retries;
         if (stats != nullptr)
             stats->add("abft.retries", 1.0);
@@ -273,7 +269,7 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
                 c.data(), c.numel(), sim::FaultSite::Accumulators);
         }
         suspects = verifyChecksums(rows, cols, c, k, options.blockK,
-                                   rel_tol, kAbsTol);
+                                   rel_tol, abft::kAbftAbsTol);
     }
 
     if (rep.retries > 0 && suspects.clean()) {
@@ -284,10 +280,9 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
         rep.escalated = true;
         if (stats != nullptr)
             stats->add("abft.escalations", 1.0);
-        warn("abft: quantized GEMM checksum mismatch survived %d "
-             "recompute pass(es) (%zu row(s), %zu col(s))",
-             abft_cfg.maxRetries, suspects.rows.size(),
-             suspects.cols.size());
+        warn("abft: quantized GEMM checksum mismatch survived its "
+             "recompute pass (%zu row(s), %zu col(s))",
+             suspects.rows.size(), suspects.cols.size());
     }
     if (report != nullptr)
         *report = rep;

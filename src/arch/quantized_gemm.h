@@ -37,10 +37,6 @@ struct QuantizedGemmAbft
 {
     /** Verify row/column checksums of the product. */
     bool verify = false;
-    /** Relative tolerance; 0 = sqrt(k)-scaled auto tolerance. */
-    double relTol = 0.0;
-    /** Recompute passes before reporting escalation. */
-    int maxRetries = 1;
     /** Counter sink for abft.* statistics (may be nullptr). */
     StatGroup *stats = nullptr;
     /**

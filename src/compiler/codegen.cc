@@ -171,13 +171,11 @@ class Codegen
     }
 
     /**
-     * Ensure a quantized copy of layer weights exists this minibatch;
-     * returns the instruction to depend on (or ~0u when loads may use
-     * readersDeps of the wq tensor).
+     * Quantize the FP32 master weights of @p layer into "wq:<layer>"
+     * (plain DQ), once per minibatch; readers wait on its last writer.
      */
     void
-    quantizeWeights(const std::string &layer, std::uint64_t elems,
-                    unsigned ways)
+    quantizeWeights(const std::string &layer, std::uint64_t elems)
     {
         const std::string wq = "wq:" + layer;
         if (quantizedWeights_.count(layer))
@@ -201,7 +199,6 @@ class Codegen
             mv.addr2 = dst;
             mv.bytes2 = q_bytes;
             mv.elems = elems;
-            mv.ways = static_cast<std::uint8_t>(ways);
             mv.tag = wq;
             noteWrite(wq, emit(std::move(mv), {}));
             return;
@@ -235,33 +232,71 @@ class Codegen
         noteWrite(wq, emit(std::move(qs), {qread_idx}));
     }
 
-    /**
-     * Emit the quantized store of a full-precision on-chip result.
-     * On Cambricon-Q this is one QSTORE through the SQU; on the TPU
-     * it is an FP32 store plus the statistic and quantization passes.
-     * Returns the final writer instruction index.
-     */
-    std::uint32_t
-    quantizedStore(const std::string &tensor, Addr addr,
-                   std::uint64_t elems, Phase phase, unsigned ways,
-                   std::vector<std::uint32_t> deps,
-                   const std::string &tag)
+    /** The output stream of one GEMM or stream task. */
+    struct Output
     {
+        const std::string &layer;
+        const std::string &tensor;
+        Phase phase;
+        unsigned ways;
+        /** FP32 weight gradient feeding the update of `layer`. */
+        bool weightGradient;
+        /** Elements of the whole output (sizes the NDP weight rows). */
+        std::uint64_t elems;
+        Addr base;
+        std::string tag;
+    };
+
+    /**
+     * Emit the store of @p elems output elements at byte @p offset of
+     * @p out, after instruction @p dep. A weight gradient stays FP32:
+     * a WGSTORE to the NDP engine, which updates w/m/v in place, or a
+     * VSTORE for the on-core update. Anything else is quantized: one
+     * QSTORE through the SQU on Cambricon-Q; on the TPU an FP32 tile
+     * plus the statistic and quantization passes.
+     */
+    void
+    storeOutput(const Output &out, Bytes offset, std::uint64_t elems,
+                std::uint32_t dep)
+    {
+        if (out.weightGradient && useNdp()) {
+            Instr wgs;
+            wgs.op = Opcode::WGSTORE;
+            wgs.phase = Phase::WU;
+            wgs.addr = tensorAddr("w:" + out.layer, out.elems * 4,
+                                  Region::Weights) +
+                       offset;
+            wgs.bytes = elems * 4;
+            wgs.elems = elems;
+            wgs.tag = out.layer + ".wgstore";
+            noteWrite(out.tensor, emit(std::move(wgs), {dep, crosetIdx_}));
+            return;
+        }
+        if (out.weightGradient) {
+            Instr vs;
+            vs.op = Opcode::VSTORE;
+            vs.phase = out.phase;
+            vs.addr = out.base + offset;
+            vs.bytes = elems * 4;
+            vs.buf = BufId::NBout;
+            vs.tag = out.tag;
+            noteWrite(out.tensor, emit(std::move(vs), {dep}));
+            return;
+        }
         const Bytes q_bytes =
             std::max<Bytes>(1, elems * opt_.bits / 8);
         if (!isTpu()) {
             Instr qs;
             qs.op = Opcode::QSTORE;
-            qs.phase = phase;
-            qs.addr = addr;
+            qs.phase = out.phase;
+            qs.addr = out.base + offset;
             qs.bytes = q_bytes;
             qs.elems = elems;
-            qs.ways = static_cast<std::uint8_t>(ways);
+            qs.ways = static_cast<std::uint8_t>(out.ways);
             qs.buf = BufId::NBout;
-            qs.tag = tag;
-            const auto idx = emit(std::move(qs), std::move(deps));
-            noteWrite(tensor, idx);
-            return idx;
+            qs.tag = out.tag;
+            noteWrite(out.tensor, emit(std::move(qs), {dep}));
+            return;
         }
 
         // TPU running HQT (the paper's fair-comparison setup): the
@@ -275,26 +310,24 @@ class Codegen
         st.op = Opcode::HMUL; // max-reduction pass
         st.phase = Phase::Stat;
         st.elems = elems;
-        st.tag = tag + ".stat";
-        const auto stat_idx = emit(std::move(st), std::move(deps));
+        st.tag = out.tag + ".stat";
+        const auto stat_idx = emit(std::move(st), {dep});
 
         Instr qk;
         qk.op = Opcode::VMUL; // candidate quantization passes
         qk.phase = Phase::Quant;
-        qk.elems = elems * ways;
-        qk.tag = tag + ".quant";
+        qk.elems = elems * out.ways;
+        qk.tag = out.tag + ".quant";
         const auto quant_idx = emit(std::move(qk), {stat_idx});
 
         Instr qw;
         qw.op = Opcode::VSTORE;
-        qw.phase = phase;
-        qw.addr = addr;
+        qw.phase = out.phase;
+        qw.addr = out.base + offset;
         qw.bytes = q_bytes;
         qw.buf = BufId::NBout;
-        qw.tag = tag + ".qwrite";
-        const auto idx = emit(std::move(qw), {quant_idx});
-        noteWrite(tensor, idx);
-        return idx;
+        qw.tag = out.tag + ".qwrite";
+        noteWrite(out.tensor, emit(std::move(qw), {quant_idx}));
     }
 
     void gemm(const GemmTask &task);
@@ -327,7 +360,7 @@ Codegen::gemm(const GemmTask &task)
                               task.bTensor.rfind("wq:", 0) == 0;
 
     if (task.freshWeightElems > 0)
-        quantizeWeights(task.layer, task.freshWeightElems, 1);
+        quantizeWeights(task.layer, task.freshWeightElems);
 
     // ---- Double-buffered on-chip capacities ----
     const Bytes half_nbin = cfg_.nbinBytes / 2;
@@ -338,7 +371,8 @@ Codegen::gemm(const GemmTask &task)
     const Bytes a_bytes = to_bytes(task.aElems(), bits_a);
     const Bytes b_bytes = to_bytes(task.bElems(), bits);
     const Bytes c_bytes =
-        task.outFp32 ? task.cElems() * 4 : to_bytes(task.cElems(), bits);
+        task.isWeightGradient ? task.cElems() * 4
+                              : to_bytes(task.cElems(), bits);
 
     // ---- Tiling search ----
     // Three loop orders differ in which operand is re-streamed:
@@ -517,15 +551,18 @@ Codegen::gemm(const GemmTask &task)
         mm.tag = task.layer;
         return emit(std::move(mm), {dep_a, dep_b});
     };
-    Addr c_cursor = c_base;
+    const Output out{task.layer, task.cTensor, task.phase, task.waysOut,
+                     task.isWeightGradient, task.cElems(), c_base,
+                     task.layer + ".C"};
+    Bytes c_offset = 0;
     const auto emit_store = [&](std::uint64_t mt, std::uint64_t nt,
                                 std::uint32_t mm_dep) {
-        const std::uint64_t m_cur =
-            std::min<std::uint64_t>(m_t, task.m - mt * m_t);
-        const std::uint64_t n_cur =
-            std::min<std::uint64_t>(n_t, task.n - nt * n_t);
         std::uint32_t store_dep = mm_dep;
         if (task.fusedActivation) {
+            const std::uint64_t m_cur =
+                std::min<std::uint64_t>(m_t, task.m - mt * m_t);
+            const std::uint64_t n_cur =
+                std::min<std::uint64_t>(n_t, task.n - nt * n_t);
             Instr act;
             act.op = Opcode::SFU;
             act.phase = task.phase;
@@ -533,40 +570,8 @@ Codegen::gemm(const GemmTask &task)
             act.tag = task.layer + ".act";
             store_dep = emit(std::move(act), {mm_dep});
         }
-        if (task.outFp32) {
-            if (task.isWeightGradient && useNdp()) {
-                // WGSTORE: gradients stream to the NDP engine, which
-                // updates w/m/v in place.
-                Instr wgs;
-                wgs.op = Opcode::WGSTORE;
-                wgs.phase = Phase::WU;
-                wgs.addr = tensorAddr("w:" + task.layer,
-                                      task.cElems() * 4,
-                                      Region::Weights) +
-                           (c_cursor - c_base);
-                wgs.bytes = c_tile_elems * 4;
-                wgs.elems = c_tile_elems;
-                wgs.tag = task.layer + ".wgstore";
-                noteWrite(task.cTensor,
-                          emit(std::move(wgs),
-                               {store_dep, crosetIdx_}));
-            } else {
-                Instr vs;
-                vs.op = Opcode::VSTORE;
-                vs.phase = task.phase;
-                vs.addr = c_cursor;
-                vs.bytes = c_tile_elems * 4;
-                vs.buf = BufId::NBout;
-                vs.tag = task.layer + ".C";
-                noteWrite(task.cTensor,
-                          emit(std::move(vs), {store_dep}));
-            }
-        } else {
-            quantizedStore(task.cTensor, c_cursor, c_tile_elems,
-                           task.phase, task.waysOut, {store_dep},
-                           task.layer + ".C");
-        }
-        c_cursor += c_tile_bytes;
+        storeOutput(out, c_offset, c_tile_elems, store_dep);
+        c_offset += c_tile_bytes;
     };
 
     // ---- Loop nests ----
@@ -638,11 +643,14 @@ Codegen::stream(const StreamTask &task)
     const Region out_region = task.isWeightGradient
                                   ? Region::WeightGrads
                                   : Region::Activations;
-    const Bytes out_elem_bytes = task.outFp32 ? 4 : 1;
-    const Addr out_base = tensorAddr(
-        task.outTensor,
-        std::max<Bytes>(task.outElems * out_elem_bytes, 64),
-        out_region);
+    const Bytes out_elem_bytes = task.isWeightGradient ? 4 : 1;
+    const Output out{task.layer, task.outTensor, task.phase, task.waysOut,
+                     task.isWeightGradient, task.outElems,
+                     tensorAddr(task.outTensor,
+                                std::max<Bytes>(
+                                    task.outElems * out_elem_bytes, 64),
+                                out_region),
+                     task.layer + ".out"};
 
     const auto in_deps = readersDeps(task.inTensor);
     const auto in2_deps = task.inTensor2.empty()
@@ -665,8 +673,7 @@ Codegen::stream(const StreamTask &task)
         li.bytes = std::max<Bytes>(in_elems, 1);
         li.buf = BufId::NBin;
         li.tag = task.layer + ".in";
-        std::vector<std::uint32_t> deps = in_deps;
-        const auto li_idx = emit(std::move(li), std::move(deps));
+        const auto li_idx = emit(std::move(li), in_deps);
 
         std::vector<std::uint32_t> sfu_deps{li_idx};
         if (!task.inTensor2.empty()) {
@@ -687,37 +694,7 @@ Codegen::stream(const StreamTask &task)
         sf.tag = task.layer + ".sfu";
         const auto sf_idx = emit(std::move(sf), std::move(sfu_deps));
 
-        if (task.outFp32) {
-            if (task.isWeightGradient && useNdp()) {
-                Instr wgs;
-                wgs.op = Opcode::WGSTORE;
-                wgs.phase = Phase::WU;
-                wgs.addr = tensorAddr("w:" + task.layer,
-                                      task.outElems * 4,
-                                      Region::Weights) +
-                           c * chunk * 4;
-                wgs.bytes = out_elems * 4;
-                wgs.elems = out_elems;
-                wgs.tag = task.layer + ".wgstore";
-                noteWrite(task.outTensor,
-                          emit(std::move(wgs), {sf_idx, crosetIdx_}));
-            } else {
-                Instr vs;
-                vs.op = Opcode::VSTORE;
-                vs.phase = task.phase;
-                vs.addr = out_base + c * chunk * 4;
-                vs.bytes = out_elems * 4;
-                vs.buf = BufId::NBout;
-                vs.tag = task.layer + ".out";
-                noteWrite(task.outTensor,
-                          emit(std::move(vs), {sf_idx}));
-            }
-        } else {
-            quantizedStore(task.outTensor,
-                           out_base + c * chunk * out_elem_bytes,
-                           out_elems, task.phase, task.waysOut,
-                           {sf_idx}, task.layer + ".out");
-        }
+        storeOutput(out, c * chunk * out_elem_bytes, out_elems, sf_idx);
     }
 }
 
@@ -725,59 +702,47 @@ void
 Codegen::update(const UpdateTask &task)
 {
     // Non-NDP weight update: stream dW, w and the optimizer state
-    // through the core, compute, and write everything back -- the
+    // through the core, compute, and write w and the state back -- the
     // full-precision traffic the NDP engine exists to eliminate.
+    static constexpr struct
+    {
+        const char *prefix;
+        Region region;
+        const char *tag;
+    } kStreams[] = {
+        {"wg:", Region::WeightGrads, ".dW"},
+        {"w:", Region::Weights, ".w"},
+        {"m:", Region::StateM, ".m"},
+        {"v:", Region::StateV, ".v"},
+    };
+    // dW, w and the optimizer state are loaded; all but dW are stored.
     const unsigned state = stateTensors();
+    const unsigned used = 2 + state;
+    Addr base[4] = {};
+    std::vector<std::uint32_t> deps[4];
+    for (unsigned i = 0; i < used; ++i) {
+        const std::string tensor = kStreams[i].prefix + task.layer;
+        base[i] =
+            tensorAddr(tensor, task.numWeights * 4, kStreams[i].region);
+        deps[i] = readersDeps(tensor);
+    }
+
     const std::uint64_t chunk = 256 * 1024;
     const std::uint64_t chunks = std::max<std::uint64_t>(
         1, (task.numWeights + chunk - 1) / chunk);
-
-    const Addr wg_base = tensorAddr("wg:" + task.layer,
-                                    task.numWeights * 4,
-                                    Region::WeightGrads);
-    const Addr w_base = tensorAddr("w:" + task.layer,
-                                   task.numWeights * 4,
-                                   Region::Weights);
-    const Addr m_base = tensorAddr("m:" + task.layer,
-                                   task.numWeights * 4, Region::StateM);
-    const Addr v_base = tensorAddr("v:" + task.layer,
-                                   task.numWeights * 4, Region::StateV);
-
-    const auto wg_deps = readersDeps("wg:" + task.layer);
-
     for (std::uint64_t c = 0; c < chunks; ++c) {
         const std::uint64_t elems = std::min<std::uint64_t>(
             chunk, task.numWeights - c * chunk);
-        const Bytes bytes = elems * 4;
-        std::vector<std::uint32_t> compute_deps;
-
-        Instr lg;
-        lg.op = Opcode::VLOAD;
-        lg.phase = Phase::WU;
-        lg.addr = wg_base + c * chunk * 4;
-        lg.bytes = bytes;
-        lg.buf = BufId::NBin;
-        lg.tag = task.layer + ".dW";
-        compute_deps.push_back(emit(std::move(lg), wg_deps));
-
-        Instr lw;
-        lw.op = Opcode::VLOAD;
-        lw.phase = Phase::WU;
-        lw.addr = w_base + c * chunk * 4;
-        lw.bytes = bytes;
-        lw.buf = BufId::NBin;
-        lw.tag = task.layer + ".w";
-        compute_deps.push_back(emit(std::move(lw), {}));
-
-        for (unsigned s = 0; s < state; ++s) {
-            Instr ls;
-            ls.op = Opcode::VLOAD;
-            ls.phase = Phase::WU;
-            ls.addr = (s == 0 ? m_base : v_base) + c * chunk * 4;
-            ls.bytes = bytes;
-            ls.buf = BufId::NBin;
-            ls.tag = task.layer + (s == 0 ? ".m" : ".v");
-            compute_deps.push_back(emit(std::move(ls), {}));
+        std::vector<std::uint32_t> loads;
+        for (unsigned i = 0; i < used; ++i) {
+            Instr ld;
+            ld.op = Opcode::VLOAD;
+            ld.phase = Phase::WU;
+            ld.addr = base[i] + c * chunk * 4;
+            ld.bytes = elems * 4;
+            ld.buf = BufId::NBin;
+            ld.tag = task.layer + kStreams[i].tag;
+            loads.push_back(emit(std::move(ld), deps[i]));
         }
 
         // The element-wise optimizer arithmetic on the vector units.
@@ -786,27 +751,17 @@ Codegen::update(const UpdateTask &task)
         vm.phase = Phase::WU;
         vm.elems = elems * (2 + 2 * state);
         vm.tag = task.layer + ".opt";
-        const auto vm_idx =
-            emit(std::move(vm), std::move(compute_deps));
+        const auto vm_idx = emit(std::move(vm), std::move(loads));
 
-        Instr sw;
-        sw.op = Opcode::VSTORE;
-        sw.phase = Phase::WU;
-        sw.addr = w_base + c * chunk * 4;
-        sw.bytes = bytes;
-        sw.buf = BufId::NBout;
-        sw.tag = task.layer + ".w'";
-        emit(std::move(sw), {vm_idx});
-
-        for (unsigned s = 0; s < state; ++s) {
-            Instr ss;
-            ss.op = Opcode::VSTORE;
-            ss.phase = Phase::WU;
-            ss.addr = (s == 0 ? m_base : v_base) + c * chunk * 4;
-            ss.bytes = bytes;
-            ss.buf = BufId::NBout;
-            ss.tag = task.layer + (s == 0 ? ".m'" : ".v'");
-            emit(std::move(ss), {vm_idx});
+        for (unsigned i = 1; i < used; ++i) {
+            Instr st;
+            st.op = Opcode::VSTORE;
+            st.phase = Phase::WU;
+            st.addr = base[i] + c * chunk * 4;
+            st.bytes = elems * 4;
+            st.buf = BufId::NBout;
+            st.tag = task.layer + kStreams[i].tag + "'";
+            emit(std::move(st), {vm_idx});
         }
     }
 }

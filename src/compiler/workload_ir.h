@@ -54,14 +54,12 @@ struct GemmTask
     /** @name Output C */
     /** @{ */
     std::string cTensor;
-    /** C stays FP32 (weight gradients); otherwise quantized store. */
-    bool outFp32 = false;
     /** E2BQM ways for quantizing C. */
     unsigned waysOut = 1;
     /**
-     * C accumulates into the weight-gradient stream feeding the
-     * weight update of `layer` (a WG GEMM). On NDP targets the store
-     * becomes WGSTORE.
+     * C is the FP32 weight gradient feeding the weight update of
+     * `layer` (a WG GEMM): stored at full precision, as WGSTORE on
+     * NDP targets. Otherwise C gets a quantized store.
      */
     bool isWeightGradient = false;
     /** Fused activation on the output tile (SFU work). */
@@ -110,10 +108,12 @@ struct StreamTask
     std::uint64_t inElems2 = 0;
     /** Elements read (quantized, 1 B each). */
     std::uint64_t inElems = 0;
-    /** Elements written (quantized store unless outFp32). */
+    /** Elements written. */
     std::uint64_t outElems = 0;
-    bool outFp32 = false;
-    /** Output feeds the weight update of `layer` (embedding grads). */
+    /**
+     * The output is the FP32 weight gradient of `layer` (embedding
+     * grads), stored like a GEMM's; otherwise a quantized store.
+     */
     bool isWeightGradient = false;
     /** SFU operations (usually max(in, out)). */
     std::uint64_t sfuOps = 0;

@@ -11,6 +11,38 @@ namespace cq::compiler {
 
 using arch::Phase;
 
+namespace {
+
+/**
+ * Emit the forward stream @p fw and push its NG mirror onto @p ng: the
+ * output gradient streams back to the input gradient through the same
+ * SFU work, quantized 4-way. The gradient of a second (residual) input
+ * aliases the output gradient.
+ */
+void
+emitStream(WorkloadIR &ir, std::vector<Task> &ng, const StreamTask &fw)
+{
+    ir.tasks.push_back(Task::make(fw));
+    StreamTask b;
+    b.phase = Phase::NG;
+    b.layer = fw.layer;
+    b.inTensor = "grad:" + fw.outTensor;
+    b.outTensor = "grad:" + fw.inTensor;
+    b.inElems = fw.outElems;
+    b.outElems = fw.inElems;
+    b.sfuOps = fw.sfuOps;
+    b.waysOut = 4;
+    ng.push_back(Task::make(b));
+    if (!fw.inTensor2.empty()) {
+        AliasTask al;
+        al.outTensor = "grad:" + fw.inTensor2;
+        al.inTensors = {b.inTensor};
+        ng.push_back(Task::make(al));
+    }
+}
+
+} // namespace
+
 NetworkBuilder::NetworkBuilder(std::string name, std::size_t batch)
 {
     ir_.name = std::move(name);
@@ -21,11 +53,7 @@ void
 NetworkBuilder::inputImage(std::size_t channels, std::size_t height,
                            std::size_t width)
 {
-    channels_ = channels;
-    height_ = height;
-    width_ = width;
-    isImage_ = true;
-    cur_ = "input";
+    adopt({"input", channels, height, width});
 }
 
 void
@@ -41,10 +69,7 @@ NetworkBuilder::addGemmLayer(const std::string &name, std::uint64_t m,
                              std::uint64_t k, std::uint64_t n,
                              const std::string &a_tensor,
                              const std::string &out_tensor, bool a_fp32,
-                             bool relu, bool emit_ng,
-                             const std::string &grad_in_tensor,
-                             const std::string &grad_out_tensor,
-                             std::uint64_t raw_in_elems,
+                             bool relu, std::uint64_t raw_in_elems,
                              std::uint64_t raw_out_elems)
 {
     // Forward: C(m,n) = A(m,k) x W(k,n), on-the-fly quantized output.
@@ -63,8 +88,9 @@ NetworkBuilder::addGemmLayer(const std::string &name, std::uint64_t m,
     fw.aElemsTotal = raw_in_elems;
     ir_.tasks.push_back(Task::make(fw));
 
+    const std::string grad_out = "grad:" + out_tensor;
     PendingBackward bw;
-    if (emit_ng) {
+    if (!a_fp32) {
         // dX(m,k) = dY(m,n) x W^T(n,k); gradients use 4-way E2BQM.
         GemmTask ng;
         ng.phase = Phase::NG;
@@ -72,9 +98,9 @@ NetworkBuilder::addGemmLayer(const std::string &name, std::uint64_t m,
         ng.m = m;
         ng.k = n;
         ng.n = k;
-        ng.aTensor = grad_in_tensor;
+        ng.aTensor = grad_out;
         ng.bTensor = "wq:" + name;
-        ng.cTensor = grad_out_tensor;
+        ng.cTensor = "grad:" + a_tensor;
         ng.waysOut = 4;
         ng.aElemsTotal = raw_out_elems; // gradient of the raw output
         ng.cElemsTotal = raw_in_elems;  // col2im'ed on chip
@@ -88,9 +114,8 @@ NetworkBuilder::addGemmLayer(const std::string &name, std::uint64_t m,
     wg.k = m;
     wg.n = n;
     wg.aTensor = a_tensor;
-    wg.bTensor = grad_in_tensor;
+    wg.bTensor = grad_out;
     wg.cTensor = "wg:" + name;
-    wg.outFp32 = true;
     wg.isWeightGradient = true;
     wg.aElemsTotal = raw_in_elems; // activations re-read raw
     wg.bElemsTotal = raw_out_elems;
@@ -104,110 +129,37 @@ NetworkBuilder::addGemmLayer(const std::string &name, std::uint64_t m,
 }
 
 void
+NetworkBuilder::adopt(const BranchPoint &head)
+{
+    cur_ = head.tensor;
+    channels_ = head.channels;
+    height_ = head.height;
+    width_ = head.width;
+    isImage_ = true;
+}
+
+void
 NetworkBuilder::conv(const std::string &name, std::size_t out_channels,
                      std::size_t kernel, std::size_t stride,
                      std::size_t pad, bool relu)
 {
-    CQ_ASSERT(isImage_);
-    const std::size_t p =
-        (height_ + 2 * pad - kernel) / stride + 1;
-    const std::size_t q = (width_ + 2 * pad - kernel) / stride + 1;
-    const std::uint64_t m =
-        static_cast<std::uint64_t>(ir_.batch) * p * q;
-    const std::uint64_t k =
-        static_cast<std::uint64_t>(channels_) * kernel * kernel;
-    const std::string out = "act:" + name;
-    const std::uint64_t raw_in =
-        static_cast<std::uint64_t>(ir_.batch) * channels_ * height_ *
-        width_;
-    const std::uint64_t raw_out = m * out_channels;
-    addGemmLayer(name, m, k, out_channels, cur_, out,
-                 cur_ == "input", relu,
-                 cur_ != "input", "grad:" + out, "grad:" + cur_,
-                 raw_in, raw_out);
-    cur_ = out;
-    channels_ = out_channels;
-    height_ = p;
-    width_ = q;
+    adopt(convFrom(branchPoint(), name, out_channels, kernel, stride, pad,
+                   relu));
 }
 
 void
 NetworkBuilder::pool(const std::string &name, std::size_t window,
                      std::size_t stride)
 {
-    CQ_ASSERT(isImage_);
-    const std::size_t p = (height_ - window) / stride + 1;
-    const std::size_t q = (width_ - window) / stride + 1;
-    const std::uint64_t in_elems =
-        static_cast<std::uint64_t>(ir_.batch) * channels_ * height_ *
-        width_;
-    const std::uint64_t out_elems =
-        static_cast<std::uint64_t>(ir_.batch) * channels_ * p * q;
-    const std::string out = "act:" + name;
-
-    StreamTask fw;
-    fw.phase = Phase::FW;
-    fw.layer = name;
-    fw.inTensor = cur_;
-    fw.outTensor = out;
-    fw.inElems = in_elems;
-    fw.outElems = out_elems;
-    fw.sfuOps = in_elems;
-    ir_.tasks.push_back(Task::make(fw));
-
-    PendingBackward bw;
-    StreamTask ng;
-    ng.phase = Phase::NG;
-    ng.layer = name;
-    ng.inTensor = "grad:" + out;
-    ng.outTensor = "grad:" + cur_;
-    ng.inElems = out_elems;
-    ng.outElems = in_elems;
-    ng.sfuOps = in_elems;
-    ng.waysOut = 4;
-    bw.ngTasks.push_back(Task::make(ng));
-    backward_.push_back(std::move(bw));
-
-    cur_ = out;
-    height_ = p;
-    width_ = q;
+    adopt(poolFrom(branchPoint(), name, window, stride, 0));
 }
 
 void
 NetworkBuilder::globalPool(const std::string &name)
 {
-    CQ_ASSERT(isImage_);
-    const std::uint64_t in_elems =
-        static_cast<std::uint64_t>(ir_.batch) * channels_ * height_ *
-        width_;
-    const std::uint64_t out_elems =
-        static_cast<std::uint64_t>(ir_.batch) * channels_;
-    const std::string out = "act:" + name;
-
-    StreamTask fw;
-    fw.phase = Phase::FW;
-    fw.layer = name;
-    fw.inTensor = cur_;
-    fw.outTensor = out;
-    fw.inElems = in_elems;
-    fw.outElems = out_elems;
-    fw.sfuOps = in_elems;
-    ir_.tasks.push_back(Task::make(fw));
-
-    PendingBackward bw;
-    StreamTask ng;
-    ng.phase = Phase::NG;
-    ng.layer = name;
-    ng.inTensor = "grad:" + out;
-    ng.outTensor = "grad:" + cur_;
-    ng.inElems = out_elems;
-    ng.outElems = in_elems;
-    ng.sfuOps = in_elems;
-    ng.waysOut = 4;
-    bw.ngTasks.push_back(Task::make(ng));
-    backward_.push_back(std::move(bw));
-
-    cur_ = out;
+    // One window over the whole (square) map, then flatten.
+    CQ_ASSERT(height_ == width_);
+    pool(name, height_, 1);
     isImage_ = false;
     features_ = channels_;
 }
@@ -226,9 +178,7 @@ NetworkBuilder::fc(const std::string &name, std::size_t out_features,
     }
     const std::string out = "act:" + name;
     addGemmLayer(name, rows ? rows : ir_.batch, in_features,
-                 out_features, cur_, out,
-                 cur_ == "input", relu,
-                 cur_ != "input", "grad:" + out, "grad:" + cur_);
+                 out_features, cur_, out, cur_ == "input", relu);
     cur_ = out;
     features_ = out_features;
 }
@@ -257,7 +207,6 @@ NetworkBuilder::embedding(const std::string &name, std::size_t vocab,
     wg.outTensor = "wg:" + name;
     wg.inElems = rows * dim;
     wg.outElems = rows * dim;
-    wg.outFp32 = true;
     wg.isWeightGradient = true;
     wg.sfuOps = rows * dim;
     bw.wgTasks.push_back(Task::make(wg));
@@ -298,9 +247,7 @@ NetworkBuilder::convFrom(const BranchPoint &from, const std::string &name,
         static_cast<std::uint64_t>(ir_.batch) * from.channels *
         from.height * from.width;
     addGemmLayer(name, m, k, out_channels, from.tensor, out,
-                 from.tensor == "input", relu,
-                 from.tensor != "input", "grad:" + out,
-                 "grad:" + from.tensor, raw_in, m * out_channels);
+                 from.tensor == "input", relu, raw_in, m * out_channels);
     return {out, out_channels, p, q};
 }
 
@@ -313,37 +260,18 @@ NetworkBuilder::poolFrom(const BranchPoint &from, const std::string &name,
         (from.height + 2 * pad - window) / stride + 1;
     const std::size_t q =
         (from.width + 2 * pad - window) / stride + 1;
-    const std::uint64_t in_elems =
-        static_cast<std::uint64_t>(ir_.batch) * from.channels *
-        from.height * from.width;
-    const std::uint64_t out_elems =
-        static_cast<std::uint64_t>(ir_.batch) * from.channels * p * q;
-    const std::string out = "act:" + name;
-
     StreamTask fw;
-    fw.phase = Phase::FW;
     fw.layer = name;
     fw.inTensor = from.tensor;
-    fw.outTensor = out;
-    fw.inElems = in_elems;
-    fw.outElems = out_elems;
-    fw.sfuOps = in_elems;
-    ir_.tasks.push_back(Task::make(fw));
-
-    PendingBackward bw;
-    StreamTask ng;
-    ng.phase = Phase::NG;
-    ng.layer = name;
-    ng.inTensor = "grad:" + out;
-    ng.outTensor = "grad:" + from.tensor;
-    ng.inElems = out_elems;
-    ng.outElems = in_elems;
-    ng.sfuOps = in_elems;
-    ng.waysOut = 4;
-    bw.ngTasks.push_back(Task::make(ng));
-    backward_.push_back(std::move(bw));
-
-    return {out, from.channels, p, q};
+    fw.outTensor = "act:" + name;
+    fw.inElems = static_cast<std::uint64_t>(ir_.batch) * from.channels *
+                 from.height * from.width;
+    fw.outElems =
+        static_cast<std::uint64_t>(ir_.batch) * from.channels * p * q;
+    fw.sfuOps = fw.inElems;
+    backward_.emplace_back();
+    emitStream(ir_, backward_.back().ngTasks, fw);
+    return {fw.outTensor, from.channels, p, q};
 }
 
 void
@@ -374,11 +302,7 @@ NetworkBuilder::concat(const std::string &name,
     }
     backward_.push_back(std::move(bw));
 
-    cur_ = out;
-    isImage_ = true;
-    channels_ = channels;
-    height_ = branches[0].height;
-    width_ = branches[0].width;
+    adopt({out, channels, branches[0].height, branches[0].width});
 }
 
 void
@@ -476,7 +400,6 @@ NetworkBuilder::lstm(const std::string &name, std::size_t hidden,
     wg.aTensor = cur_;
     wg.bTensor = "grad:state:" + name + ".0";
     wg.cTensor = "wg:" + name;
-    wg.outFp32 = true;
     wg.isWeightGradient = true;
     bw.wgTasks.push_back(Task::make(wg));
 
@@ -551,25 +474,13 @@ emitAttentionCore(WorkloadIR &ir, std::vector<Task> &ng_tasks,
     }
     // Softmax over the score rows.
     StreamTask sm;
-    sm.phase = Phase::FW;
     sm.layer = name;
     sm.inTensor = "act:" + name + ".scores.0";
     sm.outTensor = "act:" + name + ".probs";
     sm.inElems = tokens * seq_len * heads;
     sm.outElems = sm.inElems;
     sm.sfuOps = 4 * sm.inElems;
-    ir.tasks.push_back(Task::make(sm));
-
-    StreamTask smb;
-    smb.phase = Phase::NG;
-    smb.layer = name;
-    smb.inTensor = "grad:act:" + name + ".probs";
-    smb.outTensor = "grad:act:" + name + ".scores.0";
-    smb.inElems = tokens * seq_len * heads;
-    smb.outElems = smb.inElems;
-    smb.sfuOps = 4 * smb.inElems;
-    smb.waysOut = 4;
-    ng_tasks.push_back(Task::make(smb));
+    emitStream(ir, ng_tasks, sm);
 }
 
 } // namespace
@@ -589,8 +500,7 @@ NetworkBuilder::transformerEncoder(const std::string &name,
     const std::string in = cur_;
     for (const char *proj : {"q", "k", "v"}) {
         addGemmLayer(name + "." + proj, tokens, model_dim, model_dim,
-                     in, "act:" + name + "." + proj, false, false, true,
-                     "grad:act:" + name + "." + proj, "grad:" + in);
+                     in, "act:" + name + "." + proj, false, false);
     }
 
     // Attention core (scores/softmax/AV) with its backward.
@@ -601,72 +511,37 @@ NetworkBuilder::transformerEncoder(const std::string &name,
                       "act:" + name + ".ctx");
     backward_.push_back(std::move(core_bw));
 
+    // Residual add of x and skip, then layer norm: 6 SFU ops per
+    // element.
+    const auto add_norm = [&](const char *ln, const std::string &x,
+                              const std::string &skip) {
+        StreamTask fw;
+        fw.layer = name + "." + ln;
+        fw.inTensor = x;
+        fw.inTensor2 = skip;
+        fw.outTensor = "act:" + fw.layer;
+        fw.inElems = tokens * model_dim;
+        fw.inElems2 = fw.inElems;
+        fw.outElems = fw.inElems;
+        fw.sfuOps = 6 * fw.inElems;
+        backward_.emplace_back();
+        emitStream(ir_, backward_.back().ngTasks, fw);
+    };
+
     // Output projection + residual/LN.
     addGemmLayer(name + ".out", tokens, model_dim, model_dim,
                  "act:" + name + ".ctx", "act:" + name + ".attn", false,
-                 false, true, "grad:act:" + name + ".attn",
-                 "grad:act:" + name + ".ctx");
-
-    StreamTask ln1;
-    ln1.phase = Phase::FW;
-    ln1.layer = name + ".ln1";
-    ln1.inTensor = "act:" + name + ".attn";
-    ln1.inTensor2 = in;
-    ln1.inElems = tokens * model_dim;
-    ln1.inElems2 = ln1.inElems;
-    ln1.outTensor = "act:" + name + ".ln1";
-    ln1.outElems = ln1.inElems;
-    ln1.sfuOps = 6 * ln1.inElems;
-    ir_.tasks.push_back(Task::make(ln1));
-    {
-        PendingBackward bw;
-        StreamTask b = ln1;
-        b.phase = Phase::NG;
-        b.inTensor = "grad:act:" + name + ".ln1";
-        b.inTensor2.clear();
-        b.inElems2 = 0;
-        b.outTensor = "grad:act:" + name + ".attn";
-        b.waysOut = 4;
-        bw.ngTasks.push_back(Task::make(b));
-        AliasTask al;
-        al.outTensor = "grad:" + in;
-        al.inTensors = {"grad:act:" + name + ".ln1"};
-        bw.ngTasks.push_back(Task::make(al));
-        backward_.push_back(std::move(bw));
-    }
+                 false);
+    add_norm("ln1", "act:" + name + ".attn", in);
 
     // FFN.
     addGemmLayer(name + ".ffn1", tokens, model_dim, ffn_dim,
                  "act:" + name + ".ln1", "act:" + name + ".ffn1", false,
-                 true, true, "grad:act:" + name + ".ffn1",
-                 "grad:act:" + name + ".ln1");
+                 true);
     addGemmLayer(name + ".ffn2", tokens, ffn_dim, model_dim,
                  "act:" + name + ".ffn1", "act:" + name + ".ffn2",
-                 false, false, true, "grad:act:" + name + ".ffn2",
-                 "grad:act:" + name + ".ffn1");
-
-    StreamTask ln2 = ln1;
-    ln2.layer = name + ".ln2";
-    ln2.inTensor = "act:" + name + ".ffn2";
-    ln2.inTensor2 = "act:" + name + ".ln1";
-    ln2.outTensor = "act:" + name + ".ln2";
-    ir_.tasks.push_back(Task::make(ln2));
-    {
-        PendingBackward bw;
-        StreamTask b = ln2;
-        b.phase = Phase::NG;
-        b.inTensor = "grad:act:" + name + ".ln2";
-        b.inTensor2.clear();
-        b.inElems2 = 0;
-        b.outTensor = "grad:act:" + name + ".ffn2";
-        b.waysOut = 4;
-        bw.ngTasks.push_back(Task::make(b));
-        AliasTask al;
-        al.outTensor = "grad:act:" + name + ".ln1";
-        al.inTensors = {"grad:act:" + name + ".ln2"};
-        bw.ngTasks.push_back(Task::make(al));
-        backward_.push_back(std::move(bw));
-    }
+                 false, false);
+    add_norm("ln2", "act:" + name + ".ffn2", "act:" + name + ".ln1");
 
     cur_ = "act:" + name + ".ln2";
 }
@@ -688,11 +563,9 @@ NetworkBuilder::transformerDecoder(const std::string &name,
         static_cast<std::uint64_t>(ir_.batch) * seq_len;
     const std::string in = cur_;
     addGemmLayer(name + ".xq", tokens, model_dim, model_dim, in,
-                 "act:" + name + ".xq", false, false, true,
-                 "grad:act:" + name + ".xq", "grad:" + in);
+                 "act:" + name + ".xq", false, false);
     addGemmLayer(name + ".xkv", tokens, model_dim, model_dim, in,
-                 "act:" + name + ".xkv", false, false, true,
-                 "grad:act:" + name + ".xkv", "grad:" + in);
+                 "act:" + name + ".xkv", false, false);
     PendingBackward core_bw;
     emitAttentionCore(ir_, core_bw.ngTasks, name + ".x", tokens,
                       seq_len, model_dim, heads, "act:" + name + ".xq",
@@ -701,8 +574,7 @@ NetworkBuilder::transformerDecoder(const std::string &name,
     backward_.push_back(std::move(core_bw));
     addGemmLayer(name + ".xout", tokens, model_dim, model_dim,
                  "act:" + name + ".xctx", "act:" + name + ".xattn",
-                 false, false, true, "grad:act:" + name + ".xattn",
-                 "grad:act:" + name + ".xctx");
+                 false, false);
     cur_ = "act:" + name + ".xattn";
     features_ = model_dim;
 }

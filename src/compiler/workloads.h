@@ -143,15 +143,19 @@ class NetworkBuilder
         std::vector<Task> updateTasks;
     };
 
+    /**
+     * A weighted GEMM layer: FW, then NG (unless @p a_fp32 marks the
+     * raw network input, which needs no gradient), WG and the update.
+     */
     void addGemmLayer(const std::string &name, std::uint64_t m,
                       std::uint64_t k, std::uint64_t n,
                       const std::string &a_tensor,
                       const std::string &out_tensor, bool a_fp32,
-                      bool relu, bool emit_ng,
-                      const std::string &grad_in_tensor,
-                      const std::string &grad_out_tensor,
-                      std::uint64_t raw_in_elems = 0,
+                      bool relu, std::uint64_t raw_in_elems = 0,
                       std::uint64_t raw_out_elems = 0);
+
+    /** Make @p head the chain head (an image). */
+    void adopt(const BranchPoint &head);
 
     WorkloadIR ir_;
     std::vector<PendingBackward> backward_;

@@ -9,30 +9,11 @@
 
 #include "common/fileutil.h"
 #include "common/logging.h"
-#include "common/rng.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
-#include "nn/linear.h"
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
 
 namespace cq::dist {
-
-namespace {
-
-/** The canonical spiral MLP (same shape as the resilience tests). */
-nn::Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
-    return net;
-}
-
-} // namespace
 
 DistHarnessResult
 runDistHarness(const DistHarnessConfig &config)
@@ -53,8 +34,8 @@ runDistHarness(const DistHarnessConfig &config)
     for (std::size_t c = 0; c < config.chips; ++c) {
         // Identical init on every chip (the replicated-state-machine
         // starting point): same seed, NOT seed + chip.
-        nets.push_back(
-            std::make_unique<nn::Network>(makeMlp(config.seed + 1)));
+        nets.push_back(std::make_unique<nn::Network>(
+            nn::makeSpiralMlp(config.seed + 1)));
 
         nn::QuantTrainerConfig cfg;
         cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);

@@ -358,8 +358,7 @@ writeCheckpointEx(const std::string &path, const TrainerSnapshot &snap,
     // directory entry after it. An fsync failure is a distinct error —
     // the write calls all succeeded, but nothing is guaranteed durable.
     errno = 0;
-    if (options.durable &&
-        !io::fsyncFdFp(fpPrefix + ".fsync", ::fileno(f))) {
+    if (!io::fsyncFdFp(fpPrefix + ".fsync", ::fileno(f))) {
         const bool full = errno == ENOSPC;
         warn("checkpoint: fsync of %s failed", tmp.c_str());
         std::fclose(f);
@@ -387,8 +386,7 @@ writeCheckpointEx(const std::string &path, const TrainerSnapshot &snap,
         return full ? CheckpointWriteResult::NoSpace
                     : CheckpointWriteResult::RenameFailed;
     }
-    if (options.durable &&
-        !io::fsyncPathFp(fpPrefix + ".dirfsync", parentDir(path))) {
+    if (!io::fsyncPathFp(fpPrefix + ".dirfsync", parentDir(path))) {
         warn("checkpoint: directory fsync after committing %s failed",
              path.c_str());
         return CheckpointWriteResult::DirFsyncFailed;

@@ -101,12 +101,12 @@ enum class CheckpointWriteResult
 
 const char *checkpointWriteResultName(CheckpointWriteResult result);
 
-/** Knobs of the durable write path (all defaults production-safe). */
+/**
+ * Knobs of the durable write path, which always fsyncs the temp file
+ * before the rename and the parent directory after it.
+ */
 struct CheckpointWriteOptions
 {
-    /** fsync the temp file before rename and the parent directory
-     *  after. Off only for tests that model the pre-durability bug. */
-    bool durable = true;
     /**
      * Test hook invoked after every write call with that call's byte
      * count. The kill–restart harness raises SIGKILL from here to

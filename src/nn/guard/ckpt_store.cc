@@ -78,8 +78,7 @@ writeTextFileDurable(const std::string &path,
                     : CheckpointWriteResult::WriteFailed;
     }
     errno = 0;
-    if (options.durable &&
-        !io::fsyncFdFp(fpPrefix + ".fsync", ::fileno(f))) {
+    if (!io::fsyncFdFp(fpPrefix + ".fsync", ::fileno(f))) {
         const bool full = errno == ENOSPC;
         std::fclose(f);
         std::remove(tmp.c_str());
@@ -103,8 +102,7 @@ writeTextFileDurable(const std::string &path,
         return full ? CheckpointWriteResult::NoSpace
                     : CheckpointWriteResult::RenameFailed;
     }
-    if (options.durable &&
-        !io::fsyncPathFp(fpPrefix + ".dirfsync", parentDir(path)))
+    if (!io::fsyncPathFp(fpPrefix + ".dirfsync", parentDir(path)))
         return CheckpointWriteResult::DirFsyncFailed;
     return CheckpointWriteResult::Ok;
 }

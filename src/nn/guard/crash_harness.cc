@@ -11,10 +11,7 @@
 
 #include "common/crc32.h"
 #include "common/logging.h"
-#include "common/rng.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
-#include "nn/linear.h"
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
 #include "obs/metrics.h"
@@ -24,29 +21,13 @@
 
 namespace cq::nn::guard {
 
-namespace {
-
-/** The canonical spiral MLP (same shape as the resilience tests). */
-Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    Network net;
-    net.add(std::make_unique<Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<Activation>("t", ActKind::Tanh));
-    net.add(std::make_unique<Linear>("fc2", 32, 2, rng));
-    return net;
-}
-
-} // namespace
-
 CrashHarnessResult
 runCrashHarness(const CrashHarnessConfig &config)
 {
     CrashHarnessResult result;
 
     SpiralDataset data(2, 0.1, config.seed);
-    Network net = makeMlp(config.seed + 1);
+    Network net = makeSpiralMlp(config.seed + 1);
 
     QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);

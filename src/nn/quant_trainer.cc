@@ -93,8 +93,6 @@ QuantTrainer::QuantTrainer(Network &network, QuantTrainerConfig config)
         // the scope (verify off) so every arm draws the same
         // accumulator fault pattern from the shared injector.
         abftConfig_.verify = r.abft.enabled;
-        abftConfig_.relTol = r.abft.relTol;
-        abftConfig_.maxRetries = r.abft.maxRetries;
         abftConfig_.stats = &abftStats_;
         abftConfig_.corruptOutput = [this](Tensor &t) {
             if (faults_ != nullptr)

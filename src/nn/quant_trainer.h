@@ -72,10 +72,6 @@ struct AbftPolicy
     /** Route every cq::matmul() of forward/backward through the
      *  checksummed abftMatmul() (tensor/abft.h). */
     bool enabled = false;
-    /** Relative tolerance; 0 = sqrt(k)-scaled auto tolerance. */
-    double relTol = 0.0;
-    /** Recompute passes before a GEMM escalates to step discard. */
-    int maxRetries = 1;
 };
 
 /** Resilience: guardrails + checkpoint/rollback policy. */

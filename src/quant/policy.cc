@@ -5,8 +5,6 @@
 
 #include "quant/policy.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "tensor/tensor_ops.h"
 
@@ -156,33 +154,6 @@ AlgorithmConfig::zhang2020Hqt(std::size_t block_size)
     return cfg;
 }
 
-namespace {
-
-/** Float-format quantization, optionally LDQ-block-sliced. */
-Tensor
-applyFloatPolicy(const Tensor &x, const RolePolicy &policy,
-                 std::size_t block_size)
-{
-    if (block_size == 0)
-        return fakeQuantizeFloatScaled(x, policy.floatFormat,
-                                       x.maxAbs());
-    Tensor out(x.shape());
-    for (std::size_t lo = 0; lo < x.numel(); lo += block_size) {
-        const std::size_t hi =
-            std::min(lo + block_size, x.numel());
-        Tensor block({hi - lo});
-        for (std::size_t i = lo; i < hi; ++i)
-            block[i - lo] = x[i];
-        const Tensor deq = fakeQuantizeFloatScaled(
-            block, policy.floatFormat, block.maxAbs());
-        for (std::size_t i = lo; i < hi; ++i)
-            out[i] = deq[i - lo];
-    }
-    return out;
-}
-
-} // namespace
-
 Tensor
 applyPolicy(const Tensor &x, const AlgorithmConfig &algo, TensorRole role,
             PolicyApplyInfo *info)
@@ -194,17 +165,13 @@ applyPolicy(const Tensor &x, const AlgorithmConfig &algo, TensorRole role,
         return x;
     }
     if (policy.useFloat) {
-        Tensor out = applyFloatPolicy(x, policy, algo.blockSize);
+        // Layer-wise: one max-abs loss scale for the whole tensor.
+        Tensor out =
+            fakeQuantizeFloatScaled(x, policy.floatFormat, x.maxAbs());
         if (info != nullptr) {
             const int totalBits = 1 + policy.floatFormat.expBits +
                                   policy.floatFormat.mantBits;
-            const std::size_t nblocks =
-                algo.blockSize == 0
-                    ? 1
-                    : (x.numel() + algo.blockSize - 1) /
-                          algo.blockSize;
-            info->bitsTally[totalBits] +=
-                static_cast<std::uint64_t>(nblocks);
+            ++info->bitsTally[totalBits];
             info->rmse = rmse(x, out);
         }
         return out;

@@ -54,7 +54,8 @@ struct RolePolicy
  * A complete algorithm: a recipe per role plus the statistic
  * granularity. blockSize == 0 means layer-wise statistics (the
  * original algorithms); a positive blockSize means LDQ slicing
- * (the +HQT variants).
+ * (the +HQT variants). Block slicing applies only to the integer
+ * (E2BQM) recipes: a useFloat role is always scaled layer-wise.
  */
 struct AlgorithmConfig
 {

@@ -21,7 +21,7 @@
  * Tolerances: checksums are accumulated in double while the product
  * is held in FP32, so a clean GEMM shows a residual of order
  * FLT_EPSILON relative to the absolute-value checksum bound. The
- * auto tolerance (relTol == 0) scales with sqrt(k) to cover the
+ * tolerance (abftAutoRelTol()) scales with sqrt(k) to cover the
  * random-walk growth of that rounding noise; it is calibrated so 1k
  * clean quantized GEMMs at every HQT operand width (4/8/12/16 bits)
  * raise no false alarm (tests/test_ecc_abft.cc) while a flipped
@@ -54,16 +54,6 @@ struct AbftConfig
      * resilience bench, which must draw the same fault pattern.
      */
     bool verify = true;
-    /**
-     * Relative tolerance against the absolute-value checksum bound;
-     * 0 selects the sqrt(k)-scaled auto tolerance
-     * (abftAutoRelTol()).
-     */
-    double relTol = 0.0;
-    /** Absolute slack for all-zero products. */
-    double absTol = 1e-30;
-    /** Recompute passes before escalating (>= 0). */
-    int maxRetries = 1;
     /** Counter sink for abft.* statistics (may be nullptr). */
     StatGroup *stats = nullptr;
     /**
@@ -83,8 +73,14 @@ struct AbftConfig
     bool corruptRetries = true;
 };
 
-/** Auto relative tolerance for a reduction depth of @p k. */
+/**
+ * Relative checksum tolerance for a reduction depth of @p k, against
+ * the absolute-value checksum bound. A mismatch beyond it (or beyond
+ * kAbftAbsTol, the slack for all-zero products) gets one recompute
+ * pass and escalates if it survives.
+ */
 double abftAutoRelTol(std::size_t k);
+inline constexpr double kAbftAbsTol = 1e-30;
 
 /** What one checksummed GEMM did. */
 struct AbftReport
@@ -94,7 +90,7 @@ struct AbftReport
     std::size_t retries = 0;
     /** A mismatch was found and the retry verified clean. */
     bool corrected = false;
-    /** The mismatch survived maxRetries recomputations. */
+    /** The mismatch survived the recompute pass. */
     bool escalated = false;
 };
 

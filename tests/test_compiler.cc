@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
 #include "arch/accelerator.h"
 #include "baseline/gpu_model.h"
 #include "baseline/tpu_sim.h"
+#include "common/crc32.h"
 #include "compiler/codegen.h"
 #include "compiler/workloads.h"
 
@@ -371,12 +373,8 @@ TEST(WorkloadStructure, WgGemmsMarkedFullPrecision)
         for (const auto &task : ir.tasks) {
             if (task.kind != Task::Kind::Gemm)
                 continue;
-            if (task.gemm.phase == Phase::WG) {
-                EXPECT_TRUE(task.gemm.outFp32);
-                EXPECT_TRUE(task.gemm.isWeightGradient);
-            } else {
-                EXPECT_FALSE(task.gemm.outFp32);
-            }
+            EXPECT_EQ(task.gemm.isWeightGradient,
+                      task.gemm.phase == Phase::WG);
         }
     }
 }
@@ -464,6 +462,221 @@ TEST(WorkloadStructure, MacsInPhaseSumsToTotal)
                        Phase::Stat, Phase::Quant})
         sum += ir.macsInPhase(phase);
     EXPECT_EQ(sum, ir.totalMacs);
+}
+
+// ------------------------------------------------------ pinned programs
+
+/**
+ * CRC-32 over a little-endian serialization of logical content, so
+ * the digest is the same on any host and for any in-memory layout of
+ * Instr or Task.
+ */
+class Digest
+{
+  public:
+    void
+    word(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            buf_.push_back(static_cast<char>(v >> (8 * i)));
+    }
+
+    void
+    text(const std::string &s)
+    {
+        word(s.size());
+        buf_ += s;
+    }
+
+    std::uint32_t
+    crc()
+    {
+        crc_ = crc32(buf_.data(), buf_.size(), crc_);
+        buf_.clear();
+        return crc_;
+    }
+
+  private:
+    std::string buf_;
+    std::uint32_t crc_ = 0;
+};
+
+/** Each instruction's eight encoded words, dependences and tag. */
+std::uint32_t
+programDigest(const arch::Program &prog)
+{
+    Digest d;
+    for (const auto &ins : prog) {
+        for (std::uint64_t w : arch::encodeInstr(ins).words)
+            d.word(w);
+        d.word(ins.deps.size());
+        for (std::uint32_t dep : ins.deps)
+            d.word(dep);
+        d.text(ins.tag);
+        d.crc();
+    }
+    return d.crc();
+}
+
+/** Every field of every task, in list order. */
+std::uint32_t
+irDigest(const WorkloadIR &ir)
+{
+    Digest d;
+    d.text(ir.name);
+    d.word(ir.batch);
+    for (const auto &task : ir.tasks) {
+        d.word(static_cast<std::uint64_t>(task.kind));
+        switch (task.kind) {
+          case Task::Kind::Gemm: {
+            const GemmTask &g = task.gemm;
+            d.word(static_cast<std::uint64_t>(g.phase));
+            d.text(g.layer);
+            for (std::uint64_t v : {g.m, g.n, g.k})
+                d.word(v);
+            d.text(g.aTensor);
+            d.word(g.aIsFp32);
+            d.text(g.bTensor);
+            d.word(g.freshWeightElems);
+            d.text(g.cTensor);
+            d.word(g.isWeightGradient);
+            d.word(g.waysOut);
+            d.word(g.fusedActivation);
+            for (std::uint64_t v :
+                 {g.aElemsTotal, g.bElemsTotal, g.cElemsTotal})
+                d.word(v);
+            break;
+          }
+          case Task::Kind::Stream: {
+            const StreamTask &s = task.stream;
+            d.word(static_cast<std::uint64_t>(s.phase));
+            d.text(s.layer);
+            d.text(s.inTensor);
+            d.text(s.outTensor);
+            d.text(s.inTensor2);
+            for (std::uint64_t v : {s.inElems2, s.inElems, s.outElems})
+                d.word(v);
+            d.word(s.isWeightGradient);
+            d.word(s.sfuOps);
+            d.word(s.waysOut);
+            break;
+          }
+          case Task::Kind::Update:
+            d.text(task.update.layer);
+            d.word(task.update.numWeights);
+            break;
+          case Task::Kind::Alias:
+            d.text(task.alias.outTensor);
+            d.word(task.alias.inTensors.size());
+            for (const auto &in : task.alias.inTensors)
+                d.text(in);
+            break;
+        }
+    }
+    return d.crc();
+}
+
+struct PinnedDigest
+{
+    std::string network;
+    /** Compile target, or "IR" for the network's task list. */
+    std::string target;
+    std::string optimizer;
+    /** Instructions (tasks for an IR). */
+    std::size_t size = 0;
+    std::uint32_t crc = 0;
+
+    bool operator==(const PinnedDigest &) const = default;
+};
+
+/**
+ * The Table VI programs and IRs. A deliberate change to any compiled
+ * program re-baselines this table in one edit: the failing test
+ * prints the replacement.
+ */
+const std::vector<PinnedDigest> kPinnedDigests = {
+    {"AlexNet", "IR", "", 37, 0x8b08ee72u},
+    {"AlexNet", "CQ", "RMSProp", 54405, 0xf8ee418cu},
+    {"AlexNet", "CQ-noNDP", "RMSProp", 55856, 0xf60627f3u},
+    {"AlexNet", "TPU", "RMSProp", 65112, 0x7785a17eu},
+    {"AlexNet", "CQ-noNDP", "SGD", 55372, 0x9d86e168u},
+    {"AlexNet", "CQ-noNDP", "Adam", 56340, 0x48e47d88u},
+    {"ResNet-18", "IR", "", 111, 0x9bc7220fu},
+    {"ResNet-18", "CQ", "RMSProp", 110220, 0x2ebff0d3u},
+    {"ResNet-18", "CQ-noNDP", "RMSProp", 110561, 0x8f5b71c2u},
+    {"ResNet-18", "TPU", "RMSProp", 143481, 0x910cf906u},
+    {"GoogLeNet", "IR", "", 304, 0x138053e4u},
+    {"GoogLeNet", "CQ", "RMSProp", 91790, 0x198a55d2u},
+    {"GoogLeNet", "CQ-noNDP", "RMSProp", 92197, 0xa9e1fcf3u},
+    {"GoogLeNet", "TPU", "RMSProp", 121613, 0x045626acu},
+    {"SqueezeNet", "IR", "", 135, 0x8be478f5u},
+    {"SqueezeNet", "CQ", "RMSProp", 65275, 0x86dcf66eu},
+    {"SqueezeNet", "CQ-noNDP", "RMSProp", 65436, 0x565e9395u},
+    {"SqueezeNet", "TPU", "RMSProp", 89754, 0x2490d0b2u},
+    {"Transformer", "IR", "", 1336, 0x4bf3dbd7u},
+    {"Transformer", "CQ", "RMSProp", 260152, 0x99bb5d23u},
+    {"Transformer", "CQ-noNDP", "RMSProp", 261561, 0x8c4d514au},
+    {"Transformer", "TPU", "RMSProp", 359527, 0xeba1a601u},
+    {"LSTM", "IR", "", 151, 0x9e74a962u},
+    {"LSTM", "CQ", "RMSProp", 267559, 0x070ca1dbu},
+    {"LSTM", "CQ-noNDP", "RMSProp", 268014, 0x96ff93b1u},
+    {"LSTM", "TPU", "RMSProp", 309286, 0xcc41f625u},
+};
+
+TEST(Compiler, ProgramsMatchPinnedDigests)
+{
+    struct Target
+    {
+        const char *name;
+        arch::CambriconQConfig config;
+        CodegenOptions::Target target;
+    };
+    const Target cq{"CQ", arch::CambriconQConfig::edge(),
+                    CodegenOptions::Target::CambriconQ};
+    const Target no_ndp{"CQ-noNDP", arch::CambriconQConfig::edgeNoNdp(),
+                        CodegenOptions::Target::CambriconQ};
+    const Target tpu{"TPU", baseline::tpuConfig(),
+                     CodegenOptions::Target::Tpu};
+
+    std::vector<PinnedDigest> got;
+    const auto compile = [&got](const WorkloadIR &ir, const Target &t,
+                                nn::OptimizerKind optimizer,
+                                const char *optimizer_name) {
+        CodegenOptions opts;
+        opts.target = t.target;
+        opts.optimizer = optimizer;
+        const arch::Program prog = generateProgram(ir, t.config, opts);
+        got.push_back({ir.name, t.name, optimizer_name, prog.size(),
+                       programDigest(prog)});
+    };
+    for (const auto &ir : allBenchmarks()) {
+        got.push_back({ir.name, "IR", "", ir.tasks.size(), irDigest(ir)});
+        for (const Target &t : {cq, no_ndp, tpu})
+            compile(ir, t, nn::OptimizerKind::RMSProp, "RMSProp");
+        // The non-NDP update moves 0 (SGD) and 2 (Adam) state streams.
+        if (ir.name == "AlexNet") {
+            compile(ir, no_ndp, nn::OptimizerKind::SGD, "SGD");
+            compile(ir, no_ndp, nn::OptimizerKind::Adam, "Adam");
+        }
+    }
+
+    std::string table;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const PinnedDigest &g = got[i];
+        char row[160];
+        std::snprintf(row, sizeof row,
+                      "    {\"%s\", \"%s\", \"%s\", %zu, 0x%08xu},%s\n",
+                      g.network.c_str(), g.target.c_str(),
+                      g.optimizer.c_str(), g.size, g.crc,
+                      i < kPinnedDigests.size() && kPinnedDigests[i] == g
+                          ? ""
+                          : " // changed");
+        table += row;
+    }
+    EXPECT_TRUE(got == kPinnedDigests)
+        << "compiled programs differ from the pinned digests; after a "
+           "deliberate change, replace kPinnedDigests with:\n"
+        << table;
 }
 
 } // namespace

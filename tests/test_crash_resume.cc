@@ -32,11 +32,9 @@
 #include "common/isolated_trial.h"
 #include "common/rng.h"
 #include "common/signal_flag.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/checkpoint.h"
 #include "nn/guard/ckpt_store.h"
-#include "nn/linear.h"
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
 #include "obs/metrics.h"
@@ -486,11 +484,7 @@ TEST(SignalShutdown, TrainerWritesFinalCheckpointAndStops)
 {
     const std::string dir = freshDir("signal_final");
     nn::SpiralDataset data(2, 0.1, 17);
-    Rng rng(18);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
+    nn::Network net = nn::makeSpiralMlp(18);
 
     nn::QuantTrainerConfig cfg;
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
@@ -526,11 +520,7 @@ TEST(SignalShutdown, CancelTokenStopsTrainerCheckpointClean)
 {
     const std::string dir = freshDir("cancel_token_stop");
     nn::SpiralDataset data(2, 0.1, 17);
-    Rng rng(18);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
+    nn::Network net = nn::makeSpiralMlp(18);
 
     CancelToken token;
     nn::QuantTrainerConfig cfg;

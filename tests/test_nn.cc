@@ -816,11 +816,7 @@ TEST(Datasets, SequenceRuleShapes)
 TEST(QuantTrainerTest, Fp32LearnsSpiral)
 {
     SpiralDataset data(2, 0.1, 17);
-    Rng rng(18);
-    Network net;
-    net.add(std::make_unique<Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<Activation>("t", ActKind::Tanh));
-    net.add(std::make_unique<Linear>("fc2", 32, 2, rng));
+    Network net = makeSpiralMlp(18);
 
     QuantTrainerConfig cfg;
     cfg.optimizer.kind = OptimizerKind::Adam;
@@ -838,11 +834,7 @@ TEST(QuantTrainerTest, Fp32LearnsSpiral)
 TEST(QuantTrainerTest, QuantizedLearnsSpiralToo)
 {
     SpiralDataset data(2, 0.1, 17);
-    Rng rng(18);
-    Network net;
-    net.add(std::make_unique<Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<Activation>("t", ActKind::Tanh));
-    net.add(std::make_unique<Linear>("fc2", 32, 2, rng));
+    Network net = makeSpiralMlp(18);
 
     QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);

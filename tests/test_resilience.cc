@@ -23,12 +23,10 @@
 #include "common/fileutil.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/checkpoint.h"
 #include "nn/guard/ckpt_store.h"
 #include "nn/guard/guardrails.h"
-#include "nn/linear.h"
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
 #include "sim/faults/fault_injector.h"
@@ -468,17 +466,6 @@ TEST(NdpFaults, AttachedInjectorCorruptsDramRows)
 
 // ------------------------------------------------------------ end-to-end
 
-nn::Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
-    return net;
-}
-
 struct RunResult
 {
     double finalLoss = 0.0;
@@ -501,7 +488,7 @@ runSpiral(bool guardrails, double faultRate, const char *ckptName)
 {
     const std::string ckpt = freshDir(ckptName);
     nn::SpiralDataset data(2, 0.1, 17);
-    nn::Network net = makeMlp(18);
+    nn::Network net = nn::makeSpiralMlp(18);
 
     nn::QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);
@@ -596,7 +583,7 @@ TEST(Resilience, CheckpointNowWritesLoadableSnapshot)
 {
     const std::string dir = freshDir("ckpt_now");
     nn::SpiralDataset data(2, 0.1, 17);
-    nn::Network net = makeMlp(18);
+    nn::Network net = nn::makeSpiralMlp(18);
     nn::QuantTrainerConfig cfg;
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.resilience.enabled = true;
@@ -624,7 +611,7 @@ TEST(Resilience, DisabledResilienceMatchesLegacyTrainer)
     // exactly as before the subsystem existed.
     auto run = [](bool enabled) {
         nn::SpiralDataset data(2, 0.1, 17);
-        nn::Network net = makeMlp(18);
+        nn::Network net = nn::makeSpiralMlp(18);
         nn::QuantTrainerConfig cfg;
         cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);
         cfg.optimizer.kind = nn::OptimizerKind::Adam;
