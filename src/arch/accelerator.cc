@@ -103,7 +103,11 @@ struct Executor
     PerfReport report;
 
     std::vector<std::uint32_t> remainingDeps;
-    std::vector<std::vector<std::uint32_t>> children;
+    /** Reverse edges in CSR form: the instructions that wait on
+     *  instruction d are `children[childStart[d] .. childStart[d+1])`,
+     *  in ascending order. */
+    std::vector<std::uint32_t> childStart;
+    std::vector<std::uint32_t> children;
     std::array<std::deque<std::uint32_t>, kNumUnits> queues;
     std::array<Slot, kNumUnits> slots{};
     std::uint64_t started = 0;
@@ -370,9 +374,10 @@ struct Executor
         now = slots[u].finish;
         ++completed;
         slots[u].busy = false;
-        for (std::uint32_t child : children[idx]) {
-            CQ_ASSERT(remainingDeps[child] > 0);
-            --remainingDeps[child];
+        for (std::uint32_t c = childStart[idx]; c < childStart[idx + 1];
+             ++c) {
+            CQ_ASSERT(remainingDeps[children[c]] > 0);
+            --remainingDeps[children[c]];
         }
         // Dependence resolution may unblock any unit's head.
         for (std::size_t i = 0; i < kNumUnits; ++i)
@@ -385,18 +390,31 @@ struct Executor
         std::string err;
         CQ_ASSERT_MSG(validateProgram(prog, &err), "%s", err.c_str());
 
+        // Two passes over the dependences build the reverse edges:
+        // count each instruction's children into childStart[d], sum
+        // the counts into end offsets, then fill from the last child
+        // back, which leaves childStart[d] at d's first child.
         const std::size_t n = prog.size();
-        remainingDeps.assign(n, 0);
-        children.assign(n, {});
+        remainingDeps.resize(n);
+        childStart.assign(n + 1, 0);
         for (std::uint32_t i = 0; i < n; ++i) {
-            remainingDeps[i] =
-                static_cast<std::uint32_t>(prog[i].deps.size());
-            for (std::uint32_t d : prog[i].deps)
-                children[d].push_back(i);
+            const auto deps = prog.deps(i);
+            remainingDeps[i] = static_cast<std::uint32_t>(deps.size());
+            for (std::uint32_t d : deps)
+                ++childStart[d];
             queues[static_cast<std::size_t>(unitFor(prog[i].op))]
                 .push_back(i);
         }
+        for (std::size_t i = 1; i <= n; ++i)
+            childStart[i] += childStart[i - 1];
+        children.resize(childStart[n]);
+        for (std::size_t i = n; i-- > 0;) {
+            for (std::uint32_t d : prog.deps(i))
+                children[--childStart[d]] = static_cast<std::uint32_t>(i);
+        }
 
+        if (collectTrace)
+            report.trace.reserve(n);
         for (std::size_t i = 0; i < kNumUnits; ++i)
             tryIssue(static_cast<Unit>(i));
         for (std::size_t u = nextCompletion(); u < kNumUnits;

@@ -5,7 +5,10 @@
 
 #include "arch/isa.h"
 
+#include <algorithm>
 #include <sstream>
+
+#include "common/logging.h"
 
 namespace cq::arch {
 
@@ -60,7 +63,7 @@ bufIdName(BufId buf)
 }
 
 std::string
-Instr::toString() const
+Instr::toString(std::string_view tag) const
 {
     std::ostringstream os;
     os << opcodeName(op) << " [" << phaseName(phase) << "]";
@@ -123,19 +126,60 @@ decodeInstr(const EncodedInstr &encoded)
     return ins;
 }
 
+std::uint32_t
+Program::internTag(std::string_view tag)
+{
+    const auto at = std::lower_bound(
+        tagsByName_.begin(), tagsByName_.end(), tag,
+        [this](std::uint32_t id, std::string_view t) {
+            return tags_[id] < t;
+        });
+    if (at != tagsByName_.end() && tags_[*at] == tag)
+        return *at;
+    const auto id = static_cast<std::uint32_t>(tags_.size());
+    tags_.emplace_back(tag);
+    tagsByName_.insert(at, id);
+    return id;
+}
+
+std::uint32_t
+Program::append(const Instr &ins, std::span<const std::uint32_t> deps)
+{
+    CQ_ASSERT(instrs_.size() < UINT32_MAX &&
+              deps.size() <= UINT32_MAX - depIdx_.size());
+    instrs_.push_back(ins);
+    depIdx_.insert(depIdx_.end(), deps.begin(), deps.end());
+    depStart_.push_back(static_cast<std::uint32_t>(depIdx_.size()));
+    return static_cast<std::uint32_t>(instrs_.size() - 1);
+}
+
+namespace {
+
+bool
+invalid(std::string *error, std::size_t instr, const std::string &why)
+{
+    if (error)
+        *error = "instr " + std::to_string(instr) + " " + why;
+    return false;
+}
+
+} // namespace
+
 bool
 validateProgram(const Program &prog, std::string *error)
 {
     for (std::size_t i = 0; i < prog.size(); ++i) {
-        for (std::uint32_t d : prog[i].deps) {
+        if (prog[i].tagId >= prog.numTags()) {
+            return invalid(error, i,
+                           "has tag id " + std::to_string(prog[i].tagId) +
+                               " outside the table of " +
+                               std::to_string(prog.numTags()));
+        }
+        for (std::uint32_t d : prog.deps(i)) {
             if (d >= i) {
-                if (error) {
-                    std::ostringstream os;
-                    os << "instr " << i << " depends on " << d
-                       << " (not strictly earlier)";
-                    *error = os.str();
-                }
-                return false;
+                return invalid(error, i,
+                               "depends on " + std::to_string(d) +
+                                   " (not strictly earlier)");
             }
         }
     }

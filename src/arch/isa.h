@@ -15,7 +15,11 @@
 #define CQ_ARCH_ISA_H
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -68,14 +72,13 @@ enum class BufId : std::uint8_t { None, NBin, SB, NBout };
 const char *bufIdName(BufId buf);
 
 /**
- * One decoded instruction. Fields are a union-of-needs across
- * opcodes; unused fields stay zero.
+ * One decoded instruction: 64 bytes that own no heap memory. Fields
+ * are a union-of-needs across opcodes; unused fields stay zero. The
+ * instruction's dependences and the text of its tag live in the
+ * Program that holds it.
  */
 struct Instr
 {
-    Opcode op = Opcode::CROSET;
-    Phase phase = Phase::FW;
-
     /** @name Memory operands (loads/stores) */
     /** @{ */
     Addr addr = 0;
@@ -84,34 +87,98 @@ struct Instr
     Addr addr2 = 0;
     /** Second operand size (QMOVE quantized write bytes). */
     Bytes bytes2 = 0;
-    BufId buf = BufId::None;
-    /** @} */
-
-    /** @name Compute operands (MM/CONV: result m x n, reduction k) */
-    /** @{ */
-    std::uint32_t m = 0, n = 0, k = 0;
-    /** Operand widths in bits (bit-serial passes = product / 16). */
-    std::uint8_t bitsA = 8, bitsB = 8;
     /** @} */
 
     /** Element count for vector/SFU/WGSTORE ops. */
     std::uint64_t elems = 0;
 
+    /** @name Compute operands (MM/CONV: result m x n, reduction k) */
+    /** @{ */
+    std::uint32_t m = 0, n = 0, k = 0;
+    /** @} */
+
+    /** Origin label (layer name) for diagnostics: an index into the
+     *  holding Program's tag table; id 0 is the empty tag. */
+    std::uint32_t tagId = 0;
+
+    Opcode op = Opcode::CROSET;
+    Phase phase = Phase::FW;
+    BufId buf = BufId::None;
+    /** Operand widths in bits (bit-serial passes = product / 16). */
+    std::uint8_t bitsA = 8, bitsB = 8;
+
     /** E2BQM ways for Q* instructions (1 = plain DQ). */
     std::uint8_t ways = 1;
 
-    /** Indices of instructions this one depends on. */
-    std::vector<std::uint32_t> deps;
-
-    /** Origin label (layer name) for diagnostics. */
-    std::string tag;
-
-    /** Render as assembly-like text. */
-    std::string toString() const;
+    /** Render as assembly-like text, ending in @p tag if not empty. */
+    std::string toString(std::string_view tag = {}) const;
 };
 
-/** A complete instruction stream. */
-using Program = std::vector<Instr>;
+static_assert(sizeof(Instr) == 64, "Instr must stay 64 bytes");
+static_assert(std::is_trivially_copyable_v<Instr>,
+              "Instr must own no heap memory");
+
+/**
+ * A complete instruction stream, built by appending. It holds three
+ * arrays: the 64-byte instructions, their dependences in CSR form
+ * (instruction i depends on `depIdx_[depStart_[i] .. depStart_[i+1])`)
+ * and a tag table that holds each distinct tag once. A const Program
+ * has no lazily built state, so threads may share one.
+ */
+class Program
+{
+  public:
+    /** Id of @p tag in the tag table; adds it if it is new. */
+    std::uint32_t internTag(std::string_view tag);
+
+    /**
+     * Append @p ins (its `tagId` from internTag()) after the
+     * instructions @p deps, which validateProgram() requires to be
+     * earlier; returns the new instruction's index.
+     */
+    std::uint32_t append(const Instr &ins,
+                         std::span<const std::uint32_t> deps = {});
+    std::uint32_t
+    append(const Instr &ins, std::initializer_list<std::uint32_t> deps)
+    {
+        return append(ins, std::span(deps.begin(), deps.size()));
+    }
+
+    std::size_t size() const { return instrs_.size(); }
+    const Instr &operator[](std::size_t i) const { return instrs_[i]; }
+    std::vector<Instr>::const_iterator begin() const
+    {
+        return instrs_.begin();
+    }
+    std::vector<Instr>::const_iterator end() const
+    {
+        return instrs_.end();
+    }
+
+    /** Indices of the instructions instruction @p i depends on. */
+    std::span<const std::uint32_t>
+    deps(std::size_t i) const
+    {
+        return std::span(depIdx_).subspan(
+            depStart_[i], depStart_[i + 1] - depStart_[i]);
+    }
+
+    /** Number of tags in the table (id 0, the empty tag, included). */
+    std::size_t numTags() const { return tags_.size(); }
+    /** Tag text of instruction @p i (its id must be in the table). */
+    const std::string &tag(std::size_t i) const
+    {
+        return tags_[instrs_[i].tagId];
+    }
+
+  private:
+    std::vector<Instr> instrs_;
+    std::vector<std::uint32_t> depStart_{0};
+    std::vector<std::uint32_t> depIdx_;
+    std::vector<std::string> tags_{std::string()};
+    /** Tag ids in name order, for internTag()'s binary search. */
+    std::vector<std::uint32_t> tagsByName_{0};
+};
 
 /**
  * Fixed-width binary encoding of one instruction (dependences travel
@@ -125,8 +192,9 @@ using Program = std::vector<Instr>;
  *   word5: bytes              word6: bytes2
  *   word7: elems
  *
- * `deps` and `tag` are compiler metadata and are not encoded; the
- * layout is an implementation contract checked by round-trip tests.
+ * Dependences and tags are compiler metadata that live in the Program,
+ * not in the instruction, and are not encoded; the layout is an
+ * implementation contract checked by round-trip tests.
  */
 struct EncodedInstr
 {
@@ -136,10 +204,14 @@ struct EncodedInstr
 /** Encode the architectural fields of @p instr. */
 EncodedInstr encodeInstr(const Instr &instr);
 
-/** Decode an instruction (deps/tag come back empty). */
+/** Decode an instruction (its tag id comes back 0, the empty tag). */
 Instr decodeInstr(const EncodedInstr &encoded);
 
-/** Sanity-check dependence indices (must point backwards). */
+/**
+ * Check the invariants the executor relies on: every instruction's
+ * dependences are strictly earlier than it, and its tag id is in the
+ * tag table.
+ */
 bool validateProgram(const Program &prog, std::string *error = nullptr);
 
 } // namespace cq::arch

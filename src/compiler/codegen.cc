@@ -54,8 +54,8 @@ class Codegen
             Instr cro;
             cro.op = Opcode::CROSET;
             cro.phase = Phase::WU;
-            cro.tag = "ndpo-config";
-            crosetIdx_ = emit(std::move(cro), {});
+            cro.tagId = prog_.internTag("ndpo-config");
+            crosetIdx_ = emit(cro, {});
         }
         for (const auto &task : ir_.tasks) {
             switch (task.kind) {
@@ -105,14 +105,12 @@ class Codegen
     }
 
     std::uint32_t
-    emit(Instr ins, std::vector<std::uint32_t> deps)
+    emit(const Instr &ins, std::vector<std::uint32_t> deps)
     {
         // Deduplicate and order the dependence list.
         std::sort(deps.begin(), deps.end());
         deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-        ins.deps = std::move(deps);
-        prog_.push_back(std::move(ins));
-        return static_cast<std::uint32_t>(prog_.size() - 1);
+        return prog_.append(ins, deps);
     }
 
     /** Allocate (or look up) the base address of a tensor. */
@@ -199,8 +197,8 @@ class Codegen
             mv.addr2 = dst;
             mv.bytes2 = q_bytes;
             mv.elems = elems;
-            mv.tag = wq;
-            noteWrite(wq, emit(std::move(mv), {}));
+            mv.tagId = prog_.internTag(wq);
+            noteWrite(wq, emit(mv, {}));
             return;
         }
 
@@ -212,24 +210,24 @@ class Codegen
         st.phase = Phase::Stat;
         st.addr = src;
         st.bytes = fp32_bytes;
-        st.tag = wq + ".stat";
-        const auto stat_idx = emit(std::move(st), {});
+        st.tagId = prog_.internTag(wq + ".stat");
+        const auto stat_idx = emit(st, {});
 
         Instr ql;
         ql.op = Opcode::VLOAD;
         ql.phase = Phase::Quant;
         ql.addr = src;
         ql.bytes = fp32_bytes;
-        ql.tag = wq + ".qread";
-        const auto qread_idx = emit(std::move(ql), {stat_idx});
+        ql.tagId = prog_.internTag(wq + ".qread");
+        const auto qread_idx = emit(ql, {stat_idx});
 
         Instr qs;
         qs.op = Opcode::VSTORE;
         qs.phase = Phase::Quant;
         qs.addr = dst;
         qs.bytes = q_bytes;
-        qs.tag = wq + ".qwrite";
-        noteWrite(wq, emit(std::move(qs), {qread_idx}));
+        qs.tagId = prog_.internTag(wq + ".qwrite");
+        noteWrite(wq, emit(qs, {qread_idx}));
     }
 
     /** The output stream of one GEMM or stream task. */
@@ -244,7 +242,14 @@ class Codegen
         /** Elements of the whole output (sizes the NDP weight rows). */
         std::uint64_t elems;
         Addr base;
+        /** Tag of the VSTORE or QSTORE; the TPU's S, Q and store
+         *  passes append ".stat", ".quant" and ".qwrite", and the
+         *  WGSTORE is tagged "<layer>.wgstore" instead. */
         std::string tag;
+        /** Ids of the store tags, interned by the first storeOutput()
+         *  (0 until then); on the TPU's quantized store also those of
+         *  its S and Q passes. */
+        std::uint32_t tagId = 0, statTagId = 0, quantTagId = 0;
     };
 
     /**
@@ -256,10 +261,12 @@ class Codegen
      * plus the statistic and quantization passes.
      */
     void
-    storeOutput(const Output &out, Bytes offset, std::uint64_t elems,
+    storeOutput(Output &out, Bytes offset, std::uint64_t elems,
                 std::uint32_t dep)
     {
         if (out.weightGradient && useNdp()) {
+            if (!out.tagId)
+                out.tagId = prog_.internTag(out.layer + ".wgstore");
             Instr wgs;
             wgs.op = Opcode::WGSTORE;
             wgs.phase = Phase::WU;
@@ -268,24 +275,28 @@ class Codegen
                        offset;
             wgs.bytes = elems * 4;
             wgs.elems = elems;
-            wgs.tag = out.layer + ".wgstore";
-            noteWrite(out.tensor, emit(std::move(wgs), {dep, crosetIdx_}));
+            wgs.tagId = out.tagId;
+            noteWrite(out.tensor, emit(wgs, {dep, crosetIdx_}));
             return;
         }
         if (out.weightGradient) {
+            if (!out.tagId)
+                out.tagId = prog_.internTag(out.tag);
             Instr vs;
             vs.op = Opcode::VSTORE;
             vs.phase = out.phase;
             vs.addr = out.base + offset;
             vs.bytes = elems * 4;
             vs.buf = BufId::NBout;
-            vs.tag = out.tag;
-            noteWrite(out.tensor, emit(std::move(vs), {dep}));
+            vs.tagId = out.tagId;
+            noteWrite(out.tensor, emit(vs, {dep}));
             return;
         }
         const Bytes q_bytes =
             std::max<Bytes>(1, elems * opt_.bits / 8);
         if (!isTpu()) {
+            if (!out.tagId)
+                out.tagId = prog_.internTag(out.tag);
             Instr qs;
             qs.op = Opcode::QSTORE;
             qs.phase = out.phase;
@@ -294,8 +305,8 @@ class Codegen
             qs.elems = elems;
             qs.ways = static_cast<std::uint8_t>(out.ways);
             qs.buf = BufId::NBout;
-            qs.tag = out.tag;
-            noteWrite(out.tensor, emit(std::move(qs), {dep}));
+            qs.tagId = out.tagId;
+            noteWrite(out.tensor, emit(qs, {dep}));
             return;
         }
 
@@ -306,19 +317,24 @@ class Codegen
         // E2BQM candidates -- serializing with the array's GEMMs
         // (this is the S/Q time visible in the paper's Fig. 12(b)),
         // before the quantized result is finally stored.
+        if (!out.tagId) {
+            out.statTagId = prog_.internTag(out.tag + ".stat");
+            out.quantTagId = prog_.internTag(out.tag + ".quant");
+            out.tagId = prog_.internTag(out.tag + ".qwrite");
+        }
         Instr st;
         st.op = Opcode::HMUL; // max-reduction pass
         st.phase = Phase::Stat;
         st.elems = elems;
-        st.tag = out.tag + ".stat";
-        const auto stat_idx = emit(std::move(st), {dep});
+        st.tagId = out.statTagId;
+        const auto stat_idx = emit(st, {dep});
 
         Instr qk;
         qk.op = Opcode::VMUL; // candidate quantization passes
         qk.phase = Phase::Quant;
         qk.elems = elems * out.ways;
-        qk.tag = out.tag + ".quant";
-        const auto quant_idx = emit(std::move(qk), {stat_idx});
+        qk.tagId = out.quantTagId;
+        const auto quant_idx = emit(qk, {stat_idx});
 
         Instr qw;
         qw.op = Opcode::VSTORE;
@@ -326,8 +342,8 @@ class Codegen
         qw.addr = out.base + offset;
         qw.bytes = q_bytes;
         qw.buf = BufId::NBout;
-        qw.tag = out.tag + ".qwrite";
-        noteWrite(out.tensor, emit(std::move(qw), {quant_idx}));
+        qw.tagId = out.tagId;
+        noteWrite(out.tensor, emit(qw, {quant_idx}));
     }
 
     void gemm(const GemmTask &task);
@@ -491,6 +507,11 @@ Codegen::gemm(const GemmTask &task)
 
     const auto a_deps = readersDeps(a_name);
     const auto b_deps = readersDeps(b_name);
+    const std::uint32_t a_tag = prog_.internTag(task.layer + ".A");
+    const std::uint32_t b_tag = prog_.internTag(task.layer + ".B");
+    const std::uint32_t mm_tag = prog_.internTag(task.layer);
+    const std::uint32_t act_tag =
+        task.fusedActivation ? prog_.internTag(task.layer + ".act") : 0;
 
     // ---- Emission helpers ----
     const auto emit_load_a = [&](std::uint64_t mt, std::uint64_t kt) {
@@ -502,8 +523,8 @@ Codegen::gemm(const GemmTask &task)
         la.bytes = a_tile_bytes;
         la.elems = task.aIsFp32 ? a_tile_bytes / 4 : 0;
         la.buf = BufId::NBin;
-        la.tag = task.layer + ".A";
-        return emit(std::move(la), a_deps);
+        la.tagId = a_tag;
+        return emit(la, a_deps);
     };
     const auto emit_load_b = [&](std::uint64_t nt, std::uint64_t kt) {
         Instr lb;
@@ -512,7 +533,7 @@ Codegen::gemm(const GemmTask &task)
                                std::max<Bytes>(b_bytes, 64);
         lb.bytes = b_tile_bytes;
         lb.buf = BufId::SB;
-        lb.tag = task.layer + ".B";
+        lb.tagId = b_tag;
         if (n_tiles > 1) {
             // A (k_t x n_t) sub-tile of the row-major (k x n) tensor
             // is strided: one stripe of n_t elements per k row. The
@@ -527,7 +548,7 @@ Codegen::gemm(const GemmTask &task)
         } else {
             lb.op = Opcode::VLOAD;
         }
-        return emit(std::move(lb), b_deps);
+        return emit(lb, b_deps);
     };
     const auto emit_mm = [&](std::uint64_t mt, std::uint64_t nt,
                              std::uint64_t kt, std::uint32_t dep_a,
@@ -548,12 +569,12 @@ Codegen::gemm(const GemmTask &task)
         mm.k = static_cast<std::uint32_t>(k_cur);
         mm.bitsA = static_cast<std::uint8_t>(bits);
         mm.bitsB = static_cast<std::uint8_t>(bits);
-        mm.tag = task.layer;
-        return emit(std::move(mm), {dep_a, dep_b});
+        mm.tagId = mm_tag;
+        return emit(mm, {dep_a, dep_b});
     };
-    const Output out{task.layer, task.cTensor, task.phase, task.waysOut,
-                     task.isWeightGradient, task.cElems(), c_base,
-                     task.layer + ".C"};
+    Output out{task.layer, task.cTensor, task.phase, task.waysOut,
+               task.isWeightGradient, task.cElems(), c_base,
+               task.layer + ".C"};
     Bytes c_offset = 0;
     const auto emit_store = [&](std::uint64_t mt, std::uint64_t nt,
                                 std::uint32_t mm_dep) {
@@ -567,8 +588,8 @@ Codegen::gemm(const GemmTask &task)
             act.op = Opcode::SFU;
             act.phase = task.phase;
             act.elems = m_cur * n_cur;
-            act.tag = task.layer + ".act";
-            store_dep = emit(std::move(act), {mm_dep});
+            act.tagId = act_tag;
+            store_dep = emit(act, {mm_dep});
         }
         storeOutput(out, c_offset, c_tile_elems, store_dep);
         c_offset += c_tile_bytes;
@@ -644,18 +665,22 @@ Codegen::stream(const StreamTask &task)
                                   ? Region::WeightGrads
                                   : Region::Activations;
     const Bytes out_elem_bytes = task.isWeightGradient ? 4 : 1;
-    const Output out{task.layer, task.outTensor, task.phase, task.waysOut,
-                     task.isWeightGradient, task.outElems,
-                     tensorAddr(task.outTensor,
-                                std::max<Bytes>(
-                                    task.outElems * out_elem_bytes, 64),
-                                out_region),
-                     task.layer + ".out"};
+    Output out{task.layer, task.outTensor, task.phase, task.waysOut,
+               task.isWeightGradient, task.outElems,
+               tensorAddr(task.outTensor,
+                          std::max<Bytes>(task.outElems * out_elem_bytes,
+                                          64),
+                          out_region),
+               task.layer + ".out"};
 
     const auto in_deps = readersDeps(task.inTensor);
     const auto in2_deps = task.inTensor2.empty()
                               ? std::vector<std::uint32_t>{}
                               : readersDeps(task.inTensor2);
+    const std::uint32_t in_tag = prog_.internTag(task.layer + ".in");
+    const std::uint32_t in2_tag =
+        task.inTensor2.empty() ? 0 : prog_.internTag(task.layer + ".in2");
+    const std::uint32_t sfu_tag = prog_.internTag(task.layer + ".sfu");
 
     for (std::uint64_t c = 0; c < chunks; ++c) {
         const std::uint64_t in_elems =
@@ -672,8 +697,8 @@ Codegen::stream(const StreamTask &task)
         li.addr = in_base + c * chunk;
         li.bytes = std::max<Bytes>(in_elems, 1);
         li.buf = BufId::NBin;
-        li.tag = task.layer + ".in";
-        const auto li_idx = emit(std::move(li), in_deps);
+        li.tagId = in_tag;
+        const auto li_idx = emit(li, in_deps);
 
         std::vector<std::uint32_t> sfu_deps{li_idx};
         if (!task.inTensor2.empty()) {
@@ -683,16 +708,16 @@ Codegen::stream(const StreamTask &task)
             l2.addr = in2_base + c * chunk;
             l2.bytes = std::max<Bytes>(task.inElems2 / chunks, 1);
             l2.buf = BufId::NBin;
-            l2.tag = task.layer + ".in2";
-            sfu_deps.push_back(emit(std::move(l2), in2_deps));
+            l2.tagId = in2_tag;
+            sfu_deps.push_back(emit(l2, in2_deps));
         }
 
         Instr sf;
         sf.op = Opcode::SFU;
         sf.phase = task.phase;
         sf.elems = sfu_ops;
-        sf.tag = task.layer + ".sfu";
-        const auto sf_idx = emit(std::move(sf), std::move(sfu_deps));
+        sf.tagId = sfu_tag;
+        const auto sf_idx = emit(sf, std::move(sfu_deps));
 
         storeOutput(out, c * chunk * out_elem_bytes, out_elems, sf_idx);
     }
@@ -720,12 +745,18 @@ Codegen::update(const UpdateTask &task)
     const unsigned used = 2 + state;
     Addr base[4] = {};
     std::vector<std::uint32_t> deps[4];
+    std::uint32_t load_tag[4] = {}, store_tag[4] = {};
     for (unsigned i = 0; i < used; ++i) {
         const std::string tensor = kStreams[i].prefix + task.layer;
         base[i] =
             tensorAddr(tensor, task.numWeights * 4, kStreams[i].region);
         deps[i] = readersDeps(tensor);
+        const std::string tag = task.layer + kStreams[i].tag;
+        load_tag[i] = prog_.internTag(tag);
+        if (i > 0)
+            store_tag[i] = prog_.internTag(tag + "'");
     }
+    const std::uint32_t opt_tag = prog_.internTag(task.layer + ".opt");
 
     const std::uint64_t chunk = 256 * 1024;
     const std::uint64_t chunks = std::max<std::uint64_t>(
@@ -741,8 +772,8 @@ Codegen::update(const UpdateTask &task)
             ld.addr = base[i] + c * chunk * 4;
             ld.bytes = elems * 4;
             ld.buf = BufId::NBin;
-            ld.tag = task.layer + kStreams[i].tag;
-            loads.push_back(emit(std::move(ld), deps[i]));
+            ld.tagId = load_tag[i];
+            loads.push_back(emit(ld, deps[i]));
         }
 
         // The element-wise optimizer arithmetic on the vector units.
@@ -750,8 +781,8 @@ Codegen::update(const UpdateTask &task)
         vm.op = Opcode::VMUL;
         vm.phase = Phase::WU;
         vm.elems = elems * (2 + 2 * state);
-        vm.tag = task.layer + ".opt";
-        const auto vm_idx = emit(std::move(vm), std::move(loads));
+        vm.tagId = opt_tag;
+        const auto vm_idx = emit(vm, std::move(loads));
 
         for (unsigned i = 1; i < used; ++i) {
             Instr st;
@@ -760,8 +791,8 @@ Codegen::update(const UpdateTask &task)
             st.addr = base[i] + c * chunk * 4;
             st.bytes = elems * 4;
             st.buf = BufId::NBout;
-            st.tag = task.layer + kStreams[i].tag + "'";
-            emit(std::move(st), {vm_idx});
+            st.tagId = store_tag[i];
+            emit(st, {vm_idx});
         }
     }
 }

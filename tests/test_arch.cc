@@ -320,12 +320,44 @@ TEST(Isa, InstrToStringMentionsFields)
     EXPECT_NE(s.find("MM"), std::string::npos);
     EXPECT_NE(s.find("WG"), std::string::npos);
     EXPECT_NE(s.find("m=3"), std::string::npos);
+    // The tag text lives in the program's table, not the instruction.
+    EXPECT_EQ(s.find(';'), std::string::npos);
+    EXPECT_NE(ins.toString("fc1").find(" ; fc1"), std::string::npos);
+}
+
+TEST(Isa, ProgramInternsEachTagOnce)
+{
+    Program prog;
+    EXPECT_EQ(prog.numTags(), 1u); // id 0: the empty tag
+    const std::uint32_t b = prog.internTag("conv1.B");
+    const std::uint32_t a = prog.internTag("conv1.A");
+    EXPECT_EQ(prog.internTag("conv1.B"), b);
+    EXPECT_EQ(prog.internTag("conv1.A"), a);
+    EXPECT_EQ(prog.internTag(""), 0u);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(prog.numTags(), 3u);
+
+    Instr ins;
+    ins.tagId = a;
+    prog.append(ins);
+    ins.tagId = b;
+    prog.append(ins, {0});
+    prog.append(Instr{}, {0, 1});
+    EXPECT_EQ(prog.tag(0), "conv1.A");
+    EXPECT_EQ(prog.tag(1), "conv1.B");
+    EXPECT_EQ(prog.tag(2), "");
+    EXPECT_TRUE(prog.deps(0).empty());
+    ASSERT_EQ(prog.deps(2).size(), 2u);
+    EXPECT_EQ(prog.deps(2)[0], 0u);
+    EXPECT_EQ(prog.deps(2)[1], 1u);
+    EXPECT_TRUE(validateProgram(prog));
 }
 
 TEST(Isa, ValidateRejectsForwardDeps)
 {
-    Program prog(2);
-    prog[0].deps = {1};
+    Program prog;
+    prog.append(Instr{}, {1});
+    prog.append(Instr{});
     std::string err;
     EXPECT_FALSE(validateProgram(prog, &err));
     EXPECT_FALSE(err.empty());
@@ -333,9 +365,25 @@ TEST(Isa, ValidateRejectsForwardDeps)
 
 TEST(Isa, ValidateAcceptsBackwardDeps)
 {
-    Program prog(3);
-    prog[2].deps = {0, 1};
+    Program prog;
+    prog.append(Instr{});
+    prog.append(Instr{});
+    prog.append(Instr{}, {0, 1});
     EXPECT_TRUE(validateProgram(prog));
+}
+
+TEST(Isa, ValidateRejectsTagIdOutsideTable)
+{
+    Program prog;
+    Instr ins;
+    ins.tagId = prog.internTag("fc1");
+    prog.append(ins);
+    EXPECT_TRUE(validateProgram(prog));
+    ins.tagId = static_cast<std::uint32_t>(prog.numTags());
+    prog.append(ins);
+    std::string err;
+    EXPECT_FALSE(validateProgram(prog, &err));
+    EXPECT_NE(err.find("tag id"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------- Executor
@@ -351,6 +399,16 @@ load(Addr addr, Bytes bytes)
     return i;
 }
 
+/** A program of @p instrs in order, none depending on another. */
+Program
+independent(std::initializer_list<Instr> instrs)
+{
+    Program prog;
+    for (const Instr &ins : instrs)
+        prog.append(ins);
+    return prog;
+}
+
 TEST(Accelerator, EmptyProgramZeroTime)
 {
     Accelerator acc(CambriconQConfig::edge());
@@ -361,7 +419,7 @@ TEST(Accelerator, EmptyProgramZeroTime)
 TEST(Accelerator, SingleLoadTakesBandwidthTime)
 {
     Accelerator acc(CambriconQConfig::edge());
-    Program prog{load(0, 1 << 20)};
+    const Program prog = independent({load(0, 1 << 20)});
     const PerfReport r = acc.run(prog);
     // 1 MiB at 17.06 GB/s is ~61 us; allow generous bounds.
     EXPECT_GT(r.totalTicks, 55000u);
@@ -372,14 +430,13 @@ TEST(Accelerator, DependentComputeSerializes)
 {
     Accelerator acc(CambriconQConfig::edge());
     Program prog;
-    prog.push_back(load(0, 4096));
+    prog.append(load(0, 4096));
     Instr mm;
     mm.op = Opcode::MM;
     mm.m = 64;
     mm.n = 64;
     mm.k = 64;
-    mm.deps = {0};
-    prog.push_back(mm);
+    prog.append(mm, {0});
     const PerfReport r = acc.run(prog);
     // The MM can only start after the load.
     PeArray pe(acc.config());
@@ -397,8 +454,9 @@ TEST(Accelerator, IndependentUnitsOverlap)
     mm.n = 64;
     mm.k = 64;
 
-    Program serial{load(0, 1 << 20), load(1 << 20, 1 << 20)};
-    Program overlap{load(0, 1 << 20), mm};
+    const Program serial =
+        independent({load(0, 1 << 20), load(1 << 20, 1 << 20)});
+    const Program overlap = independent({load(0, 1 << 20), mm});
 
     const Tick t_serial = Accelerator(acc.config()).run(serial).totalTicks;
     const Tick t_overlap =
@@ -413,7 +471,7 @@ TEST(Accelerator, WgstoreUsesNdpUnit)
     wgs.op = Opcode::WGSTORE;
     wgs.elems = 100000;
     wgs.bytes = 400000;
-    Program prog{wgs};
+    const Program prog = independent({wgs});
     const PerfReport r = acc.run(prog);
     EXPECT_GT(r.unitBusy[static_cast<std::size_t>(Unit::Ndp)], 0.0);
     EXPECT_EQ(r.activity.get("ndpo.elements"), 100000.0);
@@ -424,7 +482,7 @@ TEST(Accelerator, PhaseAttributionRecorded)
     Accelerator acc(CambriconQConfig::edge());
     Instr l = load(0, 65536);
     l.phase = Phase::NG;
-    Program prog{l};
+    const Program prog = independent({l});
     const PerfReport r = acc.run(prog);
     EXPECT_GT(r.phaseBusy[static_cast<std::size_t>(Phase::NG)], 0.0);
     EXPECT_EQ(r.phaseBusy[static_cast<std::size_t>(Phase::FW)], 0.0);
@@ -438,7 +496,7 @@ TEST(Accelerator, EnergyBreakdownPopulated)
     mm.m = 512;
     mm.n = 512;
     mm.k = 512;
-    Program prog{load(0, 1 << 18), mm};
+    const Program prog = independent({load(0, 1 << 18), mm});
     const PerfReport r = acc.run(prog);
     EXPECT_GT(r.energy.accPj, 0.0);
     EXPECT_GT(r.energy.ddrDynamicPj, 0.0);
@@ -452,8 +510,9 @@ TEST(Accelerator, DeterministicAcrossRuns)
     mm.m = 128;
     mm.n = 128;
     mm.k = 128;
-    mm.deps = {0};
-    Program prog{load(0, 1 << 16), mm};
+    Program prog;
+    prog.append(load(0, 1 << 16));
+    prog.append(mm, {0});
     const Tick t1 =
         Accelerator(CambriconQConfig::edge()).run(prog).totalTicks;
     const Tick t2 =
@@ -475,10 +534,12 @@ TEST(Accelerator, StridedLoadSlowerThanContiguous)
     strided.bytes2 = 8 * 2048;        // one stride = a full bank row set
     strided.buf = BufId::SB;
 
-    const Tick t_c =
-        Accelerator(CambriconQConfig::edge()).run({contiguous}).totalTicks;
-    const Tick t_s =
-        Accelerator(CambriconQConfig::edge()).run({strided}).totalTicks;
+    const Tick t_c = Accelerator(CambriconQConfig::edge())
+                         .run(independent({contiguous}))
+                         .totalTicks;
+    const Tick t_s = Accelerator(CambriconQConfig::edge())
+                         .run(independent({strided}))
+                         .totalTicks;
     EXPECT_GT(t_s, t_c);
 }
 
@@ -489,8 +550,9 @@ TEST(Accelerator, TraceCoversEveryInstruction)
     mm.m = 128;
     mm.n = 128;
     mm.k = 128;
-    mm.deps = {0};
-    Program prog{load(0, 1 << 16), mm};
+    Program prog;
+    prog.append(load(0, 1 << 16));
+    prog.append(mm, {0});
     const PerfReport r =
         Accelerator(CambriconQConfig::edge()).run(prog, true);
     ASSERT_EQ(r.trace.size(), prog.size());
@@ -513,21 +575,19 @@ TEST(Accelerator, TraceUnitsNeverOverlap)
     // Alternate loads/stores/computes with dependencies.
     for (int i = 0; i < 20; ++i) {
         Instr l = load(static_cast<Addr>(i) * 4096, 4096);
-        prog.push_back(l);
+        const std::uint32_t l_idx = prog.append(l);
         Instr mm;
         mm.op = Opcode::MM;
         mm.m = 64;
         mm.n = 64;
         mm.k = 64;
-        mm.deps = {static_cast<std::uint32_t>(prog.size() - 1)};
-        prog.push_back(mm);
+        const std::uint32_t mm_idx = prog.append(mm, {l_idx});
         Instr st;
         st.op = Opcode::QSTORE;
         st.addr = 0x100000 + static_cast<Addr>(i) * 4096;
         st.bytes = 4096;
         st.elems = 4096;
-        st.deps = {static_cast<std::uint32_t>(prog.size() - 1)};
-        prog.push_back(st);
+        prog.append(st, {mm_idx});
     }
     const PerfReport r =
         Accelerator(CambriconQConfig::edge()).run(prog, true);
@@ -552,8 +612,9 @@ TEST(Accelerator, TraceDependenciesRespected)
     mm.m = 32;
     mm.n = 32;
     mm.k = 32;
-    mm.deps = {0};
-    Program prog{l, mm};
+    Program prog;
+    prog.append(l);
+    prog.append(mm, {0});
     const PerfReport r =
         Accelerator(CambriconQConfig::edge()).run(prog, true);
     Tick load_end = 0, mm_start = 0;
@@ -582,19 +643,21 @@ TEST(Accelerator, SameTickCompletionsRunInStartOrder)
     Instr sfu;    // 1: Sfu, ticks 0..T
     sfu.op = Opcode::SFU;
     sfu.elems = t * cfg.sfuElemsPerCycle;
-    Instr vadd;   // 2: Pe, ticks 4..T
+    Instr vadd;   // 2: Pe, ticks 4..T, after the CROSET
     vadd.op = Opcode::VADD;
     vadd.elems = vecElems;
-    vadd.deps = {0};
     Instr ld = load(0, 4096); // 3: DmaLoad, after the SFU op
-    ld.deps = {1};
     Instr st;                 // 4: DmaStore, after the vector op
     st.op = Opcode::VSTORE;
     st.addr = 1 << 20;
     st.bytes = 4096;
-    st.deps = {2};
-    const PerfReport r = Accelerator(cfg).run(
-        {croset, sfu, vadd, ld, st}, true);
+    Program prog;
+    prog.append(croset);
+    prog.append(sfu);
+    prog.append(vadd, {0});
+    prog.append(ld, {1});
+    prog.append(st, {2});
+    const PerfReport r = Accelerator(cfg).run(prog, true);
 
     ASSERT_EQ(r.trace.size(), 5u);
     std::size_t at[5] = {};
@@ -617,13 +680,13 @@ TEST(Accelerator, QbcRequantsCountedOnWgGemms)
     mm.n = 64;
     mm.k = 64;
     const PerfReport r =
-        Accelerator(CambriconQConfig::edge()).run({mm});
+        Accelerator(CambriconQConfig::edge()).run(independent({mm}));
     EXPECT_GT(r.activity.get("qbc.requants"), 0.0);
 
     Instr fw = mm;
     fw.phase = Phase::FW;
     const PerfReport r2 =
-        Accelerator(CambriconQConfig::edge()).run({fw});
+        Accelerator(CambriconQConfig::edge()).run(independent({fw}));
     EXPECT_EQ(r2.activity.get("qbc.requants"), 0.0);
 }
 

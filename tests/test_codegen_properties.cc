@@ -143,6 +143,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------- ISA round trip
 
+/** Every architectural field of @p got equals that of @p want. */
+void
+expectSameFields(const arch::Instr &got, const arch::Instr &want)
+{
+    EXPECT_EQ(got.op, want.op);
+    EXPECT_EQ(got.phase, want.phase);
+    EXPECT_EQ(got.buf, want.buf);
+    EXPECT_EQ(got.addr, want.addr);
+    EXPECT_EQ(got.addr2, want.addr2);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.bytes2, want.bytes2);
+    EXPECT_EQ(got.m, want.m);
+    EXPECT_EQ(got.n, want.n);
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.bitsA, want.bitsA);
+    EXPECT_EQ(got.bitsB, want.bitsB);
+    EXPECT_EQ(got.elems, want.elems);
+    EXPECT_EQ(got.ways, want.ways);
+}
+
 TEST(IsaEncoding, RoundTripsEveryField)
 {
     arch::Instr ins;
@@ -161,38 +181,29 @@ TEST(IsaEncoding, RoundTripsEveryField)
     ins.elems = (1ull << 40) + 5;
     ins.ways = 4;
 
-    const arch::Instr back =
-        arch::decodeInstr(arch::encodeInstr(ins));
-    EXPECT_EQ(back.op, ins.op);
-    EXPECT_EQ(back.phase, ins.phase);
-    EXPECT_EQ(back.buf, ins.buf);
-    EXPECT_EQ(back.addr, ins.addr);
-    EXPECT_EQ(back.addr2, ins.addr2);
-    EXPECT_EQ(back.bytes, ins.bytes);
-    EXPECT_EQ(back.bytes2, ins.bytes2);
-    EXPECT_EQ(back.m, ins.m);
-    EXPECT_EQ(back.n, ins.n);
-    EXPECT_EQ(back.k, ins.k);
-    EXPECT_EQ(back.bitsA, ins.bitsA);
-    EXPECT_EQ(back.bitsB, ins.bitsB);
-    EXPECT_EQ(back.elems, ins.elems);
-    EXPECT_EQ(back.ways, ins.ways);
+    expectSameFields(arch::decodeInstr(arch::encodeInstr(ins)), ins);
 }
 
 TEST(IsaEncoding, WholeProgramRoundTrips)
 {
     const auto ir = compiler::buildTinyCnn();
-    const auto cfg = arch::CambriconQConfig::edge();
-    const auto prog =
-        compiler::generateProgram(ir, cfg, CodegenOptions{});
-    for (const auto &ins : prog) {
-        const arch::Instr back =
-            arch::decodeInstr(arch::encodeInstr(ins));
-        EXPECT_EQ(back.op, ins.op);
-        EXPECT_EQ(back.addr, ins.addr);
-        EXPECT_EQ(back.bytes, ins.bytes);
-        EXPECT_EQ(back.elems, ins.elems);
-        EXPECT_EQ(back.m, ins.m);
+    CodegenOptions tpu;
+    tpu.target = CodegenOptions::Target::Tpu;
+    const arch::Program progs[] = {
+        compiler::generateProgram(ir, arch::CambriconQConfig::edge(),
+                                  CodegenOptions{}),
+        compiler::generateProgram(ir, baseline::tpuConfig(), tpu)};
+    for (const arch::Program &prog : progs) {
+        ASSERT_GT(prog.size(), 0u);
+        for (std::size_t i = 0; i < prog.size(); ++i) {
+            SCOPED_TRACE("instr " + std::to_string(i));
+            const arch::EncodedInstr enc = arch::encodeInstr(prog[i]);
+            const arch::Instr back = arch::decodeInstr(enc);
+            expectSameFields(back, prog[i]);
+            const arch::EncodedInstr again = arch::encodeInstr(back);
+            for (int w = 0; w < 8; ++w)
+                EXPECT_EQ(again.words[w], enc.words[w]) << "word " << w;
+        }
     }
 }
 

@@ -14,6 +14,7 @@
 #include "baseline/gpu_model.h"
 #include "baseline/tpu_sim.h"
 #include "common/crc32.h"
+#include "common/threadpool.h"
 #include "compiler/codegen.h"
 #include "compiler/workloads.h"
 
@@ -299,6 +300,37 @@ TEST(Integration, DeterministicSimulation)
     EXPECT_EQ(t1, t2);
 }
 
+// A const Program carries no lazily built state, so pool threads may
+// simulate one program at once; the tsan job runs this suite. The
+// program's first runs are the concurrent ones, so state a run built
+// inside it on first use would be raced on.
+TEST(SharedProgram, ConcurrentRunsEqualSerialRun)
+{
+    const arch::CambriconQConfig cfg = arch::CambriconQConfig::edge();
+    const arch::Program prog =
+        generateProgram(buildTinyCnn(), cfg, CodegenOptions{});
+
+    constexpr std::size_t kTasks = 4;
+    std::vector<arch::PerfReport> reports(kTasks);
+    ThreadPool::instance().setNumThreads(kTasks);
+    parallelFor(0, kTasks, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t t = lo; t < hi; ++t)
+            reports[t] = arch::Accelerator(cfg).run(prog);
+    });
+    ThreadPool::instance().setNumThreads(0); // restore default
+
+    const arch::PerfReport serial = arch::Accelerator(cfg).run(prog);
+
+    for (const arch::PerfReport &r : reports) {
+        EXPECT_EQ(r.totalTicks, serial.totalTicks);
+        for (const char *c : {"dram.reads", "dram.writes", "dram.busBytes"})
+            EXPECT_EQ(r.activity.get(c), serial.activity.get(c)) << c;
+        EXPECT_EQ(r.energy.totalPj(), serial.energy.totalPj());
+        EXPECT_EQ(r.phaseBusy, serial.phaseBusy);
+        EXPECT_EQ(r.unitBusy, serial.unitBusy);
+    }
+}
+
 // ---------------------------------------------------------------- GPU
 
 TEST(GpuModel, QuantizedSlowerThanFp32OnGpu)
@@ -506,13 +538,13 @@ std::uint32_t
 programDigest(const arch::Program &prog)
 {
     Digest d;
-    for (const auto &ins : prog) {
-        for (std::uint64_t w : arch::encodeInstr(ins).words)
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+        for (std::uint64_t w : arch::encodeInstr(prog[i]).words)
             d.word(w);
-        d.word(ins.deps.size());
-        for (std::uint32_t dep : ins.deps)
+        d.word(prog.deps(i).size());
+        for (std::uint32_t dep : prog.deps(i))
             d.word(dep);
-        d.text(ins.tag);
+        d.text(prog.tag(i));
         d.crc();
     }
     return d.crc();

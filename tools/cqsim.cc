@@ -921,7 +921,8 @@ main(int argc, char **argv)
                     std::min(disasm, prog.size()));
         for (std::size_t i = 0; i < std::min(disasm, prog.size());
              ++i)
-            std::printf("  %6zu: %s\n", i, prog[i].toString().c_str());
+            std::printf("  %6zu: %s\n", i,
+                        prog[i].toString(prog.tag(i)).c_str());
     }
 
     arch::Accelerator acc(cfg);
