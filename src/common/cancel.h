@@ -2,13 +2,12 @@
  * @file
  * Cooperative cancellation token.
  *
- * The serving layer (src/serve/) needs to stop a running job without
- * tearing its state: deadlines, load shedding and graceful shutdown
- * all reduce to "please stop at the next safe point". A CancelToken
- * carries that request. Producers (scheduler watchdog, signal
- * handler-adjacent drain logic, admission control) call cancel() with
- * a typed reason or arm a wall-clock deadline; the consumer (the
- * QuantTrainer step loop, sweep iterations) polls cancelled() at step
+ * Stopping a running training leg without tearing its state: a
+ * deadline, an operator request and graceful shutdown all reduce to
+ * "please stop at the next safe point". A CancelToken carries that
+ * request. Producers (a caller, the fault sweep's per-trial deadline)
+ * call cancel() with a typed reason or arm a wall-clock deadline; the
+ * consumer (the QuantTrainer step loop) polls cancelled() at step
  * boundaries only. Because the poll sites are step boundaries, a
  * cancelled training run stops exactly where a checkpoint is
  * consistent — cancellation never produces a torn snapshot, and the
@@ -40,8 +39,6 @@ enum class CancelReason : int
     Deadline,
     /** The process is draining for shutdown (SIGTERM/SIGINT). */
     Shutdown,
-    /** Load shedding evicted the owner under overload. */
-    Shed,
 };
 
 inline const char *
@@ -56,8 +53,6 @@ cancelReasonName(CancelReason r)
         return "deadline";
     case CancelReason::Shutdown:
         return "shutdown";
-    case CancelReason::Shed:
-        return "shed";
     }
     return "?";
 }
@@ -136,14 +131,6 @@ class CancelToken
     {
         return static_cast<CancelReason>(
             reason_.load(std::memory_order_relaxed));
-    }
-
-    /** Re-arm for a fresh attempt (retry of a transiently failed
-     *  job). Clears the reason but keeps the deadline: a retried job
-     *  still runs under its original deadline. */
-    void resetForRetry()
-    {
-        reason_.store(0, std::memory_order_relaxed);
     }
 
   private:

@@ -24,8 +24,7 @@ namespace cq::fp {
 
 namespace {
 
-/** splitmix64 — the same deterministic mixer the serve retry jitter
- *  uses; good avalanche for (seed, site, index) hashing. */
+/** splitmix64 — good avalanche for (seed, site, index) hashing. */
 std::uint64_t
 splitmix64(std::uint64_t x)
 {
@@ -284,10 +283,6 @@ Registry::declaredSites()
         // latch the server's sticky degraded-drop mode.
         "obs.http.accept",
         "obs.http.write",
-        // Serve report writer (retry + dead-letter policy).
-        "serve.report.open",
-        "serve.report.write",
-        "serve.report.close",
         // Bench trajectory writer (typed error propagation).
         "bench.json.open",
         "bench.json.write",

@@ -40,7 +40,7 @@
  *
  * The canonical site list lives in declaredSites(); the fault-sweep
  * tool (tools/cq_faultsweep) enumerates it, fires every entry inside
- * short train/serve/dist runs, and treats a site that is hit or
+ * short train/dist/bench runs, and treats a site that is hit or
  * configured but not declared as a build failure — so an undeclared
  * failure path cannot silently join the codebase.
  */
@@ -256,7 +256,7 @@ evaluate(const std::string &site, std::uint64_t bytes = 0)
 /**
  * Failpoint check macro for code-level (non-I/O-seam) sites:
  *
- *   if (auto fpo = CQ_FAILPOINT("serve.job.alloc")) { ...typed error... }
+ *   if (auto fpo = CQ_FAILPOINT("obs.http.accept")) { ...typed error... }
  */
 #define CQ_FAILPOINT(site) (::cq::fp::evaluate((site)))
 #define CQ_FAILPOINT_BYTES(site, bytes) (::cq::fp::evaluate((site), (bytes)))

@@ -70,8 +70,8 @@ long long fileSize(const std::string &path);
  * Failpoint-aware stdio/POSIX wrappers — the injectable I/O seam.
  *
  * Every persistence and sink write in the repository (checkpoint
- * bodies, manifests, telemetry/trace/metrics outputs, serve reports,
- * bench trajectories) goes through these instead of raw stdio, each
+ * bodies, manifests, telemetry/trace/metrics outputs, bench
+ * trajectories) goes through these instead of raw stdio, each
  * call naming the failpoint site that guards it. With nothing armed
  * they forward straight to the real call; an armed site makes the
  * wrapper fail exactly as the kernel would (errno set, short count,

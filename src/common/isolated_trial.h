@@ -9,8 +9,8 @@
  * their one fork site. The child leaves through std::exit, so
  * LeakSanitizer still checks it; the parent SIGKILLs a child that
  * overruns its deadline. ThreadSanitizer cannot follow fork() in a
- * threaded process, so code that runs under tsan (cq_servetest)
- * keeps its trials in-process.
+ * threaded process, so the suites that run under tsan keep their
+ * trials in-process.
  */
 
 #ifndef CQ_COMMON_ISOLATED_TRIAL_H

@@ -86,7 +86,7 @@ class Value
 
 /**
  * Typed failure class, so callers can distinguish a malformed
- * document from a resource-limit rejection (a deeply nested job file
+ * document from a resource-limit rejection (a deeply nested document
  * must fail as TooDeep, not blow the parser's stack) and from I/O
  * trouble before any byte was parsed.
  */

@@ -2,13 +2,12 @@
  * @file
  * Async-signal-safe shutdown request flag with escalation.
  *
- * Long training runs and the job server must survive operator
- * interrupts the way they survive faults: the first SIGTERM or SIGINT
- * should produce a clean drain (final synchronous checkpoints, typed
- * job cancellation, then exit), not a torn process image. The handler
- * installed here only sets a flag; training loops poll it at step
- * boundaries (QuantTrainer::stopRequested()) and the serve loop polls
- * it between scheduler ticks, where a consistent snapshot can be
+ * Long training runs must survive operator interrupts the way they
+ * survive faults: the first SIGTERM or SIGINT should produce a clean
+ * drain (a final synchronous checkpoint, then exit), not a torn
+ * process image. The handler installed here only sets a flag;
+ * training loops poll it at step boundaries
+ * (QuantTrainer::stopRequested()), where a consistent snapshot can be
  * taken.
  *
  * Escalation: a *second* SIGTERM/SIGINT while the first drain is

@@ -80,16 +80,15 @@ class ThreadPool
     /**
      * @name Per-caller width cap (graceful degradation)
      *
-     * The serving layer shrinks a job's thread allocation before it
-     * rejects work: a scheduler worker sets a thread-local cap and
-     * every parallelFor issued from that thread then fans out over at
-     * most that many chunks (cap 1 runs inline, without touching the
-     * shared workers at all — an overloaded pool stops being a
-     * contention point). Because chunk boundaries are a static
-     * function of the effective width and every kernel is bitwise
-     * identical at any width (the 1-vs-N determinism contract),
-     * capping a caller changes *when* its work finishes, never *what*
-     * it computes.
+     * A caller can bound its own share of the pool: it sets a
+     * thread-local cap and every parallelFor issued from that thread
+     * then fans out over at most that many chunks (cap 1 runs inline,
+     * without touching the shared workers at all — an overloaded pool
+     * stops being a contention point). Because chunk boundaries are a
+     * static function of the effective width and every kernel is
+     * bitwise identical at any width (the 1-vs-N determinism
+     * contract), capping a caller changes *when* its work finishes,
+     * never *what* it computes.
      */
     /** @{ */
     /** Cap parallelFor fan-out for the calling thread; 0 removes the

@@ -3,9 +3,9 @@
  * Canonical multi-chip training leg: N spiral-MLP replicas under the
  * lock-step coordinator, with seeded fault plans and elastic
  * checkpoint/resume. This is the packaging every consumer shares —
- * tests, cqsim --chips, the serve train_dist job, and the
- * scaleout_allreduce bench all run exactly this leg, so a failure
- * reproduces identically from any of them given the same config.
+ * tests, cqsim --chips and the scaleout_allreduce bench all run
+ * exactly this leg, so a failure reproduces identically from any of
+ * them given the same config.
  *
  * Each chip builds the SAME network (same init seed) and its own
  * QuantTrainer (HQT policy, Adam); the single shared SpiralDataset is

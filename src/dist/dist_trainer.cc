@@ -316,7 +316,7 @@ DistTrainer::run()
                 lo += rows[k];
                 // Chip attribution: every span/telemetry record of
                 // this shard's work lands on the chip's Perfetto
-                // track (and inherits any serve-job labels).
+                // track.
                 obs::ObsContextScope chipCtx(
                     static_cast<int>(alive[k]));
                 CQ_TRACE_SCOPE("dist.chip_step");

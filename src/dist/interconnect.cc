@@ -98,8 +98,8 @@ Interconnect::send(std::size_t src, std::size_t dst,
         sizeof(FrameHeader) + payload.size();
     for (unsigned attempt = 0;
          attempt <= config_.maxRetransmits; ++attempt) {
-        // Collective wait loops must stay cancellable: a job deadline
-        // or SIGTERM drain fires here, mid-all-reduce, instead of
+        // Collective wait loops must stay cancellable: a deadline or
+        // SIGTERM drain fires here, mid-all-reduce, instead of
         // waiting for the step boundary.
         if (cancel != nullptr && cancel->cancelled()) {
             out.cancelled = true;

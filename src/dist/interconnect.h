@@ -107,8 +107,8 @@ class Interconnect
      * @p payload (a corrupted frame is never surfaced — the CRC
      * catches it and the retransmit path replaces it).
      *
-     * @p cancel (nullable) is polled every attempt, so a job deadline
-     * or SIGTERM drain fires *inside* a collective wait loop, not
+     * @p cancel (nullable) is polled every attempt, so a deadline or
+     * SIGTERM drain fires *inside* a collective wait loop, not
      * only at step boundaries.
      */
     SendOutcome send(std::size_t src, std::size_t dst,

@@ -35,6 +35,8 @@ intAdd(int bits)
       case 8:  return kInt8Add;
       case 12: return (kInt8Add + kInt16Add) / 2.0;
       case 16: return kInt16Add;
+      // The INT12 MAC's accumulate (DESIGN.md §4.3).
+      case 24: return (kInt16Add + kInt32Add) / 2.0;
       case 32: return kInt32Add;
       default: panic("intAdd: unsupported width %d", bits);
     }

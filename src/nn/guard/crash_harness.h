@@ -60,10 +60,10 @@ struct CrashHarnessConfig
     bool handleSignals = false;
 
     /**
-     * Cooperative cancellation (not owned; may be nullptr). The job
-     * server threads each job's token through here so deadlines, load
-     * shedding and drain cancel a leg at the next step boundary with
-     * a final checkpoint (result.stopRequested + result.cancelled).
+     * Cooperative cancellation (not owned; may be nullptr). A caller
+     * threads its token through here so a deadline or an explicit
+     * cancel stops the leg at the next step boundary with a final
+     * checkpoint (result.stopRequested + result.cancelled).
      */
     cq::CancelToken *cancel = nullptr;
 

@@ -450,13 +450,7 @@ QuantTrainer::emitStepTelemetry(double loss, double grad_max_abs)
         return;
     obs::StepTelemetry rec;
     rec.step = step_;
-    {
-        const obs::ObsContext ctx =
-            obs::obsContextById(obs::currentContextId());
-        rec.jobId = ctx.jobId;
-        rec.tenant = ctx.tenant;
-        rec.chipId = ctx.chipId;
-    }
+    rec.chipId = obs::chipOfContext(obs::currentContextId());
     rec.loss = loss;
     rec.gradMaxAbs = grad_max_abs;
     rec.discarded = lastStepDiscarded_;

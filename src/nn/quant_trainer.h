@@ -110,7 +110,7 @@ struct ResilienceConfig
     /**
      * Cooperative cancellation (not owned; may be nullptr). Polled at
      * the same step boundary as the signal flag: when the token is
-     * cancelled (deadline passed, job shed, server draining), the
+     * cancelled (deadline passed, caller request, shutdown), the
      * trainer writes one final synchronous checkpoint and reports
      * through stopRequested(), exactly like a handled SIGTERM. The
      * poll site keeps cancellation deterministic: the steps completed

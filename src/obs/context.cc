@@ -1,68 +1,11 @@
 #include "obs/context.h"
 
-#include <deque>
-#include <map>
-#include <mutex>
-#include <tuple>
-
 namespace cq::obs {
 
 namespace detail {
 thread_local std::uint32_t tlsCtxId = 0;
 thread_local std::uint32_t tlsStep = 0;
 } // namespace detail
-
-namespace {
-
-/**
- * The intern table. A deque keeps element addresses stable so
- * obsContextById can copy without holding references across growth;
- * the map keys are owned by the deque entries. Leaky-singleton
- * lifetime like TraceSession/MetricRegistry: threads may intern
- * during static destruction.
- */
-struct InternTable {
-    std::mutex mutex;
-    std::deque<ObsContext> contexts;          // index i <-> ctxId i+1
-    std::map<std::tuple<std::string, std::string, int>, std::uint32_t> ids;
-};
-
-InternTable &
-table()
-{
-    static InternTable *t = new InternTable();
-    return *t;
-}
-
-} // namespace
-
-std::uint32_t
-internObsContext(const std::string &jobId, const std::string &tenant,
-                 int chipId)
-{
-    InternTable &t = table();
-    std::lock_guard<std::mutex> lock(t.mutex);
-    auto key = std::make_tuple(jobId, tenant, chipId);
-    auto it = t.ids.find(key);
-    if (it != t.ids.end())
-        return it->second;
-    t.contexts.push_back(ObsContext{jobId, tenant, chipId});
-    const auto id = static_cast<std::uint32_t>(t.contexts.size());
-    t.ids.emplace(std::move(key), id);
-    return id;
-}
-
-ObsContext
-obsContextById(std::uint32_t id)
-{
-    if (id == 0)
-        return {};
-    InternTable &t = table();
-    std::lock_guard<std::mutex> lock(t.mutex);
-    if (id > t.contexts.size())
-        return {};
-    return t.contexts[id - 1];
-}
 
 std::uint64_t
 currentObsFrame()
@@ -84,28 +27,15 @@ ObsFrameScope::~ObsFrameScope()
     detail::tlsStep = prevStep_;
 }
 
-ObsContextScope::ObsContextScope(const std::string &jobId,
-                                 const std::string &tenant)
-    : prevCtx_(detail::tlsCtxId), prevStep_(detail::tlsStep),
-      resetStep_(true)
-{
-    detail::tlsCtxId = internObsContext(jobId, tenant, -1);
-    detail::tlsStep = 0;
-}
-
 ObsContextScope::ObsContextScope(int chipId)
-    : prevCtx_(detail::tlsCtxId), prevStep_(detail::tlsStep),
-      resetStep_(false)
+    : prevCtx_(detail::tlsCtxId)
 {
-    const ObsContext cur = obsContextById(detail::tlsCtxId);
-    detail::tlsCtxId = internObsContext(cur.jobId, cur.tenant, chipId);
+    detail::tlsCtxId = static_cast<std::uint32_t>(chipId + 1);
 }
 
 ObsContextScope::~ObsContextScope()
 {
     detail::tlsCtxId = prevCtx_;
-    if (resetStep_)
-        detail::tlsStep = prevStep_;
 }
 
 } // namespace cq::obs

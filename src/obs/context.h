@@ -1,17 +1,13 @@
 /**
  * @file
- * Cross-layer trace context: thread-local attribution labels
- * (jobId, tenant, chipId, step) that every span and telemetry record
- * picks up implicitly, so a Perfetto trace or a Prometheus scrape of a
- * multi-tenant serve run can answer "whose work was this?".
+ * Cross-layer trace context: thread-local attribution labels (chipId,
+ * step) that every span and telemetry record picks up implicitly, so a
+ * Perfetto trace of an N-chip run can answer "which chip did this?".
  *
- * Contexts are interned into a process-global table and referenced by
- * a small integer id (0 = no context), so the hot tracing path stores
- * 8 extra bytes per span instead of strings. Scopes nest: a dist chip
- * scope opened inside a serve job scope inherits the job's id/tenant
- * and adds its chipId. `parallelFor` transfers the caller's frame
- * (ctxId + step) to pool workers so `pool.chunk` spans stay
- * attributed.
+ * A context is a small integer (0 = no context, else chipId + 1), so
+ * the hot tracing path stores 8 extra bytes per span instead of
+ * strings. `parallelFor` transfers the caller's frame (ctxId + step)
+ * to pool workers so `pool.chunk` spans stay attributed.
  *
  * Like the rest of src/obs, this is observation-only state: scopes
  * never feed back into training math, so the bitwise obs-on/off
@@ -20,27 +16,26 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace cq::obs {
-
-/** A resolved attribution context. chipId < 0 means "not chip work". */
-struct ObsContext {
-    std::string jobId;
-    std::string tenant;
-    int chipId = -1;
-};
 
 namespace detail {
 extern thread_local std::uint32_t tlsCtxId;
 extern thread_local std::uint32_t tlsStep;
 } // namespace detail
 
-/** Interned id of the calling thread's context; 0 = none. */
+/** Id of the calling thread's context: chipId + 1; 0 = none. */
 inline std::uint32_t
 currentContextId()
 {
     return detail::tlsCtxId;
+}
+
+/** Chip index of a context id; -1 for 0 ("not chip work"). */
+inline int
+chipOfContext(std::uint32_t ctxId)
+{
+    return static_cast<int>(ctxId) - 1;
 }
 
 /** The calling thread's current training step (0 before any step). */
@@ -56,16 +51,6 @@ setObsStep(std::uint64_t step)
 {
     detail::tlsStep = static_cast<std::uint32_t>(step);
 }
-
-/**
- * Intern (jobId, tenant, chipId) and return its id. Identical triples
- * always map to the same id; id 0 is reserved for "no context".
- */
-std::uint32_t internObsContext(const std::string &jobId,
-                               const std::string &tenant, int chipId);
-
-/** Copy of the interned context for `id` ({} for 0 / unknown ids). */
-ObsContext obsContextById(std::uint32_t id);
 
 /** Caller's (ctxId, step) packed for hand-off to another thread. */
 std::uint64_t currentObsFrame();
@@ -84,14 +69,12 @@ class ObsFrameScope {
 };
 
 /**
- * RAII attribution scope. The job form labels everything on this
- * thread with (jobId, tenant) and resets the step counter; the chip
- * form inherits jobId/tenant from the current context and adds a
- * chipId (used per chip inside dist_trainer / the collective).
+ * RAII attribution scope: labels everything on this thread with a
+ * chipId (used per chip inside dist_trainer / the collective). The
+ * step label is left alone.
  */
 class ObsContextScope {
   public:
-    ObsContextScope(const std::string &jobId, const std::string &tenant);
     explicit ObsContextScope(int chipId);
     ~ObsContextScope();
     ObsContextScope(const ObsContextScope &) = delete;
@@ -99,8 +82,6 @@ class ObsContextScope {
 
   private:
     std::uint32_t prevCtx_;
-    std::uint32_t prevStep_;
-    bool resetStep_;
 };
 
 } // namespace cq::obs

@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON writing helpers shared by the observability exporters
  * (Chrome trace events, metric snapshots, telemetry JSONL). Writing
- * only: reading JSON (gate files, serve job files, tests) goes through
+ * only: reading JSON (gate files, tests) goes through
  * the strict parser in src/common/json.{h,cc}.
  */
 

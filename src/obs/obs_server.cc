@@ -21,6 +21,9 @@ namespace cq::obs {
 
 namespace {
 
+/** /trace window when the request has no last_ms. */
+constexpr std::uint64_t kTraceDefaultLastMs = 5000;
+
 Counter &
 requestsCounter()
 {
@@ -240,25 +243,15 @@ ObsServer::routeRequest(const std::string &rawHead, int &statusOut,
     }
 
     try {
-        if (req.path == "/metrics" || req.path == "/metrics.json") {
-            // Owned snapshots: the provider copies under its own
-            // locks, then we point the exporter at our copies.
-            std::vector<StatGroup> groups;
-            if (config_.bridged)
-                groups = config_.bridged();
-            std::vector<const StatGroup *> ptrs;
-            ptrs.reserve(groups.size());
-            for (const StatGroup &g : groups)
-                ptrs.push_back(&g);
-            if (req.path == "/metrics") {
-                statusOut = 200;
-                contentTypeOut =
-                    "text/plain; version=0.0.4; charset=utf-8";
-                return MetricRegistry::instance().promText(ptrs);
-            }
+        if (req.path == "/metrics") {
+            statusOut = 200;
+            contentTypeOut = "text/plain; version=0.0.4; charset=utf-8";
+            return MetricRegistry::instance().promText();
+        }
+        if (req.path == "/metrics.json") {
             statusOut = 200;
             contentTypeOut = "application/json";
-            return MetricRegistry::instance().jsonText(ptrs);
+            return MetricRegistry::instance().jsonText();
         }
         if (req.path == "/healthz") {
             std::string body = "{\"status\":\"ok\",\"uptime_ms\":";
@@ -282,16 +275,9 @@ ObsServer::routeRequest(const std::string &rawHead, int &statusOut,
             contentTypeOut = "application/json";
             return body;
         }
-        if (req.path == "/jobs") {
-            statusOut = 200;
-            contentTypeOut = "application/json";
-            return config_.jobsJson ? config_.jobsJson()
-                                    : std::string("{\"jobs\":[]}");
-        }
         if (req.path == "/trace") {
             const std::string lastMsStr = httpQueryParam(
-                req, "last_ms",
-                std::to_string(config_.traceDefaultLastMs));
+                req, "last_ms", std::to_string(kTraceDefaultLastMs));
             char *end = nullptr;
             const unsigned long long lastMs =
                 std::strtoull(lastMsStr.c_str(), &end, 10);

@@ -2,21 +2,21 @@
  * @file
  * The live observability plane: a dependency-free blocking-accept
  * HTTP/1.0 server on one dedicated thread, serving the process's
- * metrics, health, job table, and recent trace spans while a run is
- * in flight (DESIGN.md §6).
+ * metrics, health and recent trace spans while a run is in flight
+ * (DESIGN.md §6).
  *
  * Endpoints:
  *
- *   GET /metrics        Prometheus text exposition (+ bridged groups)
+ *   GET /metrics        Prometheus text exposition
  *   GET /metrics.json   same snapshot as JSON
  *   GET /healthz        {"status","uptime_ms","degraded","components"}
- *   GET /jobs           scheduler job table (serve mode; else empty)
  *   GET /trace?last_ms=N  recent host spans as Chrome trace JSON
+ *                       (last 5000 ms when last_ms is absent)
  *
  * Failure policy — scraping must never abort or perturb the run:
  *
  *  - All reads are snapshots of thread-safe state (MetricRegistry,
- *    TraceSession, provider callbacks returning owned copies); the
+ *    TraceSession, health callbacks returning owned copies); the
  *    server owns no training state.
  *  - Socket I/O runs through the failpoint seam (`obs.http.accept`,
  *    `obs.http.write`). An *injected* failure — modeling a broken
@@ -37,30 +37,22 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
-
 namespace cq::obs {
 
 /**
- * Callbacks wiring the server to whatever the process is running.
- * All are optional and must be thread-safe: they are invoked from the
- * server thread while the run proceeds, so they should return owned
- * snapshots (StatGroup copies, rendered JSON strings), never
- * references into mutating state.
+ * Wiring the server to whatever the process is running. The health
+ * callbacks are optional and must be thread-safe: they are invoked
+ * from the server thread while the run proceeds, so they should
+ * return owned snapshots (rendered JSON strings), never references
+ * into mutating state.
  */
 struct ObsServerConfig {
     /** Port to bind on 127.0.0.1; 0 = ephemeral (read back via
      *  port()). */
     int port = 0;
-    /** Extra StatGroup snapshots merged into /metrics[.json]. */
-    std::function<std::vector<StatGroup>()> bridged;
-    /** Body of /jobs (a JSON object). Unset: {"jobs":[]}. */
-    std::function<std::string()> jobsJson;
     /** Named /healthz components; each returns one JSON value. */
     std::vector<std::pair<std::string, std::function<std::string()>>>
         health;
-    /** Default /trace window when last_ms is absent. */
-    std::uint64_t traceDefaultLastMs = 5000;
 };
 
 class ObsServer {

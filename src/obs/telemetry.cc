@@ -21,14 +21,6 @@ StepTelemetry::toJson() const
     out.reserve(512);
     out += "{\"step\":";
     out += std::to_string(step);
-    if (!jobId.empty()) {
-        out += ",\"job\":";
-        appendJsonString(out, jobId);
-    }
-    if (!tenant.empty()) {
-        out += ",\"tenant\":";
-        appendJsonString(out, tenant);
-    }
     if (chipId >= 0) {
         out += ",\"chip\":";
         out += std::to_string(chipId);

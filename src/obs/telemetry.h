@@ -27,14 +27,10 @@ struct StepTelemetry
 {
     std::uint64_t step = 0;
     double loss = 0.0;
-    /** @name Attribution labels (obs/context.h; empty = unattributed)
-     *  Filled from the recording thread's ObsContext so a shared
-     *  telemetry stream can be split per serve job / tenant / chip. */
-    /** @{ */
-    std::string jobId;
-    std::string tenant;
+    /** Chip label of the recording thread's context (obs/context.h;
+     *  -1 = not chip work), so a shared telemetry stream can be split
+     *  per chip. */
     int chipId = -1;
-    /** @} */
     /** Max |dW| across every weight-gradient tensor of the step. */
     double gradMaxAbs = 0.0;
     /** True when a guard trip discarded the step's update. */

@@ -60,7 +60,7 @@ struct HostSpan
     const char *name;
     std::uint64_t startNs;
     std::uint64_t endNs;
-    /** Interned attribution context at record time (0 = none). */
+    /** Attribution context at record time (chipId + 1; 0 = none). */
     std::uint32_t ctxId;
     /** Training step label at record time (0 = before any step). */
     std::uint32_t step;
@@ -257,21 +257,8 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
         first = false;
     };
 
-    // Contexts are resolved once per distinct ctxId; the intern table
-    // has its own mutex, so the copies are taken up front.
-    std::map<std::uint32_t, ObsContext> ctxCache;
-    const auto ctxOf = [&](std::uint32_t id) -> const ObsContext & {
-        auto it = ctxCache.find(id);
-        if (it == ctxCache.end())
-            it = ctxCache.emplace(id, obsContextById(id)).first;
-        return it->second;
-    };
     const auto keep = [&](const HostSpan &s) {
-        if (filter.sinceNs != 0 && s.endNs < filter.sinceNs)
-            return false;
-        if (!filter.jobId.empty() && ctxOf(s.ctxId).jobId != filter.jobId)
-            return false;
-        return true;
+        return filter.sinceNs == 0 || s.endNs >= filter.sinceNs;
     };
 
     // Process/thread naming metadata so Perfetto shows labeled tracks.
@@ -297,8 +284,8 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
         for (const HostSpan &s : buf.spans) {
             if (!keep(s))
                 continue;
-            const ObsContext &ctx = ctxOf(s.ctxId);
-            const bool chipTrack = ctx.chipId >= 0;
+            const int chipId = chipOfContext(s.ctxId);
+            const bool chipTrack = chipId >= 0;
             if (chipTrack) {
                 if (!chipProcessNamed) {
                     chipProcessNamed = true;
@@ -307,14 +294,14 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
                            "\"pid\":3,\"tid\":0,\"args\":{\"name\":"
                            "\"cambricon-q chips\"}}";
                 }
-                if (!chipTrackNamed[ctx.chipId]) {
-                    chipTrackNamed[ctx.chipId] = true;
+                if (!chipTrackNamed[chipId]) {
+                    chipTrackNamed[chipId] = true;
                     comma();
                     out += "{\"name\":\"thread_name\",\"ph\":\"M\","
                            "\"pid\":3,\"tid\":";
-                    out += std::to_string(ctx.chipId);
+                    out += std::to_string(chipId);
                     out += ",\"args\":{\"name\":\"chip-";
-                    out += std::to_string(ctx.chipId);
+                    out += std::to_string(chipId);
                     out += "\"}}";
                 }
             }
@@ -324,10 +311,8 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
             out += ",\"cat\":\"host\",\"ph\":\"X\",\"pid\":";
             out += chipTrack ? '3' : '1';
             out += ",\"tid\":";
-            out += std::to_string(chipTrack
-                                      ? static_cast<std::uint32_t>(
-                                            ctx.chipId)
-                                      : buf.tid);
+            out += std::to_string(
+                chipTrack ? static_cast<std::uint32_t>(chipId) : buf.tid);
             out += ",\"ts\":";
             const double ts_us =
                 (s.startNs >= epochNs
@@ -339,30 +324,10 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
             appendJsonFixed(
                 out,
                 static_cast<double>(s.endNs - s.startNs) / 1000.0, 3);
-            if (s.ctxId != 0) {
-                out += ",\"args\":{";
-                bool firstArg = true;
-                const auto arg = [&](const char *k) {
-                    if (!firstArg)
-                        out += ',';
-                    firstArg = false;
-                    out += '"';
-                    out += k;
-                    out += "\":";
-                };
-                if (!ctx.jobId.empty()) {
-                    arg("job");
-                    appendJsonString(out, ctx.jobId);
-                }
-                if (!ctx.tenant.empty()) {
-                    arg("tenant");
-                    appendJsonString(out, ctx.tenant);
-                }
-                if (ctx.chipId >= 0) {
-                    arg("chip");
-                    out += std::to_string(ctx.chipId);
-                }
-                arg("step");
+            if (chipTrack) {
+                out += ",\"args\":{\"chip\":";
+                out += std::to_string(chipId);
+                out += ",\"step\":";
                 out += std::to_string(s.step);
                 out += '}';
             }
@@ -371,9 +336,8 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
     }
 
     if (filter.active()) {
-        // Filtered exports (live /trace slices, per-job files) carry
-        // host spans only: external timelines keep their own time
-        // base and have no job attribution to filter on.
+        // Filtered exports (live /trace slices) carry host spans
+        // only: external timelines keep their own time base.
         out += "]}";
         return out;
     }
@@ -430,16 +394,9 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
 bool
 TraceSession::writeChromeTrace(const std::string &path) const
 {
-    return writeChromeTrace(path, TraceExportFilter{});
-}
-
-bool
-TraceSession::writeChromeTrace(const std::string &path,
-                               const TraceExportFilter &filter) const
-{
     static Counter &errors =
         MetricRegistry::instance().counter("obs.write_errors");
-    const std::string json = chromeTraceJson(filter);
+    const std::string json = chromeTraceJson();
     std::FILE *f = io::fopenFp("obs.trace.open", path, "wb");
     if (f == nullptr) {
         errors.inc();

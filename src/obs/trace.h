@@ -70,18 +70,15 @@ struct ExternalSpan
 
 /**
  * Selects a slice of the recorded spans for export. Default-constructed
- * = everything. Used by the live `/trace?last_ms=N` endpoint (sinceNs)
- * and by per-job trace files written at job completion (jobId).
+ * = everything. Used by the live `/trace?last_ms=N` endpoint.
  */
 struct TraceExportFilter
 {
-    /** Keep only host spans attributed to this job ("" = all). */
-    std::string jobId;
     /** Keep only host spans ending at/after this monotonic time
      *  (0 = all). */
     std::uint64_t sinceNs = 0;
 
-    bool active() const { return !jobId.empty() || sinceNs != 0; }
+    bool active() const { return sinceNs != 0; }
 };
 
 /**
@@ -108,8 +105,8 @@ class TraceSession
      * Per-thread span ring capacity. Defaults to 1M spans (or the
      * CQ_TRACE_CAP environment variable, latched at construction);
      * once a thread's buffer is full the oldest span is overwritten
-     * and the `obs.trace_dropped` counter ticks, so a long serve soak
-     * holds steady memory instead of growing without bound.
+     * and the `obs.trace_dropped` counter ticks, so a long run holds
+     * steady memory instead of growing without bound.
      */
     std::size_t spanCap() const;
     /** Override the ring capacity (tests; takes effect immediately). */
@@ -138,18 +135,15 @@ class TraceSession
     /**
      * Filtered variant: only host spans matching `filter` (external
      * spans are omitted whenever the filter is active — they keep
-     * their own time base and carry no job attribution). Spans whose
-     * recording context carried a chipId render in pid 3 with one tid
-     * per chip ("chip-N" tracks); spans with a job context carry
-     * {"job","tenant","step"} args.
+     * their own time base). Spans whose recording context carried a
+     * chipId render in pid 3 with one tid per chip ("chip-N" tracks)
+     * and carry {"chip","step"} args.
      */
     std::string chromeTraceJson(const TraceExportFilter &filter) const;
 
     /** chromeTraceJson() to a file; false (with stderr note) on I/O
      *  failure. */
     bool writeChromeTrace(const std::string &path) const;
-    bool writeChromeTrace(const std::string &path,
-                          const TraceExportFilter &filter) const;
 
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;

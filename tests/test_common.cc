@@ -111,9 +111,8 @@ TEST(Rng, GaussianScaled)
 
 TEST(Backoff, NeverAboveTheCapAndNeverDecreasing)
 {
-    // The checkpoint writer's and the job scheduler's defaults, the
-    // test configs, and extremes; a plain shift overflows long
-    // before k = 63.
+    // The checkpoint writer's defaults, other realistic configs and
+    // extremes; a plain shift overflows long before k = 63.
     const std::uint64_t configs[][2] = {
         {500, 20000}, {10, 2000}, {5, 50},       {1, 5},
         {1, UINT64_MAX}, {UINT64_MAX, UINT64_MAX}, {3, 0}, {0, 7}};

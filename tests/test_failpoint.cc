@@ -5,9 +5,8 @@
  * windows (one-shot, every-Nth, byte-offset), counter persistence
  * across disarm, the injectable I/O seam, the telemetry sink's
  * degraded drop mode, the durable-write ladder's typed results, the
- * checkpoint store's ENOSPC prune-and-retry, the serve report
- * writer's retry/dead-letter path, and the dist trainer's storage
- * eviction.
+ * checkpoint store's ENOSPC prune-and-retry, and the dist trainer's
+ * storage eviction.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "nn/guard/ckpt_store.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "serve/report.h"
 #include "tensor/tensor.h"
 
 namespace cq {
@@ -486,40 +484,6 @@ TEST_F(Failpoint, StoreReportsUnreadableDirAsDirMissing)
     const auto load = store.loadLatest(out);
     EXPECT_EQ(load.result, CheckpointLoadResult::Ok);
     EXPECT_EQ(load.gen, 2u);
-}
-
-// ------------------------------------------ serve report writer
-
-TEST_F(Failpoint, ReportWriterRetriesTransientFailure)
-{
-    auto &reg = fp::Registry::instance();
-    const std::string dir = freshDir("fp_report");
-    const std::string path = dir + "/report.json";
-    std::vector<serve::JobReport> reports(1);
-    reports[0].id = "job-1";
-    reports[0].tenant = "t0";
-
-    ASSERT_TRUE(reg.configureOne("serve.report.write", "eio,once=1"));
-    EXPECT_EQ(serve::writeReportsJson(path, reports),
-              serve::ReportWriteResult::RetriedOk);
-    EXPECT_GT(fileSize(path), 2);
-}
-
-TEST_F(Failpoint, ReportWriterDeadLettersOnExhaustion)
-{
-    auto &reg = fp::Registry::instance();
-    const std::string dir = freshDir("fp_report_dl");
-    const std::string path = dir + "/report.json";
-    std::vector<serve::JobReport> reports(1);
-    reports[0].id = "job-dl";
-
-    const double before = counterValue("serve.report_dead_letters");
-    ASSERT_TRUE(reg.configureOne("serve.report.open", "enospc"));
-    EXPECT_EQ(serve::writeReportsJson(path, reports, 1),
-              serve::ReportWriteResult::DeadLettered);
-    EXPECT_EQ(counterValue("serve.report_dead_letters"), before + 1.0);
-    // No torn report file survives an exhausted budget.
-    EXPECT_FALSE(pathExists(path));
 }
 
 // ------------------------------------------ dist storage eviction

@@ -1,7 +1,7 @@
 /**
  * @file
  * Exhaustive failpoint sweep: fire every declared failpoint (and
- * sampled pairs) inside short train / serve / dist / bench runs and
+ * sampled pairs) inside short train / dist / bench runs and
  * assert the four robustness invariants:
  *
  *   1. no crash    - the child process exits normally (no signal)
@@ -11,7 +11,8 @@
  *                    fence)
  *   3. typed path  - the failure surfaced through the scenario's
  *                    typed handling (training completed, the store
- *                    still verifies, the report dead-lettered, ...)
+ *                    still verifies, the bench export failed with an
+ *                    error, ...)
  *   4. no committed step lost - whenever any checkpoint generation
  *                    exists on disk after the storm, loadLatest()
  *                    classifies Ok
@@ -65,8 +66,6 @@
 #include "nn/guard/crash_harness.h"
 #include "obs/http_export.h"
 #include "obs/obs_server.h"
-#include "serve/job_runner.h"
-#include "serve/report.h"
 
 using namespace cq;
 
@@ -151,8 +150,6 @@ familyOf(const std::string &site)
         return "obs";
     if (startsWith(site, "dist.manifest."))
         return "dist";
-    if (startsWith(site, "serve.report."))
-        return "serve";
     if (startsWith(site, "bench.json."))
         return "bench";
     // ckpt.* and fs.* all fire inside the checkpointed resume leg.
@@ -329,29 +326,6 @@ runDistScenario(const std::string &dir, const std::vector<Arm> &arms,
                : kInvariantViolation;
 }
 
-/** One standalone job, then persist its report: a failing report file
- *  must end typed (retried or dead-lettered), never lost silently. */
-int
-runServeScenario(const std::string &dir, const std::vector<Arm> &arms,
-                 CancelToken &)
-{
-    serve::JobSpec spec;
-    spec.id = "sweep-job";
-    spec.seed = 5;
-    spec.steps = 4;
-    const serve::JobReport rep = serve::runJobStandalone(spec);
-
-    armAll(arms);
-    const std::string path = dir + "/report.json";
-    const auto res = serve::writeReportsJson(path, {rep});
-    fp::Registry::instance().disarmAll();
-    if (res == serve::ReportWriteResult::DeadLettered)
-        return kHandled; // typed: content preserved on stderr
-    // Claimed written: the file must really be there and parseable
-    // as non-empty JSON.
-    return fileSize(path) > 2 ? kHandled : kInvariantViolation;
-}
-
 /** Export a BENCH_*.json; a failed write must surface through the
  *  error string, never as a silent half-file. */
 int
@@ -395,8 +369,6 @@ trialBody(const std::string &family, const std::string &dir,
         rc = runObsScenario(dir, arms, cancel);
     else if (family == "dist")
         rc = runDistScenario(dir, arms, cancel);
-    else if (family == "serve")
-        rc = runServeScenario(dir, arms, cancel);
     else if (family == "bench")
         rc = runBenchScenario(dir, arms, cancel);
     else

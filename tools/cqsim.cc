@@ -48,15 +48,12 @@
 #include "common/signal_flag.h"
 #include "compiler/codegen.h"
 #include "compiler/workloads.h"
-#include "common/json.h"
 #include "dist/dist_harness.h"
 #include "nn/guard/crash_harness.h"
 #include "obs/jsonw.h"
 #include "obs/metrics.h"
 #include "obs/obs_server.h"
 #include "obs/trace.h"
-#include "serve/report.h"
-#include "serve/scheduler.h"
 
 using namespace cq;
 
@@ -84,16 +81,12 @@ printUsage(std::FILE *to)
         "             [--telemetry-out F] [--metrics-every N]\n"
         "             [--chips N] [--chip-fail C@S] "
         "[--straggler C@S]\n"
-        "       cqsim --serve jobs.json [--serve-workers N]\n"
-        "             [--serve-queue-cap N] [--serve-report F]\n"
         "observability (all modes):\n"
         "             [--trace-out F] [--metrics-out F]\n"
         "             [--obs-port P]       live scrape endpoint on "
         "127.0.0.1:P (0 = ephemeral);\n"
         "                                  serves /metrics "
-        "/metrics.json /healthz /jobs /trace\n"
-        "             [--job-trace-dir D]  (--serve) per-job Perfetto "
-        "traces in D\n"
+        "/metrics.json /healthz /trace\n"
         "fault injection (all modes):\n"
         "             [--failpoints SPEC]   "
         "e.g. \"ckpt.body.write=enospc,once=1\"\n"
@@ -146,8 +139,6 @@ struct ObsPlaneArgs
 {
     /** -1 = off; 0 = ephemeral (the bound port is printed). */
     int port = -1;
-    /** --serve only: per-job trace file directory. */
-    std::string jobTraceDir;
 
     bool enabled() const { return port >= 0; }
 };
@@ -166,9 +157,6 @@ touchScrapeFamilies()
     reg.gauge("trainer.loss");
     reg.histogram("trainer.step_time_us");
     reg.histogram("dist.allreduce_latency_us");
-    reg.counter("serve.submitted");
-    reg.counter("serve.accepted");
-    reg.counter("serve.completed");
 }
 
 /** Start the scrape server; prints the bound port (tests and the CI
@@ -185,7 +173,7 @@ startObsServer(obs::ObsServer &server, obs::ObsServerConfig cfg,
         return false;
     }
     std::printf("obs:       serving on port %d (/metrics "
-                "/metrics.json /healthz /jobs /trace)\n",
+                "/metrics.json /healthz /trace)\n",
                 server.port());
     std::fflush(stdout);
     return true;
@@ -470,234 +458,13 @@ runTrain(const TrainArgs &a, const std::string &traceOut,
                 "masters crc %08x\n",
                 static_cast<unsigned long long>(r.stepsRun),
                 r.finalLoss, r.mastersCrc);
+    // Without a store there is no final checkpoint to report.
     if (r.stopRequested)
-        std::printf("shutdown:  signal handled; final checkpoint "
-                    "committed before exit\n");
+        std::printf("shutdown:  signal handled%s\n",
+                    cfg.dir.empty() ? ""
+                                    : "; final checkpoint committed "
+                                      "before exit");
     return 0;
-}
-
-/** The --serve mode: run a job file through the multi-tenant
- *  scheduler (src/serve/). SIGTERM/SIGINT drains gracefully — running
- *  jobs stop at their next checkpoint-clean step boundary — and a
- *  second signal exits immediately (common/signal_flag.cc). */
-struct ServeArgs
-{
-    std::string jobsPath;
-    std::uint64_t workers = 0;  // 0 = job-file / default
-    std::uint64_t queueCap = 0; // 0 = job-file / default
-    std::string reportOut;
-};
-
-bool
-parseServeJob(const json::Value &v, serve::JobSpec &spec,
-              std::string &err)
-{
-    if (!v.isObject()) {
-        err = "job entry is not an object";
-        return false;
-    }
-    spec.id = v.stringOr("id", "");
-    spec.tenant = v.stringOr("tenant", "default");
-    const std::string kind = v.stringOr("kind", "train");
-    if (kind == "train")
-        spec.kind = serve::JobKind::Train;
-    else if (kind == "sweep")
-        spec.kind = serve::JobKind::Sweep;
-    else if (kind == "sim")
-        spec.kind = serve::JobKind::Sim;
-    else if (kind == "train_dist")
-        spec.kind = serve::JobKind::TrainDist;
-    else {
-        err = "unknown kind '" + kind + "'";
-        return false;
-    }
-    const std::string prio = v.stringOr("priority", "normal");
-    if (prio == "low")
-        spec.priority = serve::Priority::Low;
-    else if (prio == "normal")
-        spec.priority = serve::Priority::Normal;
-    else if (prio == "high")
-        spec.priority = serve::Priority::High;
-    else {
-        err = "unknown priority '" + prio + "'";
-        return false;
-    }
-    spec.seed = static_cast<std::uint64_t>(v.numberOr("seed", 17));
-    spec.steps = static_cast<std::uint64_t>(v.numberOr("steps", 40));
-    spec.faultRate = v.numberOr("faultRate", 0.0);
-    spec.ckptDir = v.stringOr("ckptDir", "");
-    spec.deadlineMs =
-        static_cast<std::uint32_t>(v.numberOr("deadlineMs", 0));
-    spec.maxRetries =
-        static_cast<std::uint32_t>(v.numberOr("maxRetries", 2));
-    spec.chips = static_cast<std::size_t>(v.numberOr("chips", 4));
-    spec.chipFailStep =
-        static_cast<std::uint64_t>(v.numberOr("chipFailStep", 0));
-    spec.stragglerStep =
-        static_cast<std::uint64_t>(v.numberOr("stragglerStep", 0));
-    return true;
-}
-
-int
-runServe(const ServeArgs &a, const std::string &metricsOut,
-         const ObsPlaneArgs &obsArgs)
-{
-    const json::ParseResult parsed = json::parseFile(a.jobsPath);
-    if (!parsed.ok) {
-        std::fprintf(stderr, "cqsim: %s: %s (at byte %zu)\n",
-                     a.jobsPath.c_str(), parsed.error.c_str(),
-                     parsed.errorAt);
-        return 2;
-    }
-    const json::Value &root = parsed.value;
-    const json::Array *jobs = nullptr;
-    serve::SchedulerConfig cfg;
-    if (root.isArray()) {
-        jobs = &root.asArray();
-    } else if (root.isObject()) {
-        cfg.workers = static_cast<unsigned>(root.numberOr(
-            "workers", static_cast<double>(cfg.workers)));
-        cfg.queue.capacity = static_cast<std::size_t>(root.numberOr(
-            "queueCapacity",
-            static_cast<double>(cfg.queue.capacity)));
-        cfg.threadsPerJob = static_cast<unsigned>(root.numberOr(
-            "threadsPerJob", static_cast<double>(cfg.threadsPerJob)));
-        cfg.shrinkWatermark =
-            root.numberOr("shrinkWatermark", cfg.shrinkWatermark);
-        cfg.backoffBaseMs = static_cast<std::uint32_t>(root.numberOr(
-            "backoffBaseMs", static_cast<double>(cfg.backoffBaseMs)));
-        const json::Value *arr = root.find("jobs");
-        if (arr != nullptr && arr->isArray())
-            jobs = &arr->asArray();
-    }
-    if (jobs == nullptr) {
-        std::fprintf(stderr,
-                     "cqsim: %s: expected a job array or an object "
-                     "with a \"jobs\" array\n",
-                     a.jobsPath.c_str());
-        return 2;
-    }
-    if (a.workers > 0)
-        cfg.workers = static_cast<unsigned>(a.workers);
-    if (a.queueCap > 0)
-        cfg.queue.capacity = static_cast<std::size_t>(a.queueCap);
-    cfg.perJobTraceDir = obsArgs.jobTraceDir;
-    if (!obsArgs.jobTraceDir.empty() || obsArgs.enabled())
-        obs::TraceSession::instance().setEnabled(true);
-
-    installShutdownSignalHandler();
-    serve::Scheduler sched(cfg);
-
-    obs::ObsServer obsServer;
-    if (obsArgs.enabled()) {
-        obs::ObsServerConfig ocfg;
-        // Scheduler::statGroup() snapshots under the scheduler lock
-        // and returns by value, so bridging it into a live scrape is
-        // safe from the server thread.
-        ocfg.bridged = [&sched] {
-            std::vector<StatGroup> v;
-            v.push_back(sched.statGroup());
-            return v;
-        };
-        ocfg.jobsJson = [&sched] { return sched.jobsJson(); };
-        ocfg.health.emplace_back("serve", [&sched] {
-            const serve::SchedulerStats s = sched.stats();
-            std::string out = "{\"queued\":";
-            out += std::to_string(sched.queueDepth());
-            out += ",\"running\":";
-            out += std::to_string(sched.runningCount());
-            out += ",\"accepted\":";
-            out += std::to_string(s.accepted);
-            out += ",\"terminal\":";
-            out += std::to_string(s.terminal());
-            out += ",\"draining\":";
-            out += sched.draining() ? "true" : "false";
-            out += "}";
-            return out;
-        });
-        if (!startObsServer(obsServer, std::move(ocfg), obsArgs.port))
-            return 2;
-    }
-    std::printf("serve:     %zu jobs, %u workers, queue capacity "
-                "%zu\n",
-                jobs->size(), sched.config().workers,
-                sched.config().queue.capacity);
-
-    for (const json::Value &v : *jobs) {
-        serve::JobSpec spec;
-        std::string err;
-        if (!parseServeJob(v, spec, err)) {
-            std::fprintf(stderr, "cqsim: %s: %s\n", a.jobsPath.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        const serve::SubmitOutcome out = sched.submit(spec);
-        std::printf("submit:    %-20s %-19s backpressure %s%s%s\n",
-                    spec.id.c_str(),
-                    serve::admissionVerdictName(out.verdict),
-                    serve::backpressureName(out.backpressure),
-                    out.shedJobId.empty() ? "" : ", shed ",
-                    out.shedJobId.c_str());
-        if (out.verdict == serve::AdmissionVerdict::RejectedInvalid)
-            std::printf("           (%s)\n", out.reason.c_str());
-    }
-
-    // Drain on the first SIGTERM/SIGINT; the handler escalates a
-    // second signal to an immediate exit on its own.
-    while (!sched.waitIdle(50)) {
-        if (shutdownRequested() && !sched.draining()) {
-            std::printf("serve:     shutdown signal - draining "
-                        "(running jobs stop at their next "
-                        "checkpoint)\n");
-            sched.requestDrain();
-        }
-    }
-
-    obsServer.stop();
-
-    for (const serve::JobReport &r : sched.reports()) {
-        std::printf("job:       %-20s %-10s attempts %u, crc %08x, "
-                    "queue %.1f ms, run %.1f ms%s%s\n",
-                    r.id.c_str(), serve::jobStateName(r.state),
-                    r.attempts, r.resultCrc, r.queueMs, r.runMs,
-                    r.detail.empty() ? "" : " - ",
-                    r.detail.c_str());
-    }
-    const serve::SchedulerStats s = sched.stats();
-    std::printf("summary:   %llu submitted, %llu accepted, %llu "
-                "completed, %llu failed, %llu cancelled, %llu "
-                "timed-out, %llu shed, %llu rejected, %llu retries\n",
-                static_cast<unsigned long long>(s.submitted),
-                static_cast<unsigned long long>(s.accepted),
-                static_cast<unsigned long long>(s.completed),
-                static_cast<unsigned long long>(s.failed),
-                static_cast<unsigned long long>(s.cancelled),
-                static_cast<unsigned long long>(s.timedOut),
-                static_cast<unsigned long long>(s.shed),
-                static_cast<unsigned long long>(
-                    s.rejectedFull + s.rejectedShutdown +
-                    s.rejectedInvalid),
-                static_cast<unsigned long long>(s.retries));
-
-    if (!a.reportOut.empty()) {
-        // Bounded retry with a stderr dead-letter on exhaustion: the
-        // reports are the run's ground truth, so a full disk must not
-        // lose them silently (serve/report.h).
-        const auto wres =
-            serve::writeReportsJson(a.reportOut, sched.reports());
-        if (wres == serve::ReportWriteResult::DeadLettered)
-            std::fprintf(stderr,
-                         "cqsim: report %s dead-lettered to stderr\n",
-                         a.reportOut.c_str());
-    }
-    if (!metricsOut.empty()) {
-        const StatGroup g = sched.statGroup();
-        // writeProm checks every stage and reports through
-        // obs.write_errors; a failed metrics dump warns but does not
-        // turn a successful serve run into a failure.
-        obs::MetricRegistry::instance().writeProm(metricsOut, {&g});
-    }
-    return s.failed == 0 ? 0 : 1;
 }
 
 compiler::WorkloadIR
@@ -754,7 +521,6 @@ main(int argc, char **argv)
     std::string traceOut, metricsOut;
     ObsPlaneArgs obsArgs;
     TrainArgs train;
-    ServeArgs serveArgs;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -783,14 +549,6 @@ main(int argc, char **argv)
             trace = true;
         else if (arg == "--train")
             train.task = next();
-        else if (arg == "--serve")
-            serveArgs.jobsPath = next();
-        else if (arg == "--serve-workers")
-            serveArgs.workers = parseU64(arg, next(), 1, 256);
-        else if (arg == "--serve-queue-cap")
-            serveArgs.queueCap = parseU64(arg, next(), 1, 1u << 20);
-        else if (arg == "--serve-report")
-            serveArgs.reportOut = next();
         else if (arg == "--steps")
             train.steps = parseU64(arg, next(), 1, 1000000);
         else if (arg == "--seed")
@@ -837,8 +595,6 @@ main(int argc, char **argv)
         else if (arg == "--obs-port")
             obsArgs.port =
                 static_cast<int>(parseU64(arg, next(), 0, 65535));
-        else if (arg == "--job-trace-dir")
-            obsArgs.jobTraceDir = next();
         else if (arg == "--help" || arg == "-h") {
             printUsage(stdout);
             return 0;
@@ -851,18 +607,15 @@ main(int argc, char **argv)
     }
     const int modes = (network.empty() ? 0 : 1) +
                       (gemm.empty() ? 0 : 1) +
-                      (train.task.empty() ? 0 : 1) +
-                      (serveArgs.jobsPath.empty() ? 0 : 1);
+                      (train.task.empty() ? 0 : 1);
     if (modes != 1) {
         std::fprintf(stderr,
                      "cqsim: pick exactly one of --network / --gemm "
-                     "/ --train / --serve\n");
+                     "/ --train\n");
         return 2;
     }
     if (!train.task.empty())
         return runTrain(train, traceOut, metricsOut, obsArgs);
-    if (!serveArgs.jobsPath.empty())
-        return runServe(serveArgs, metricsOut, obsArgs);
 
     const compiler::WorkloadIR ir =
         gemm.empty() ? pickWorkload(network, batch)
@@ -888,6 +641,15 @@ main(int argc, char **argv)
     if (bits != 4 && bits != 8 && bits != 12 && bits != 16) {
         std::fprintf(stderr, "unsupported --bits %d\n", bits);
         usage();
+    }
+    // The bit-serial PE array runs whole multiples of its base width
+    // (4 bits on Cambricon-Q, 8 on the TPU).
+    if (bits % cfg.peBits != 0) {
+        std::fprintf(stderr,
+                     "cqsim: --bits %d is not a multiple of target %s's "
+                     "%d-bit PE width\n",
+                     bits, target.c_str(), cfg.peBits);
+        return 2;
     }
     opts.bits = bits;
     if (optimizer == "sgd")
