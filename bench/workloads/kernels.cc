@@ -32,6 +32,7 @@
 #include "obs/cpu_time.h"
 #include "quant/block_quant.h"
 #include "quant/e2bqm.h"
+#include "quant/policy.h"
 #include "quant/statistics.h"
 #include "tensor/tensor_ops.h"
 #include "workloads/all.h"
@@ -69,6 +70,37 @@ recordInterval(WorkloadResult &out, const std::string &name,
 }
 
 // ---------------- quantization kernels ----------------
+
+/**
+ * fakeQuantizeHqt as the train-cnn-hqt trainer runs it on the neuron
+ * gradients of one step: Zhang'20 adaptive precision (INT8/INT16,
+ * rectilinear arbiter) over blocks of 256 at pool width 1. 194,176
+ * elements are one batch-32 step's layer-output gradients. Records
+ * the element rate of the fastest of 20 calls (a call takes 1-5 ms,
+ * so quick mode keeps all 20).
+ */
+void
+recordTrainerHqt(WorkloadResult &out)
+{
+    constexpr std::size_t elems = 194176;
+    constexpr int iters = 20;
+    const Tensor g = gradientTensor(elems);
+    const quant::AlgorithmConfig algo =
+        quant::AlgorithmConfig::zhang2020Hqt(256);
+    ThreadPool::instance().setNumThreads(1);
+    double best = 0.0;
+    for (int i = 0; i < iters; ++i) {
+        const double ms = timeIt(1, [&] {
+            Tensor q = quant::fakeQuantizeHqt(g, algo.blockSize,
+                                              algo.neuronGradients.e2bqm);
+        }).wallMs;
+        best = i == 0 ? ms : std::min(best, ms);
+    }
+    ThreadPool::instance().setNumThreads(0);
+    out.setTiming("hqt_zhang_grad_melems_per_s",
+                  static_cast<double>(elems) / (best * 1e-3) * 1e-6,
+                  "Melem/s");
+}
 
 WorkloadResult
 runQuant(const WorkloadContext &ctx)
@@ -123,8 +155,11 @@ runQuant(const WorkloadContext &ctx)
         recordInterval(out, "hqt_threads" + std::to_string(w), t);
     }
     ThreadPool::instance().setNumThreads(0);
+    recordTrainerHqt(out);
     out.notes = "HQT sweep: wall vs CPU ms per pool width over a "
-                "256k-element fake-quantize";
+                "256k-element fake-quantize; hqt_zhang_grad is one "
+                "trainer step's neuron gradients at width 1 (PERF-10 "
+                "gates it)";
     return out;
 }
 

@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -171,6 +174,25 @@ fileSize(const std::string &path)
     if (::stat(path.c_str(), &st) != 0)
         return -1;
     return static_cast<long long>(st.st_size);
+}
+
+std::string
+makeTempDir(const std::string &prefix)
+{
+    const char *tmp = std::getenv("TMPDIR");
+    std::string path = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+    path += "/" + prefix + "XXXXXX";
+    if (::mkdtemp(path.data()) == nullptr)
+        return "";
+    return path;
+}
+
+bool
+removeTree(const std::string &path)
+{
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+    return !ec;
 }
 
 namespace io {

@@ -67,6 +67,19 @@ bool crc32OfFile(const std::string &path, std::uint32_t &out);
 long long fileSize(const std::string &path);
 
 /**
+ * mkdtemp under $TMPDIR (/tmp when unset or empty): a new directory
+ * named @p prefix plus six random characters. Returns its path, or ""
+ * with errno set on failure.
+ */
+std::string makeTempDir(const std::string &prefix);
+
+/**
+ * rm -rf: remove @p path and everything under it, without following
+ * symlinks. True when nothing is left (a missing path counts).
+ */
+bool removeTree(const std::string &path);
+
+/**
  * Failpoint-aware stdio/POSIX wrappers — the injectable I/O seam.
  *
  * Every persistence and sink write in the repository (checkpoint

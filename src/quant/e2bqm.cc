@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -185,13 +187,104 @@ runCandidate(const Tensor &x, double max_abs, const QuantCandidate &cand,
     return res;
 }
 
-/** One candidate's error over @p n elements, metric @p M only. */
+/** Elements per chunk of the vectorized plain-candidate path. */
+constexpr std::size_t kChunk = 16;
+
+/**
+ * A block's max-abs statistic, equal to MaxAbsStat over x[0, n), and
+ * whether every element is finite. Sixteen float lanes keep running
+ * maxima, which GCC vectorizes at -O2. The result does not depend on
+ * the order: every |x| is >= +0, a NaN is skipped (as MaxAbsStat
+ * skips it), and widening the float maximum to double gives the
+ * maximum of the widened values.
+ */
+double
+blockMaxAbs(const float *x, std::size_t n, bool &finite)
+{
+    float lane[kChunk] = {};
+    std::uint32_t nonFinite[kChunk] = {};
+    std::size_t i = 0;
+    for (; i + kChunk <= n; i += kChunk) {
+        for (std::size_t t = 0; t < kChunk; ++t) {
+            const float a = std::fabs(x[i + t]);
+            lane[t] = lane[t] < a ? a : lane[t];
+            // a <= FLT_MAX fails only for a NaN or an Inf.
+            nonFinite[t] |= !(a <= std::numeric_limits<float>::max());
+        }
+    }
+    MaxAbsStat stat;
+    finite = true;
+    for (std::size_t t = 0; t < kChunk; ++t) {
+        stat.observe(lane[t]);
+        finite &= nonFinite[t] == 0;
+    }
+    for (; i < n; ++i) {
+        stat.observe(x[i]);
+        finite &= std::isfinite(x[i]);
+    }
+    return stat.value();
+}
+
+/**
+ * The plain-candidate path over x[0, n) of a block whose elements are
+ * all finite: each full chunk's dequantized values, computed as
+ * rint(clamp(x / scale)) * scale, go to @p use(first, deq). Returns
+ * where the scalar tail begins: 0 for a shiftable candidate or a
+ * block holding a NaN or Inf, which keep quantizeElement.
+ *
+ * Bitwise equal to quantizeElement's deq (and to the dequantized
+ * int16 level) because:
+ * - qmin and qmax are integers, so clamping before rounding gives
+ *   the level that rounding before clamping does;
+ * - the clamped |y| <= 32767, and adding then subtracting 1.5 * 2^52
+ *   rounds it to the nearest integer, ties to even, as std::rint
+ *   does, except that a zero comes out +0, as the int level's does;
+ * - a finite x over a finite scale gives a finite y. An Inf block's
+ *   scale is Inf and Inf / Inf is NaN, whose level is INT32_MIN.
+ * The chunk loop has a constant trip count and writes a local array,
+ * which GCC vectorizes at -O2.
+ */
+template <typename Use>
+std::size_t
+plainChunks(const float *x, std::size_t n, const CandidatePlan &plan,
+            bool finite, Use &&use)
+{
+    if (plan.shiftable || !finite)
+        return 0;
+    const double scale = plan.fine.scale;
+    const double lo = plan.fine.qmin();
+    const double hi = plan.fine.qmax();
+    constexpr double kRound = 0x1.8p52;
+    double deq[kChunk];
+    std::size_t i = 0;
+    for (; i + kChunk <= n; i += kChunk) {
+        for (std::size_t t = 0; t < kChunk; ++t) {
+            double y = static_cast<double>(x[i + t]) / scale;
+            y = y < lo ? lo : y;
+            y = y > hi ? hi : y;
+            deq[t] = ((y + kRound) - kRound) * scale;
+        }
+        use(i, static_cast<const double *>(deq));
+    }
+    return i;
+}
+
+/**
+ * One candidate's error over @p n elements, metric @p M only,
+ * accumulated in ascending element order.
+ */
 template <ErrorMetric M>
 double
-candidateError(const float *x, std::size_t n, const CandidatePlan &plan)
+candidateError(const float *x, std::size_t n, const CandidatePlan &plan,
+               bool finite)
 {
     ErrorStat err;
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t i = plainChunks(
+        x, n, plan, finite, [&](std::size_t first, const double *deq) {
+            for (std::size_t t = 0; t < kChunk; ++t)
+                err.observeFor<M>(x[first + t], deq[t]);
+        });
+    for (; i < n; ++i) {
         const double v = x[i];
         err.observeFor<M>(v, quantizeElement(v, plan).deq);
     }
@@ -200,17 +293,18 @@ candidateError(const float *x, std::size_t n, const CandidatePlan &plan)
 
 double
 candidateError(const float *x, std::size_t n, const CandidatePlan &plan,
-               ErrorMetric metric)
+               bool finite, ErrorMetric metric)
 {
     switch (metric) {
       case ErrorMetric::Rectilinear:
-        return candidateError<ErrorMetric::Rectilinear>(x, n, plan);
+        return candidateError<ErrorMetric::Rectilinear>(x, n, plan, finite);
       case ErrorMetric::CosineDistance:
-        return candidateError<ErrorMetric::CosineDistance>(x, n, plan);
+        return candidateError<ErrorMetric::CosineDistance>(x, n, plan,
+                                                           finite);
       case ErrorMetric::MeanBias:
-        return candidateError<ErrorMetric::MeanBias>(x, n, plan);
+        return candidateError<ErrorMetric::MeanBias>(x, n, plan, finite);
       case ErrorMetric::MaxError:
-        return candidateError<ErrorMetric::MaxError>(x, n, plan);
+        return candidateError<ErrorMetric::MaxError>(x, n, plan, finite);
     }
     panic("unknown error metric");
 }
@@ -221,8 +315,9 @@ candidateError(const float *x, std::size_t n, const CandidatePlan &plan,
  * the max-abs statistic, each candidate's error (the configured
  * metric only; candidates split across the pool when this is not
  * already a pool chunk), arbitration, then only the winner is
- * quantized, straight into the output. Nothing is allocated per
- * block.
+ * quantized, straight into the output. Plain candidates on a finite
+ * block run 16 elements at a time (plainChunks). Nothing is
+ * allocated per block.
  */
 Tensor
 fakeQuantizeBlocks(const Tensor &x, std::size_t block_size,
@@ -248,22 +343,20 @@ fakeQuantizeBlocks(const Tensor &x, std::size_t block_size,
         const float *xb = nullptr;
         std::size_t len = 0;
         double max_abs = 0.0;
+        bool finite = true;
         // Built once per chunk, so no block allocates a closure.
         const ThreadPool::RangeFn candidateErrors =
             [&](std::size_t clo, std::size_t chi) {
                 for (std::size_t c = clo; c < chi; ++c)
                     errors[c] = candidateError(
-                        xb, len, CandidatePlan(cands[c], max_abs),
+                        xb, len, CandidatePlan(cands[c], max_abs), finite,
                         config.metric);
             };
         for (std::size_t blk = blo; blk < bhi; ++blk) {
             const std::size_t lo = blk * block_size;
             xb = x.data() + lo;
             len = std::min(lo + block_size, n) - lo;
-            MaxAbsStat stat;
-            for (std::size_t i = 0; i < len; ++i)
-                stat.observe(xb[i]);
-            max_abs = stat.value();
+            max_abs = blockMaxAbs(xb, len, finite);
             // A lone candidate wins whatever its error, so its error
             // pass is skipped.
             if (cands.size() > 1)
@@ -277,7 +370,13 @@ fakeQuantizeBlocks(const Tensor &x, std::size_t block_size,
             // int16 level it stores (CandidateResult::dequantize).
             const CandidatePlan plan(cands[best], max_abs);
             float *ob = out.data() + lo;
-            for (std::size_t i = 0; i < len; ++i) {
+            std::size_t i = plainChunks(
+                xb, len, plan, finite,
+                [&](std::size_t first, const double *deq) {
+                    for (std::size_t t = 0; t < kChunk; ++t)
+                        ob[first + t] = static_cast<float>(deq[t]);
+                });
+            for (; i < len; ++i) {
                 const ElementQuant e = quantizeElement(xb[i], plan);
                 ob[i] = static_cast<float>(dequantizeValue(
                     static_cast<std::int16_t>(e.level),

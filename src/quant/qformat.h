@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "tensor/tensor.h"
@@ -55,12 +56,16 @@ IntFormat formatForMaxAbs(double max_abs, int bits);
 /**
  * Quantize one value: round(x / scale) to nearest-even, saturating to
  * the level range. std::rint rounds in the current mode, which the
- * repository never changes from the default round-to-nearest.
+ * repository never changes from the default round-to-nearest. A NaN
+ * has no level and yields INT32_MIN, which an int16 level store
+ * truncates to 0.
  */
 inline std::int32_t
 quantizeValue(double x, const IntFormat &fmt)
 {
     const double level = std::rint(x / fmt.scale);
+    if (std::isnan(level))
+        return std::numeric_limits<std::int32_t>::min();
     const double clamped =
         std::clamp(level, static_cast<double>(fmt.qmin()),
                    static_cast<double>(fmt.qmax()));

@@ -132,13 +132,14 @@ namespace {
  * Columns [0, W) of one output row of a float GEMM: the W partial
  * sums stay in registers over the whole k loop. @p arow walks the row
  * of op(A) at stride @p lda; each sum starts at +0 and adds av * b in
- * ascending k. A term with av == 0 (of either sign) is skipped: its
- * product is masked to +0, which leaves the sum bitwise unchanged
- * because a sum that starts at +0 can never become -0. Masking
- * instead of branching keeps ReLU-sparse rows free of mispredicts,
- * and 0 * Inf never turns an output into NaN.
+ * ascending k. A term with av == 0 (of either sign) must leave the
+ * sum as skipping it would. Over a finite B its product is +0 or -0,
+ * and adding either leaves the sum bitwise unchanged (in
+ * round-to-nearest a sum that starts at +0 can never become -0), so
+ * it is added as it is. When B holds an Inf or NaN (@p Masked), 0 *
+ * Inf or 0 * NaN would be NaN, so the product is masked to +0.
  */
-template <std::size_t W>
+template <std::size_t W, bool Masked>
 void
 floatTile(const float *arow, std::size_t lda, const float *b,
           std::size_t n, std::size_t k, float *crow)
@@ -146,13 +147,19 @@ floatTile(const float *arow, std::size_t lda, const float *b,
     float acc[W] = {};
     for (std::size_t kk = 0; kk < k; ++kk) {
         const float av = arow[kk * lda];
-        const std::uint32_t keep =
-            0u - static_cast<std::uint32_t>(av != 0.0f);
         const float *brow = b + kk * n;
+        if constexpr (Masked) {
+            const std::uint32_t keep =
+                0u - static_cast<std::uint32_t>(av != 0.0f);
 #pragma GCC unroll 16
-        for (std::size_t t = 0; t < W; ++t)
-            acc[t] += std::bit_cast<float>(
-                std::bit_cast<std::uint32_t>(av * brow[t]) & keep);
+            for (std::size_t t = 0; t < W; ++t)
+                acc[t] += std::bit_cast<float>(
+                    std::bit_cast<std::uint32_t>(av * brow[t]) & keep);
+        } else {
+#pragma GCC unroll 16
+            for (std::size_t t = 0; t < W; ++t)
+                acc[t] += av * brow[t];
+        }
     }
 #pragma GCC unroll 16
     for (std::size_t t = 0; t < W; ++t)
@@ -193,7 +200,8 @@ forEachTile(std::size_t n, std::size_t lo, std::size_t hi, Tile &&tile)
  * C = op(A) * B with op(A)(i, kk) = a[i * rs + kk * ks] and B (k x n).
  * Output rows are chunked across the pool; each output is summed by
  * floatTile in ascending k whatever the chunking, so the result is
- * bitwise independent of the thread count.
+ * bitwise independent of the thread count. One scan of B picks the
+ * masked tile when B holds an Inf or NaN.
  */
 Tensor
 floatGemm(const float *a, std::size_t rs, std::size_t ks, const Tensor &b,
@@ -205,11 +213,18 @@ floatGemm(const float *a, std::size_t rs, std::size_t ks, const Tensor &b,
         return c;
     const float *pb = b.data();
     float *pc = c.data();
+    const bool masked = !std::all_of(
+        pb, pb + b.numel(), [](float v) { return std::isfinite(v); });
     parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
         forEachTile(n, lo, hi, [&](auto width, std::size_t i,
                                    std::size_t j) {
-            floatTile<decltype(width)::value>(a + i * rs, ks, pb + j, n, k,
-                                              pc + i * n + j);
+            constexpr std::size_t w = decltype(width)::value;
+            if (masked)
+                floatTile<w, true>(a + i * rs, ks, pb + j, n, k,
+                                   pc + i * n + j);
+            else
+                floatTile<w, false>(a + i * rs, ks, pb + j, n, k,
+                                    pc + i * n + j);
         });
     });
     return c;

@@ -55,9 +55,7 @@ std::string
 freshDir(const std::string &name)
 {
     const std::string dir = ::testing::TempDir() + name;
-    for (const std::string &f : listDir(dir))
-        std::remove((dir + "/" + f).c_str());
-    ::rmdir(dir.c_str());
+    EXPECT_TRUE(removeTree(dir));
     EXPECT_TRUE(ensureDir(dir));
     return dir;
 }
@@ -631,15 +629,6 @@ TEST(CrashResume, SecondShutdownSignalExitsImmediately)
 
 // ------------------------------------------- vanished directories
 
-/** rm -rf for the flat store layout the tests create. */
-void
-removeTree(const std::string &dir)
-{
-    for (const std::string &f : listDir(dir))
-        std::remove((dir + "/" + f).c_str());
-    ::rmdir(dir.c_str());
-}
-
 TEST(DirMissing, StoreDirRemovedBetweenCommitsIsRecreated)
 {
     // Someone rm -rf'd the checkpoint tree between two commits. The
@@ -670,9 +659,7 @@ TEST(DirMissing, StoreDirRemovedMidCommitIsRecreatedAndRetried)
         if (*nuked)
             return;
         *nuked = true;
-        for (const std::string &f : listDir(dir))
-            std::remove((dir + "/" + f).c_str());
-        ::rmdir(dir.c_str());
+        removeTree(dir);
     };
     CheckpointStore store(cfg);
     const double before = obs::MetricRegistry::instance()

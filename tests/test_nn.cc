@@ -8,10 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/batchnorm.h"
@@ -911,6 +919,125 @@ TEST(QuantTrainerTest, DeterministicGivenSeeds)
         return loss;
     };
     EXPECT_DOUBLE_EQ(run(), run());
+}
+
+/** CRC-32 continued from @p crc over the low @p bytes of @p bits, LSB first. */
+std::uint32_t
+crcBits(std::uint32_t crc, std::uint64_t bits, std::size_t bytes)
+{
+    unsigned char buf[8];
+    for (std::size_t i = 0; i < bytes; ++i)
+        buf[i] = static_cast<unsigned char>(bits >> (8 * i));
+    return crc32(buf, bytes, crc);
+}
+
+struct PolicyDigest
+{
+    std::string policy;
+    /** CRC-32 of every step's loss (the double's bits). */
+    std::uint32_t lossCrc = 0;
+    /** CRC-32 of the final master weights (the floats' bits). */
+    std::uint32_t mastersCrc = 0;
+
+    bool operator==(const PolicyDigest &) const = default;
+};
+
+/**
+ * The trainer's numerics under each table8_accuracy policy. A kernel
+ * fast path must leave every row untouched; a deliberate numerics
+ * change re-baselines the table in one edit: the failing test prints
+ * the replacement.
+ */
+const std::vector<PolicyDigest> kPolicyDigests = {
+    {"fp32", 0xa6f1abe9u, 0xacb1afedu},
+    {"zhu_hqt", 0x44faa287u, 0x603437ccu},
+    {"zhang_hqt", 0x28d10d50u, 0xb3095e3du},
+    {"zhu", 0x21cf2b01u, 0x9fbf6b96u},
+    {"zhang", 0xbe516d68u, 0xba997ce7u},
+    {"wang2018", 0x6c0db494u, 0x040b029du},
+    {"yang2020", 0x21cf2b01u, 0x9fbf6b96u},
+};
+
+TEST(QuantTrainerTest, PolicyRunsMatchPinnedDigests)
+{
+    // The train-cnn-hqt network (the resnet18 row of table8_accuracy:
+    // conv 1->8, pool, conv 8->16 and two 16->16 on 12x12 images,
+    // batch 32, Adam), 20 steps per policy, at pool widths 1 and 4.
+    const std::pair<const char *, quant::AlgorithmConfig> policies[] = {
+        {"fp32", quant::AlgorithmConfig::fp32()},
+        {"zhu_hqt", quant::AlgorithmConfig::zhu2019Hqt(256)},
+        {"zhang_hqt", quant::AlgorithmConfig::zhang2020Hqt(256)},
+        {"zhu", quant::AlgorithmConfig::zhu2019()},
+        {"zhang", quant::AlgorithmConfig::zhang2020()},
+        {"wang2018", quant::AlgorithmConfig::wang2018()},
+        {"yang2020", quant::AlgorithmConfig::yang2020()},
+    };
+    const auto train = [](const quant::AlgorithmConfig &algo) {
+        PatternImageDataset data(4, 1, 12, 12, 1.2, 1234);
+        Rng rng(11);
+        Network net;
+        net.add(std::make_unique<Conv2d>(
+            "conv1", Conv2dGeometry{1, 8, 3, 3, 1, 1}, rng));
+        net.add(std::make_unique<Activation>("relu1", ActKind::ReLU));
+        net.add(std::make_unique<MaxPool2d>("pool1", 2, 2));
+        for (int d = 0; d < 3; ++d) {
+            const std::string tag = std::to_string(d + 2);
+            net.add(std::make_unique<Conv2d>(
+                "conv" + tag,
+                Conv2dGeometry{d == 0 ? 8u : 16u, 16, 3, 3, 1, 1}, rng));
+            net.add(std::make_unique<Activation>("relu" + tag,
+                                                 ActKind::ReLU));
+        }
+        net.add(std::make_unique<GlobalAvgPool>("gap"));
+        net.add(std::make_unique<Linear>("fc", 16, 4, rng));
+        QuantTrainerConfig cfg;
+        cfg.algorithm = algo;
+        cfg.optimizer.kind = OptimizerKind::Adam;
+        cfg.optimizer.lr = 3e-3;
+        QuantTrainer trainer(net, cfg);
+        std::uint32_t lossCrc = 0, mastersCrc = 0;
+        for (int step = 0; step < 20; ++step) {
+            const auto b = data.sample(32);
+            lossCrc = crcBits(lossCrc,
+                              std::bit_cast<std::uint64_t>(
+                                  trainer.stepClassification(b.inputs,
+                                                             b.labels)),
+                              8);
+        }
+        for (const Param *p : net.params())
+            for (std::size_t i = 0; i < p->value.numel(); ++i)
+                mastersCrc = crcBits(
+                    mastersCrc, std::bit_cast<std::uint32_t>(p->value[i]),
+                    4);
+        return std::make_pair(lossCrc, mastersCrc);
+    };
+
+    std::vector<PolicyDigest> got;
+    for (const auto &[name, algo] : policies) {
+        ThreadPool::instance().setNumThreads(1);
+        const auto [lossCrc, mastersCrc] = train(algo);
+        ThreadPool::instance().setNumThreads(4);
+        EXPECT_EQ(train(algo), std::make_pair(lossCrc, mastersCrc))
+            << name << ": pool width 4 differs from width 1";
+        got.push_back({name, lossCrc, mastersCrc});
+    }
+    ThreadPool::instance().setNumThreads(0);
+
+    std::string table;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        char row[96];
+        std::snprintf(row, sizeof row, "    {\"%s\", 0x%08xu, 0x%08xu},%s\n",
+                      got[i].policy.c_str(), got[i].lossCrc,
+                      got[i].mastersCrc,
+                      i < kPolicyDigests.size() && kPolicyDigests[i] == got[i]
+                          ? ""
+                          : " // changed");
+        table += row;
+    }
+    EXPECT_TRUE(got == kPolicyDigests)
+        << "trainer numerics differ from the pinned digests; after a "
+           "deliberate change, replace kPolicyDigests with:\n"
+        << table;
 }
 
 TEST(QuantTrainerTest, LanguageModelPerplexityDrops)

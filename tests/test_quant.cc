@@ -48,6 +48,15 @@ TEST(QFormat, QuantizeSaturates)
     IntFormat f{8, 0.1};
     EXPECT_EQ(quantizeValue(1000.0, f), 127);
     EXPECT_EQ(quantizeValue(-1000.0, f), -127);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(quantizeValue(inf, f), 127);
+    EXPECT_EQ(quantizeValue(-inf, f), -127);
+    // A NaN has no level: INT32_MIN, which an int16 level store keeps
+    // as 0.
+    const std::int32_t q =
+        quantizeValue(std::numeric_limits<double>::quiet_NaN(), f);
+    EXPECT_EQ(q, std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(static_cast<std::int16_t>(q), 0);
 }
 
 TEST(QFormat, RoundTripErrorBounded)
@@ -516,15 +525,24 @@ TEST(E2bqmDiff, DegenerateBlocksMatchComposition)
 {
     // All-zero, all-Inf, all-NaN and mixed special blocks, and the
     // empty tensor (one tallied block for fakeQuantizeE2bqm, none for
-    // fakeQuantizeHqt).
+    // fakeQuantizeHqt). The 40-element tensors reach the 16-wide
+    // chunks of the plain-candidate path with one Inf or NaN each,
+    // which must keep their blocks scalar.
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = std::numeric_limits<float>::quiet_NaN();
-    const std::vector<std::vector<float>> blocks = {
+    std::vector<std::vector<float>> blocks = {
         {0.0f, -0.0f, 0.0f, 0.0f},
         {inf, inf, -inf, inf},
         {nan, nan, nan},
         {1.0f, nan, -2.0f, inf, 0.0f, -0.0f, 3e-40f},
         {}};
+    for (float special : {inf, nan}) {
+        std::vector<float> data(40);
+        for (std::size_t i = 0; i < data.size(); ++i)
+            data[i] = 0.25f * static_cast<float>(i % 7) - 0.75f;
+        data[21] = special;
+        blocks.push_back(data);
+    }
     for (ErrorMetric metric :
          {ErrorMetric::Rectilinear, ErrorMetric::CosineDistance,
           ErrorMetric::MeanBias, ErrorMetric::MaxError}) {
@@ -534,7 +552,8 @@ TEST(E2bqmDiff, DegenerateBlocksMatchComposition)
               E2bqmConfig::adaptivePrecision(metric)}) {
             for (const std::vector<float> &data : blocks) {
                 const Tensor x({data.size()}, data);
-                for (std::size_t bs : {std::size_t(1), std::size_t(3)}) {
+                for (std::size_t bs :
+                     {std::size_t(1), std::size_t(3), std::size_t(17)}) {
                     E2bqmSelectionInfo info, want;
                     EXPECT_EQ(test::bitDifference(
                                   fakeQuantizeHqt(x, bs, cfg, &info),

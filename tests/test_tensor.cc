@@ -249,19 +249,31 @@ TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
 {
     // Widths 1..100 cover every 16/8/4/1 tile mix; each shape runs on
     // one thread and on a 4-wide pool. All three variants share one
-    // kernel, so one oracle checks them all.
+    // kernel, so one oracle checks them all. Trial kinds (trial % 4):
+    // 0 finite operands; 1 specials in A only, so B is finite and the
+    // mask-free kernel runs; 2 a single +-Inf or NaN in B, which alone
+    // selects the masked kernel; 3 specials in both.
     Rng rng(2024);
     const double zeroFracs[] = {0.0, 0.5, 0.95};
-    for (int trial = 0; trial < 72; ++trial) {
+    for (int trial = 0; trial < 96; ++trial) {
         const std::size_t m = 1 + rng.below(100);
         const std::size_t k = trial == 0 ? 0 : 1 + rng.below(100);
         const std::size_t n = 1 + rng.below(100);
         const double zf = zeroFracs[trial % 3];
-        const bool specials = trial % 4 == 3;
-        Tensor a = diffOperand(rng, {m, k}, zf, specials);
-        Tensor at = diffOperand(rng, {k, m}, zf, specials);
-        Tensor b = diffOperand(rng, {k, n}, 0.1, specials);
-        Tensor bt = diffOperand(rng, {n, k}, 0.1, specials);
+        const int kind = trial % 4;
+        Tensor a = diffOperand(rng, {m, k}, zf, kind == 1 || kind == 3);
+        Tensor at = diffOperand(rng, {k, m}, zf, kind == 1 || kind == 3);
+        Tensor b = diffOperand(rng, {k, n}, 0.1, kind == 3);
+        Tensor bt = diffOperand(rng, {n, k}, 0.1, kind == 3);
+        if (kind == 2 && k > 0) {
+            const float specials[] = {
+                std::numeric_limits<float>::infinity(),
+                -std::numeric_limits<float>::infinity(),
+                std::numeric_limits<float>::quiet_NaN()};
+            const float v = specials[rng.below(3)];
+            b[rng.below(b.numel())] = v;
+            bt[rng.below(bt.numel())] = v;
+        }
         if (trial % 6 == 5 && k >= 2) {
             // Every output gets +h * b and -h * b (h ~ 2^62) at two k
             // positions p < q, so the sum keeps only the terms after

@@ -26,6 +26,10 @@
  * that resumed from a saved checkpoint and restarts that found none
  * and cold-started (async commits often land after the kill).
  *
+ * Without --dir the legs run in a fresh cq-crashtest-XXXXXX tree
+ * under $TMPDIR (default /tmp). A clean run removes it; a failing run
+ * keeps it and prints its path.
+ *
  * Usage:
  *   cq_crashtest [--trials N] [--steps N] [--seed S] [--ckpt-every N]
  *                [--ckpt-keep K] [--mid-write-frac F]
@@ -201,18 +205,31 @@ main(int argc, char **argv)
         }
     }
 
-    if (baseDir.empty()) {
-        char tmpl[] = "/tmp/cq-crashtest-XXXXXX";
-        if (::mkdtemp(tmpl) == nullptr) {
+    // Without --dir the sweep runs in a fresh tree under $TMPDIR,
+    // removed after a clean run and kept for inspection otherwise.
+    const bool tempTree = baseDir.empty();
+    if (tempTree) {
+        baseDir = makeTempDir("cq-crashtest-");
+        if (baseDir.empty()) {
             std::perror("cq_crashtest: mkdtemp");
             return 1;
         }
-        baseDir = tmpl;
     } else if (!ensureDir(baseDir)) {
         std::fprintf(stderr, "cq_crashtest: cannot create '%s'\n",
                      baseDir.c_str());
         return 1;
     }
+    const auto finish = [&](int rc) {
+        if (!tempTree)
+            return rc;
+        if (rc != 0)
+            std::fprintf(stderr, "cq_crashtest: kept %s\n",
+                         baseDir.c_str());
+        else if (!removeTree(baseDir))
+            std::fprintf(stderr, "cq_crashtest: cannot remove %s\n",
+                         baseDir.c_str());
+        return rc;
+    };
 
     nn::guard::CrashHarnessConfig base;
     base.seed = seed + 100; // model/data seed, distinct from schedule
@@ -233,14 +250,14 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "cq_crashtest: reference leg failed (%s)\n",
                          describe(end).c_str());
-            return 1;
+            return finish(1);
         }
     }
     std::vector<char> refBytes;
     if (!readWholeFile(refMasters, refBytes) || refBytes.empty()) {
         std::fprintf(stderr,
                      "cq_crashtest: reference masters dump missing\n");
-        return 1;
+        return finish(1);
     }
 
     sim::KillScheduleConfig scfg;
@@ -252,14 +269,15 @@ main(int argc, char **argv)
     const auto plan = sim::planKillPoints(scfg);
 
     std::printf("cq_crashtest: %llu trials, %llu steps, ckpt every "
-                "%llu keep %llu, %s commits, CQ_THREADS=%s\n",
+                "%llu keep %llu, %s commits, CQ_THREADS=%s, dir %s\n",
                 static_cast<unsigned long long>(trials),
                 static_cast<unsigned long long>(steps),
                 static_cast<unsigned long long>(ckptEvery),
                 static_cast<unsigned long long>(ckptKeep),
                 sync ? "sync" : "async",
                 std::getenv("CQ_THREADS") ? std::getenv("CQ_THREADS")
-                                          : "(default)");
+                                          : "(default)",
+                baseDir.c_str());
     std::printf("%-6s %-22s %-10s %-12s %-8s %s\n", "trial", "kill",
                 "killed", "resumed-gen", "steps", "verdict");
 
@@ -335,8 +353,8 @@ main(int argc, char **argv)
                 plan.size() - failures, plan.size(), resumedRuns,
                 coldRuns);
     if (failures == 0)
-        return 0;
+        return finish(0);
     std::fprintf(stderr, "cq_crashtest: %zu/%zu trials FAILED\n",
                  failures, plan.size());
-    return 1;
+    return finish(1);
 }

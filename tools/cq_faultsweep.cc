@@ -41,6 +41,10 @@
  * classifies how it ended. Exits 0
  * iff no trial crashed, hung, or violated an invariant AND at least
  * --min-covered sites actually fired.
+ *
+ * Without --dir the trials run in a fresh cq_faultsweep.XXXXXX tree
+ * under $TMPDIR (default /tmp). A passing sweep removes it; a failing
+ * one keeps it and prints its path.
  */
 
 #include <algorithm>
@@ -727,20 +731,29 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (opt.dir.empty()) {
-        char tmpl[] = "/tmp/cq_faultsweep.XXXXXX";
-        const char *d = ::mkdtemp(tmpl);
-        if (d == nullptr) {
+    const bool all = opt.mode == "all";
+    if (!all && opt.mode != "sweep" && opt.mode != "pairs" &&
+        opt.mode != "enospc" && opt.mode != "obs-identity" &&
+        opt.mode != "selftest") {
+        std::fprintf(stderr, "%s: unknown mode '%s'\n", kProg,
+                     opt.mode.c_str());
+        return 2;
+    }
+
+    // Without --dir the trials run in a fresh tree under $TMPDIR,
+    // removed after a clean sweep and kept for inspection otherwise.
+    const bool tempTree = opt.dir.empty();
+    if (tempTree) {
+        opt.dir = makeTempDir("cq_faultsweep.");
+        if (opt.dir.empty()) {
             std::fprintf(stderr, "%s: mkdtemp failed\n", kProg);
             return 2;
         }
-        opt.dir = d;
     } else {
         ensureDir(opt.dir);
     }
 
     Tally tally;
-    const bool all = opt.mode == "all";
     if (all || opt.mode == "sweep")
         modeSweep(opt, tally);
     if (all || opt.mode == "pairs")
@@ -751,13 +764,6 @@ main(int argc, char **argv)
         modeObsIdentity(opt, tally);
     if (all || opt.mode == "selftest")
         modeSelftest(opt, tally);
-    if (!all && opt.mode != "sweep" && opt.mode != "pairs" &&
-        opt.mode != "enospc" && opt.mode != "obs-identity" &&
-        opt.mode != "selftest") {
-        std::fprintf(stderr, "%s: unknown mode '%s'\n", kProg,
-                     opt.mode.c_str());
-        return 2;
-    }
 
     std::printf("\nfaultsweep summary: %u handled, %u not-covered, "
                 "%u undeclared, %u invariant, %u crashed, %u hung; "
@@ -766,15 +772,18 @@ main(int argc, char **argv)
                 tally.invariant, tally.crashed, tally.hung,
                 tally.coveredSites.size(),
                 fp::Registry::declaredSites().size());
-    if (!tally.clean())
-        return 1;
-    if (tally.coveredSites.size() < opt.minCovered) {
+    const bool covered = tally.coveredSites.size() >= opt.minCovered;
+    if (tally.clean() && !covered)
         std::fprintf(stderr,
                      "%s: only %zu sites covered (< --min-covered "
                      "%llu)\n",
                      kProg, tally.coveredSites.size(),
                      static_cast<unsigned long long>(opt.minCovered));
-        return 1;
-    }
-    return 0;
+    const bool passed = tally.clean() && covered;
+    if (tempTree && !passed)
+        std::fprintf(stderr, "%s: kept %s\n", kProg, opt.dir.c_str());
+    else if (tempTree && !removeTree(opt.dir))
+        std::fprintf(stderr, "%s: cannot remove %s\n", kProg,
+                     opt.dir.c_str());
+    return passed ? 0 : 1;
 }
