@@ -2,15 +2,20 @@
  * @file
  * Observability overhead budget (PERF-07): the same training leg runs
  * dark (tracing off, no scrape endpoint) and lit (TraceSession on, an
- * ObsServer up, a sidecar thread scraping /metrics at 10 Hz), three
- * interleaved repetitions each. The gated metric is
+ * ObsServer up, a sidecar thread scraping /metrics at 10 Hz), in
+ * interleaved repetitions. Each repetition runs one dark and one lit
+ * leg back to back, and the gated metric is
  *
- *   overhead_frac = max(0, litMin / darkMin - 1)
+ *   overhead_frac = max(0, median over reps of (lit / dark) - 1)
  *
- * with min-of-reps on both sides so scheduler noise cancels instead
- * of accumulating. bench/gates.json bounds it at 5%: the live
- * observability plane must stay cheap enough to leave on in
- * production runs.
+ * A leg pair shares the host's state of the moment, so its ratio
+ * cancels a slow stretch that hits both legs, and the median ignores
+ * the minority of pairs a neighbour disturbs in one leg only. Each
+ * arm's minimum would compare legs from different repetitions, so one
+ * lucky dark leg could fail the gate. A cost paid on every lit step
+ * moves every ratio, so the median still sees it.
+ * bench/gates.json bounds it at 5%: the live observability plane must
+ * stay cheap enough to leave on in production runs.
  *
  * The deterministic companion metric crc_identical re-asserts the
  * obs-identity invariant right here in the bench: every leg, dark or
@@ -44,6 +49,15 @@ nowMs()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** Median of @p v (the mean of the middle two for an even count). */
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 struct Leg
@@ -109,10 +123,12 @@ WorkloadResult
 run(const WorkloadContext &ctx)
 {
     const std::uint64_t steps = ctx.quick ? 150 : 400;
-    const int reps = ctx.quick ? 5 : 7;
+    // Nine leg pairs: with five, two disturbed pairs can pull the
+    // median of a 10%-costlier lit arm under the bound.
+    const int reps = 9;
 
     WorkloadResult out;
-    double darkMin = 0.0, litMin = 0.0;
+    std::vector<double> darkMs, litMs, ratios;
     std::uint32_t refCrc = 0;
     bool crcIdentical = true;
     for (int rep = 0; rep < reps; ++rep) {
@@ -132,19 +148,22 @@ run(const WorkloadContext &ctx)
         crcIdentical = crcIdentical && dark.crc == refCrc &&
                        lit.crc == refCrc &&
                        dark.steps == steps && lit.steps == steps;
-        darkMin = (rep == 0) ? dark.ms : std::min(darkMin, dark.ms);
-        litMin = (rep == 0) ? lit.ms : std::min(litMin, lit.ms);
+        darkMs.push_back(dark.ms);
+        litMs.push_back(lit.ms);
+        if (dark.ms > 0.0)
+            ratios.push_back(lit.ms / dark.ms);
     }
 
     const double frac =
-        darkMin > 0.0 ? std::max(0.0, litMin / darkMin - 1.0) : 0.0;
-    out.setTiming("dark_ms", darkMin);
-    out.setTiming("lit_ms", litMin);
+        ratios.empty() ? 0.0 : std::max(0.0, median(ratios) - 1.0);
+    out.setTiming("dark_ms", median(darkMs));
+    out.setTiming("lit_ms", median(litMs));
     out.setTiming("overhead_frac", frac, "x");
     out.set("crc_identical", crcIdentical ? 1.0 : 0.0);
     out.notes = "lit = tracing on + /metrics scraped at 10 Hz; "
-                "min over interleaved alternating-order reps per arm; "
-                "CRCs must match the dark leg bit for bit";
+                "median over interleaved alternating-order reps of "
+                "lit/dark per rep; dark_ms and lit_ms are per-arm "
+                "medians; CRCs must match the dark leg bit for bit";
     return out;
 }
 

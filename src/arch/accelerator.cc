@@ -216,12 +216,8 @@ struct Executor
             // The DMA engine posts the whole descriptor list at once:
             // stripes overlap across banks (the controller's bus and
             // bank-timing state still serializes what must serialize).
-            done = now;
-            for (std::uint64_t i = 0; i < stripes; ++i) {
-                done = std::max(
-                    done, dram.transfer(now, ins.addr + i * ins.bytes2,
-                                        per_stripe, is_write));
-            }
+            done = dram.transfer(now, ins.addr, per_stripe, is_write,
+                                 stripes, ins.bytes2);
             if (is_write)
                 bufTraffic(ins.buf, ins.bytes, 0);
             else

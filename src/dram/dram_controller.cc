@@ -56,9 +56,8 @@ DramController::DramController(DramConfig config)
     requirePowerOfTwo(config_.numBanks, "numBanks");
     requirePowerOfTwo(config_.channels, "channels");
     CQ_ASSERT(config_.rowBytes % config_.burstBytes == 0);
-    // Whole-pJ constants keep every partial energy sum exact, so a run
-    // of n bursts may add n x e at once and stay bitwise equal to n
-    // separate additions.
+    // Whole-pJ constants keep every product and sum in dynamicEnergy()
+    // exact, so it equals the per-command running sum bit for bit.
     requireWholePj(config_.eActPre, "eActPre");
     requireWholePj(config_.eReadBurst, "eReadBurst");
     requireWholePj(config_.eWriteBurst, "eWriteBurst");
@@ -110,23 +109,30 @@ DramController::applyRefreshUpTo(Tick now)
             b.readyAt = std::max(b.readyAt, nextRefresh_) +
                         config_.tRFC;
         }
-        dynamicEnergy_ +=
-            config_.eRefresh * static_cast<double>(config_.channels);
         ++nRefreshes_;
         nextRefresh_ += config_.tREFI;
     }
 }
 
 void
-DramController::checkRange(Addr addr, Bytes bytes) const
+DramController::checkRange(Addr addr, Bytes bytes, std::uint64_t stripes,
+                           Bytes stride) const
 {
     const Bytes capacity =
         config_.capacityBytes * static_cast<Bytes>(config_.channels);
-    CQ_ASSERT_MSG(addr < capacity && bytes <= capacity - addr,
+    // The last stripe starts highest; an offset or start that does not
+    // fit in 64 bits is out of range too.
+    Bytes offset = 0, last = 0, extent = 0;
+    const bool wraps =
+        __builtin_mul_overflow(stripes - 1, stride, &offset) ||
+        __builtin_add_overflow(addr, offset, &last);
+    if (wraps || __builtin_add_overflow(offset, bytes, &extent))
+        extent = ~Bytes{0};
+    CQ_ASSERT_MSG(!wraps && last < capacity && bytes <= capacity - last,
                   "address range [0x%llx, +%llu) exceeds DRAM capacity "
                   "%llu B (%u channel(s) x %llu B)",
                   static_cast<unsigned long long>(addr),
-                  static_cast<unsigned long long>(bytes),
+                  static_cast<unsigned long long>(extent),
                   static_cast<unsigned long long>(capacity),
                   config_.channels,
                   static_cast<unsigned long long>(config_.capacityBytes));
@@ -144,7 +150,7 @@ DramController::mapBurst(std::uint64_t burst, std::size_t &bank,
     bank = ((burst & channelMask_) << bankShift_) | (window & bankMask_);
 }
 
-Tick
+inline Tick
 DramController::prepareRow(Tick earliest, std::size_t bank,
                            std::uint64_t row)
 {
@@ -163,7 +169,6 @@ DramController::prepareRow(Tick earliest, std::size_t bank,
     }
     ++nRowMisses_;
     ++nActivates_;
-    dynamicEnergy_ += config_.eActPre;
     b.lastActivate = t;
     t += config_.tRCD;
     b.rowOpen = true;
@@ -171,15 +176,9 @@ DramController::prepareRow(Tick earliest, std::size_t bank,
     return t;
 }
 
-Tick
-DramController::burstStep(Tick earliest, std::uint64_t burst)
+inline Tick
+DramController::startBurst(std::size_t bank, Tick start)
 {
-    std::size_t bank;
-    std::uint64_t row;
-    mapBurst(burst, bank, row);
-    // The burst needs the bank ready and the data bus free.
-    const Tick start =
-        std::max(prepareRow(earliest, bank, row), busFreeAt_);
     const unsigned phase = burstPhase_;
     burstPhase_ = (phase + 1) & 3;
     busFreeAt_ = start + burstBus_[phase];
@@ -187,107 +186,171 @@ DramController::burstStep(Tick earliest, std::uint64_t burst)
     return start + config_.tCAS + burstDur_[phase];
 }
 
-Tick
-DramController::rowRun(std::uint64_t burst, std::uint64_t count)
+inline Tick
+DramController::burstStep(Tick earliest, std::size_t bank,
+                          std::uint64_t row)
 {
-    // Burst j starts busSpan(phase, j) after the first. Only the last
-    // burst on each channel leaves its mark on a bank.
-    const unsigned phase = burstPhase_;
-    const std::size_t bank_in_chan =
-        (burst >> windowShift_) & bankMask_;
-    const std::uint64_t tail =
-        std::min<std::uint64_t>(count, config_.channels);
-    Tick start = busFreeAt_ + busSpan(phase, count - tail);
-    for (std::uint64_t j = count - tail; j < count; ++j) {
-        const unsigned p = (phase + j) & 3;
-        const std::size_t bank =
-            (((burst + j) & channelMask_) << bankShift_) | bank_in_chan;
-        banks_[bank].readyAt = start + burstDur_[p];
-        start += burstBus_[p];
-    }
-    busFreeAt_ = start;
-    burstPhase_ = (phase + count) & 3;
-    nRowHits_ += count;
-    const unsigned last = (phase + count - 1) & 3;
-    return start - burstBus_[last] + config_.tCAS + burstDur_[last];
+    // The burst needs the bank ready and the data bus free.
+    return startBurst(
+        bank, std::max(prepareRow(earliest, bank, row), busFreeAt_));
 }
 
 std::uint64_t
-DramController::runBeforeRefresh(std::uint64_t count) const
+DramController::runBeforeRefresh() const
 {
     // A refresh falls due before a burst once an earlier burst of the
-    // transfer finished at or after nextRefresh_. Along a row run the
+    // stripe finished at or after nextRefresh_. Along a row run the
     // finish ticks never fall (each burst starts at least one bus tick
     // after the previous and lasts at most one tick less), so the run
     // keeps its bursts up to the first that finishes that late.
-    if (!config_.refreshEnabled || count == 1)
-        return count;
-    const unsigned phase = burstPhase_;
-    // Finish of run burst j, less the first start and tCAS.
-    const auto reach = [&](std::uint64_t j) {
-        return busSpan(phase, j) + burstDur_[(phase + j) & 3];
-    };
-    const Tick first = busFreeAt_ + config_.tCAS;
-    if (first + reach(count - 2) < nextRefresh_)
-        return count;
-    if (nextRefresh_ <= first + reach(0))
+    if (nextRefresh_ <= runFinish(0))
         return 1;
-    // reach(4q + r) = q x busSpan(0, 4) + reach(r): bursts up to 4q
-    // finish in time, and the fourth burst after that no longer does.
-    const Tick budget = nextRefresh_ - first;
-    std::uint64_t j = (budget - reach(0) - 1) / busSpan(0, 4) * 4;
-    while (reach(j + 1) < budget)
+    // runFinish(4q + r) = q x busSpan(0, 4) + runFinish(r): bursts up
+    // to 4q finish in time, and the fourth burst after that no longer
+    // does.
+    const Tick budget = nextRefresh_ - runFinish(0);
+    std::uint64_t j = (budget - 1) / busSpan(0, 4) * 4;
+    while (runFinish(j + 1) < nextRefresh_)
         ++j;
     return j + 2;
 }
 
 Tick
-DramController::transfer(Tick earliest, Addr addr, Bytes bytes,
-                         bool is_write)
+DramController::window(Tick earliest, Tick done, std::uint64_t burst,
+                       std::uint64_t count)
 {
-    CQ_ASSERT_MSG(bytes > 0, "zero-byte %s at addr 0x%llx",
-                  is_write ? "write" : "read",
-                  static_cast<unsigned long long>(addr));
-    checkRange(addr, bytes);
-    applyRefreshUpTo(earliest);
+    // Each channel's bursts in the window share one (bank, row).
+    const std::uint64_t win = burst >> windowShift_;
+    const std::uint64_t row = win >> bankShift_;
+    const auto bankOf = [&](std::uint64_t b) -> std::size_t {
+        return ((b & channelMask_) << bankShift_) | (win & bankMask_);
+    };
+    const auto refreshDue = [&] {
+        return config_.refreshEnabled && done >= nextRefresh_;
+    };
+    for (;;) {
+        // A refresh falls due before a burst once an earlier burst of
+        // the stripe finished at or after it; it closes every row, so
+        // the first burst on each channel steps again.
+        if (refreshDue())
+            applyRefreshUpTo(done);
+        const std::uint64_t steps = std::min(count, stepBursts_);
+        std::uint64_t k = 0;
+        do {
+            done = std::max(done,
+                            burstStep(earliest, bankOf(burst + k), row));
+        } while (++k < steps && !refreshDue());
+        burst += k;
+        count -= k;
+        if (count == 0)
+            return done;
+        if (refreshDue())
+            continue;
 
-    // Burst k carries the transfer's bytes in [k, k + 1) x burstBytes.
-    std::uint64_t burst = addr >> burstShift_;
-    const std::uint64_t end = ((addr + bytes - 1) >> burstShift_) + 1;
-    const std::uint64_t count = end - burst;
-    busBytes_ += bytes;
-    if (is_write) {
-        nWrites_ += count;
-        dynamicEnergy_ +=
-            config_.eWriteBurst * static_cast<double>(count);
-    } else {
-        nReads_ += count;
-        dynamicEnergy_ += config_.eReadBurst * static_cast<double>(count);
-    }
-
-    Tick done = earliest;
-    while (burst < end) {
-        // A row window: each channel's bursts in it share one row.
-        const std::uint64_t window_end =
-            std::min(end, ((burst >> windowShift_) + 1) << windowShift_);
-        std::uint64_t hits_from = burst + stepBursts_;
-        while (burst < window_end) {
-            if (config_.refreshEnabled && done >= nextRefresh_) {
-                applyRefreshUpTo(done);
-                hits_from = burst + stepBursts_; // every row closed
-            }
-            if (burst < hits_from) {
-                done = std::max(done, burstStep(earliest, burst));
-                ++burst;
-            } else {
-                const std::uint64_t run =
-                    runBeforeRefresh(window_end - burst);
-                done = std::max(done, rowRun(burst, run));
-                burst += run;
-            }
+        // Every channel's row is open: the rest are row hits that start
+        // when the bus frees. Their finish ticks never fall, so a
+        // refresh can fall due among them only if the second-to-last
+        // finishes at or after it.
+        const std::uint64_t run =
+            config_.refreshEnabled && count > 1 &&
+                    runFinish(count - 2) >= nextRefresh_
+                ? runBeforeRefresh()
+                : count;
+        // Run burst j starts busSpan(phase, j) after the first. Only the
+        // last burst on each channel leaves its mark on a bank.
+        const unsigned phase = burstPhase_;
+        const std::uint64_t tail =
+            std::min<std::uint64_t>(run, config_.channels);
+        Tick start = busFreeAt_ + busSpan(phase, run - tail);
+        for (std::uint64_t j = run - tail; j < run; ++j) {
+            const unsigned p = (phase + j) & 3;
+            banks_[bankOf(burst + j)].readyAt = start + burstDur_[p];
+            start += burstBus_[p];
         }
+        busFreeAt_ = start;
+        burstPhase_ = (phase + run) & 3;
+        nRowHits_ += run;
+        const unsigned last = (phase + run - 1) & 3;
+        done = std::max(done, start - burstBus_[last] + config_.tCAS +
+                                  burstDur_[last]);
+        burst += run;
+        count -= run;
+        if (count == 0)
+            return done;
     }
-    return done;
+}
+
+inline Tick
+DramController::oneChannelWindow(Tick earliest, Tick done,
+                                 std::uint64_t burst, std::uint64_t count)
+{
+    if (config_.refreshEnabled && done >= nextRefresh_)
+        applyRefreshUpTo(done);
+    // One row of one bank: the first burst steps, and burst j starts
+    // busSpan(phase, j) after it.
+    const std::uint64_t win = burst >> windowShift_;
+    const std::size_t bank = win & bankMask_;
+    const Tick first =
+        std::max(prepareRow(earliest, bank, win >> bankShift_), busFreeAt_);
+    const unsigned phase = burstPhase_;
+    const Tick last = first + busSpan(phase, count - 1);
+    const unsigned last_phase = (phase + count - 1) & 3;
+    const unsigned prev_phase = (last_phase + 3) & 3;
+    if (count > 1 && config_.refreshEnabled &&
+        last - burstBus_[prev_phase] + config_.tCAS +
+                burstDur_[prev_phase] >=
+            nextRefresh_) {
+        // The second-to-last burst finishes too late: a refresh can
+        // fall due inside the window. Keep the first burst and let the
+        // general routine split the rest.
+        return window(earliest, std::max(done, startBurst(bank, first)),
+                      burst + 1, count - 1);
+    }
+    busFreeAt_ = last + burstBus_[last_phase];
+    banks_[bank].readyAt = last + burstDur_[last_phase];
+    burstPhase_ = (phase + count) & 3;
+    nRowHits_ += count - 1;
+    return std::max(done, last + config_.tCAS + burstDur_[last_phase]);
+}
+
+Tick
+DramController::transfer(Tick earliest, Addr addr, Bytes bytes,
+                         bool is_write, std::uint64_t stripes,
+                         Bytes stride)
+{
+    CQ_ASSERT_MSG(bytes > 0 && stripes > 0,
+                  "zero-byte %s at addr 0x%llx (%llu stripe(s) of %llu B)",
+                  is_write ? "write" : "read",
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(stripes),
+                  static_cast<unsigned long long>(bytes));
+    checkRange(addr, bytes, stripes, stride);
+    applyRefreshUpTo(earliest);
+    busBytes_ += stripes * bytes;
+
+    const bool one_channel = config_.channels == 1;
+    Tick last = earliest;
+    std::uint64_t bursts = 0;
+    for (std::uint64_t i = 0; i < stripes; ++i, addr += stride) {
+        // Burst k carries the stripe's bytes in [k, k + 1) x burstBytes.
+        std::uint64_t burst = addr >> burstShift_;
+        const std::uint64_t end = ((addr + bytes - 1) >> burstShift_) + 1;
+        bursts += end - burst;
+        // Each stripe's finish starts at earliest, as a separate call's
+        // would.
+        Tick done = earliest;
+        while (burst < end) {
+            const std::uint64_t window_end = std::min(
+                end, ((burst >> windowShift_) + 1) << windowShift_);
+            const std::uint64_t n = window_end - burst;
+            done = one_channel ? oneChannelWindow(earliest, done, burst, n)
+                               : window(earliest, done, burst, n);
+            burst = window_end;
+        }
+        last = std::max(last, done);
+    }
+    (is_write ? nWrites_ : nReads_) += bursts;
+    return last;
 }
 
 Tick
@@ -334,7 +397,6 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
                 ++nPrecharges_;
             }
             ++nActivates_;
-            dynamicEnergy_ += config_.eActPre;
             bs.rowOpen = true;
             bs.openRow = row;
             bs.lastActivate = bt;
@@ -360,12 +422,8 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
                          burstDur_[last];
         nWrites_ += bursts;
         busBytes_ += grad_bytes;
-        dynamicEnergy_ +=
-            config_.eWriteBurst * static_cast<double>(bursts);
 
-        // NDPO datapath energy + the trailing pipeline drain.
-        dynamicEnergy_ +=
-            config_.eNdpPerElement * static_cast<double>(in_row);
+        // NDPO datapath work + the trailing pipeline drain.
         nNdpElements_ += in_row;
         data_done += 4; // pipeline drain
 
@@ -387,6 +445,20 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
         remaining -= in_row;
     }
     return t;
+}
+
+PicoJoule
+DramController::dynamicEnergy() const
+{
+    const auto pj = [](PicoJoule e, std::uint64_t n) {
+        return e * static_cast<double>(n);
+    };
+    return pj(config_.eActPre, nActivates_) +
+           pj(config_.eReadBurst, nReads_) +
+           pj(config_.eWriteBurst, nWrites_) +
+           pj(config_.eNdpPerElement, nNdpElements_) +
+           pj(config_.eRefresh * static_cast<double>(config_.channels),
+              nRefreshes_);
 }
 
 PicoJoule
@@ -423,7 +495,6 @@ DramController::reset()
     busFreeAt_ = 0;
     busBytes_ = 0;
     burstPhase_ = 0;
-    dynamicEnergy_ = 0.0;
     nActivates_ = nPrecharges_ = nReads_ = nWrites_ = 0;
     nRowHits_ = nRowMisses_ = nNdpElements_ = nNdpRowGroups_ = 0;
     nRefreshes_ = 0;

@@ -9,20 +9,38 @@
  * receive the completion tick. Row-hit/miss behaviour, bandwidth
  * saturation and per-command energy are all tracked.
  *
- * Row runs. With C channels, an aligned window of rowBytes x C bytes
- * maps to one (bank, row) per channel. The first burst a call sends
- * on each channel of a window, and the first after a refresh, goes
- * through the per-burst step (row hit or miss). Every later burst of
- * the window is a row hit that starts the moment the bus frees, as
- * long as C bursts of bus time cover one burst of bank time (C = 1
- * and C >= 4 with the 4/4/4/3 pattern; the constructor decides). Such
- * a run advances the start ticks, the bus, the bank-ready ticks, the
- * burst phase and the counters in one arithmetic step, and is split
- * only where its window ends or a tREFI refresh falls due. Energy
- * constants are whole pJ, so n x e equals n repeated additions and the
- * results stay bitwise equal to the per-burst model, which the tests
- * keep as an oracle (tests/dram_reference.h) and compare against on
- * random call sequences.
+ * Stripe sets. One transfer() call moves a set of equal stripes at a
+ * fixed stride -- the descriptor list of a strided DMA -- and
+ * schedules each stripe exactly as a separate call at the same
+ * earliest tick would: its own finish starts at earliest, so a refresh
+ * that an earlier stripe's finish made due is taken only after this
+ * stripe's first burst.
+ *
+ * Row windows. With C channels, an aligned window of rowBytes x C
+ * bytes maps to one (bank, row) per channel. One routine schedules the
+ * bursts a stripe sends into a window: it maps the window once, steps
+ * the first burst on each channel (row hit or miss), and moves the
+ * rest forward in one closed-form run. Those later bursts are row hits
+ * that start the moment the bus frees, as long as C bursts of bus time
+ * cover one burst of bank time (C = 1 and C >= 4 with the 4/4/4/3
+ * pattern; the constructor decides, and otherwise every burst of the
+ * window steps). The run advances the start ticks, the bus, the
+ * bank-ready ticks, the burst phase and the counters in one arithmetic
+ * step. Finish ticks never fall along a window, so one comparison of
+ * the second-to-last finish against the next tREFI tells whether a
+ * refresh can fall due inside it; only then is the window split at
+ * the refresh, after which the first burst on each channel steps
+ * again. With one channel, a straight-line version schedules the
+ * window (one row of one bank) and hands it to the general routine
+ * after its first burst when a refresh can fall due inside. Results
+ * stay bitwise equal to the per-burst model, which the tests keep as
+ * an oracle (tests/dram_reference.h) and compare against on random
+ * call sequences.
+ *
+ * Energy. dynamicEnergy() is the command counters times the per-command
+ * energies. Every constant is a whole number of pJ and every product
+ * and sum stays far below 2^53, so the result is exact and equals the
+ * per-command running sum bit for bit.
  *
  * The controller also implements the NDP engine's row protocol for
  * in-place weight update (Sec. IV-B3 of the paper): three ACTIVATEs
@@ -62,18 +80,24 @@ class DramController
     /**
      * Panics unless burstBytes, rowBytes, numBanks and channels are
      * powers of two and every energy constant is a whole number of pJ:
-     * the address map and the row-run arithmetic rely on both.
+     * the address map relies on the first, the exact energy on the
+     * second.
      */
     explicit DramController(DramConfig config);
 
     const DramConfig &config() const { return config_; }
 
     /**
-     * Stream @p bytes starting at @p addr through the channel, not
-     * starting before @p earliest. @p is_write selects the direction.
-     * Returns the completion tick of the last burst.
+     * Stream @p stripes stripes of @p bytes each through the channel,
+     * stripe i starting at @p addr + i x @p stride, none starting
+     * before @p earliest. @p is_write selects the direction. Each
+     * stripe is scheduled as a separate one-stripe call at @p earliest
+     * would be. Returns the latest completion tick of any burst.
+     * Panics on zero bytes or stripes, or when the set runs past the
+     * addressable capacity.
      */
-    Tick transfer(Tick earliest, Addr addr, Bytes bytes, bool is_write);
+    Tick transfer(Tick earliest, Addr addr, Bytes bytes, bool is_write,
+                  std::uint64_t stripes = 1, Bytes stride = 0);
 
     /**
      * NDP in-place update of @p num_elements consecutive
@@ -94,8 +118,8 @@ class DramController
      *  materialized from the internal fast counters. */
     StatGroup stats() const;
 
-    /** Dynamic energy accumulated so far (pJ). */
-    PicoJoule dynamicEnergy() const { return dynamicEnergy_; }
+    /** Dynamic energy of the commands issued so far (pJ). */
+    PicoJoule dynamicEnergy() const;
 
     /** Standby energy for a run of @p total_ticks (pJ). */
     PicoJoule standbyEnergy(Tick total_ticks) const;
@@ -104,8 +128,12 @@ class DramController
     void reset();
 
   private:
-    /** Panic if [addr, addr+bytes) exceeds the addressable capacity. */
-    void checkRange(Addr addr, Bytes bytes) const;
+    /**
+     * Panic unless @p stripes stripes of @p bytes at @p addr +
+     * i x @p stride all lie in the addressable capacity.
+     */
+    void checkRange(Addr addr, Bytes bytes, std::uint64_t stripes = 1,
+                    Bytes stride = 0) const;
 
     /**
      * Map burst number @p burst, which covers bytes [burst, burst + 1)
@@ -123,17 +151,44 @@ class DramController
     /** Open @p row in @p bank if needed; returns column-ready tick. */
     Tick prepareRow(Tick earliest, std::size_t bank, std::uint64_t row);
 
-    /** Schedule one burst of a transfer; returns its finish tick. */
-    Tick burstStep(Tick earliest, std::uint64_t burst);
+    /**
+     * Put the next burst on the bus and @p bank at @p start; returns
+     * its finish tick.
+     */
+    Tick startBurst(std::size_t bank, Tick start);
+
+    /** Schedule one burst to @p row of @p bank; returns its finish. */
+    Tick burstStep(Tick earliest, std::size_t bank, std::uint64_t row);
 
     /**
-     * Schedule @p count row-hit bursts from @p burst on, each starting
-     * when the bus frees; returns the finish tick of the last.
+     * Schedule the @p count bursts from @p burst on, all in one row
+     * window, for a stripe whose finish so far is @p done; returns the
+     * stripe's finish after them.
      */
-    Tick rowRun(std::uint64_t burst, std::uint64_t count);
+    Tick window(Tick earliest, Tick done, std::uint64_t burst,
+                std::uint64_t count);
 
-    /** How many of @p count row-run bursts start before a refresh. */
-    std::uint64_t runBeforeRefresh(std::uint64_t count) const;
+    /**
+     * window() for channels == 1 in straight-line code: one step and
+     * one closed-form run, or window() itself for the rest of the
+     * window when a refresh can fall due inside it.
+     */
+    Tick oneChannelWindow(Tick earliest, Tick done, std::uint64_t burst,
+                          std::uint64_t count);
+
+    /**
+     * How many bursts of a row run starting now start before a
+     * refresh falls due; the caller has checked that one does.
+     */
+    std::uint64_t runBeforeRefresh() const;
+
+    /** Finish tick of burst @p j of a row run starting now. */
+    Tick
+    runFinish(std::uint64_t j) const
+    {
+        return busFreeAt_ + config_.tCAS + busSpan(burstPhase_, j) +
+               burstDur_[(burstPhase_ + j) & 3];
+    }
 
     /**
      * Bus ticks of @p count bursts starting at burst phase @p phase;
@@ -152,7 +207,6 @@ class DramController
     Bytes busBytes_ = 0;
     /** Position in the 4-burst duration pattern (see tBurst). */
     unsigned burstPhase_ = 0;
-    PicoJoule dynamicEnergy_ = 0.0;
 
     /** @name Address map and burst timing, fixed by the config */
     /** @{ */

@@ -4,19 +4,25 @@
  * infrastructure: for swept GEMM shapes and targets, emitted programs
  * must validate, move at least the operand footprints, keep every
  * tile within the double-buffered on-chip capacities, and simulate
- * deterministically. Plus ISA encode/decode round trips and energy
- * model unit tests.
+ * deterministically. Metamorphic timing tests check the simulator
+ * against itself: more of a resource never makes a training minibatch
+ * slower. Plus ISA encode/decode round trips and energy model unit
+ * tests.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "arch/accelerator.h"
 #include "arch/isa.h"
 #include "baseline/tpu_sim.h"
 #include "compiler/codegen.h"
 #include "compiler/workloads.h"
+#include "dram/dram_config.h"
 #include "energy/energy_model.h"
 
 namespace cq {
@@ -140,6 +146,93 @@ INSTANTIATE_TEST_SUITE_P(
                "_m" + std::to_string(s.m) + "n" + std::to_string(s.n) +
                "k" + std::to_string(s.k);
     });
+
+// ---------------------------------------------- metamorphic timing
+
+/** A network simulated on variants of the edge Cambricon-Q config. */
+class TimingMetamorphic : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    /** Modeled ticks of one minibatch on @p cfg at @p bits. */
+    Tick
+    ticks(const arch::CambriconQConfig &cfg, int bits = 8) const
+    {
+        CodegenOptions opts;
+        opts.bits = bits;
+        const arch::Program prog =
+            compiler::generateProgram(ir_, cfg, opts);
+        return arch::Accelerator(cfg).run(prog).totalTicks;
+    }
+
+    /**
+     * Ticks over @p steps variants, each of the edge config edited by
+     * @p edit(cfg, step), must never rise from one step to the next.
+     */
+    void
+    expectNeverSlower(
+        const std::vector<std::string> &steps,
+        const std::function<void(arch::CambriconQConfig &, std::size_t)>
+            &edit) const
+    {
+        Tick prev = 0;
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+            arch::CambriconQConfig cfg = arch::CambriconQConfig::edge();
+            edit(cfg, i);
+            const Tick t = ticks(cfg);
+            EXPECT_GT(t, 0u) << steps[i];
+            if (i > 0) {
+                EXPECT_LE(t, prev) << steps[i - 1] << " -> " << steps[i];
+            }
+            prev = t;
+        }
+    }
+
+    const WorkloadIR ir_ = GetParam() == "tinycnn"
+                               ? compiler::buildTinyCnn()
+                               : compiler::buildResNet18();
+};
+
+TEST_P(TimingMetamorphic, MoreDramChannelsNeverSlower)
+{
+    // 1, 2 and 4 channels: each count takes its own row-window path in
+    // the DRAM controller.
+    constexpr unsigned kChannels[] = {1, 2, 4};
+    expectNeverSlower({"1 channel", "2 channels", "4 channels"},
+                      [&](arch::CambriconQConfig &cfg, std::size_t i) {
+                          cfg.dram = dram::DramConfig::scaled(kChannels[i]);
+                      });
+}
+
+TEST_P(TimingMetamorphic, WiderSquNeverSlower)
+{
+    constexpr unsigned kWidths[] = {16, 32, 64, 128};
+    expectNeverSlower({"16 B/cycle", "32 B/cycle", "64 B/cycle",
+                       "128 B/cycle"},
+                      [&](arch::CambriconQConfig &cfg, std::size_t i) {
+                          cfg.squStatBytesPerCycle = kWidths[i];
+                          cfg.squQuantBytesPerCycle = kWidths[i];
+                      });
+}
+
+TEST_P(TimingMetamorphic, NarrowerOperandsNeverSlower)
+{
+    const arch::CambriconQConfig cfg = arch::CambriconQConfig::edge();
+    const Tick int16 = ticks(cfg, 16);
+    const Tick int8 = ticks(cfg, 8);
+    const Tick int4 = ticks(cfg, 4);
+    EXPECT_LE(int8, int16);
+    EXPECT_LE(int4, int8);
+}
+
+TEST_P(TimingMetamorphic, NdpNeverSlower)
+{
+    EXPECT_LE(ticks(arch::CambriconQConfig::edge()),
+              ticks(arch::CambriconQConfig::edgeNoNdp()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Networks, TimingMetamorphic,
+                         ::testing::Values("tinycnn", "resnet18"),
+                         [](const auto &info) { return info.param; });
 
 // --------------------------------------------------- ISA round trip
 

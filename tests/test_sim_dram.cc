@@ -221,6 +221,22 @@ sameState(const dram::DramController &fast, const test::ReferenceDram &ref)
     return ::testing::AssertionSuccess();
 }
 
+/**
+ * The per-burst model's answer to a stripe set: one call per stripe,
+ * all at @p earliest, finishing when the last finishes.
+ */
+Tick
+referenceStripes(test::ReferenceDram &ref, Tick earliest, Addr addr,
+                 Bytes bytes, bool is_write, std::uint64_t stripes,
+                 Bytes stride)
+{
+    Tick done = earliest;
+    for (std::uint64_t i = 0; i < stripes; ++i)
+        done = std::max(
+            done, ref.transfer(earliest, addr + i * stride, bytes, is_write));
+    return done;
+}
+
 /** (channels, refresh enabled, fractional bursts) */
 class DramDiff
     : public ::testing::TestWithParam<std::tuple<unsigned, bool, bool>>
@@ -259,7 +275,35 @@ TEST_P(DramDiff, RowRunsMatchPerBurstModel)
             const std::uint64_t kind = rng.below(20);
             std::string what;
             Tick got = 0, want = 0;
-            if (kind < 2) {
+            if (kind >= 16) {
+                // A stripe set: the strided DMA of SLOAD/SSTORE. Strides
+                // fall below, at and above the row window, or are 0;
+                // some sets start just short of a window boundary so
+                // their stripes cross it.
+                const Bytes window = cfg.rowBytes * channels;
+                const std::uint64_t stripes = 1 + rng.below(300);
+                const Bytes bytes = 1 + rng.below(2048);
+                const std::uint64_t stride_class = rng.below(5);
+                const Bytes stride =
+                    stride_class == 0   ? 0
+                    : stride_class == 1 ? 1 + rng.below(window - 1)
+                    : stride_class == 2 ? window
+                    : stride_class == 3 ? window + 1 + rng.below(window)
+                                        : bytes + rng.below(64);
+                if (rng.below(4) == 0)
+                    addr = (addr / window + 1) * window -
+                           1 - rng.below(bytes);
+                const bool is_write = kind % 2 == 0;
+                what = std::string(is_write ? "write(" : "read(") +
+                       std::to_string(t) + ", " + std::to_string(addr) +
+                       ", " + std::to_string(bytes) + ", " +
+                       std::to_string(stripes) + " stripes, stride " +
+                       std::to_string(stride) + ")";
+                got = fast.transfer(t, addr, bytes, is_write, stripes,
+                                    stride);
+                want = referenceStripes(ref, t, addr, bytes, is_write,
+                                        stripes, stride);
+            } else if (kind < 2) {
                 const std::size_t elems = 1 + rng.below(3000);
                 constexpr Bytes kElemBytes[] = {2, 4, 4, 8, 12};
                 const Bytes elem_bytes = kElemBytes[rng.below(5)];
@@ -278,7 +322,7 @@ TEST_P(DramDiff, RowRunsMatchPerBurstModel)
                 const bool is_write = kind % 2 == 0;
                 // The executor's QMOVE posts its write one tick after
                 // its read, so the next call may start a tick earlier.
-                const Tick at = kind == 19 ? t + 1 : t;
+                const Tick at = kind == 15 ? t + 1 : t;
                 what = std::string(is_write ? "write(" : "read(") +
                        std::to_string(at) + ", " + std::to_string(addr) +
                        ", " + std::to_string(bytes) + ")";
@@ -318,6 +362,28 @@ TEST(DramDeath, TransferBeyondCapacityPanics)
     // (guards the overflow-safe form of the check).
     EXPECT_DEATH(ctrl.transfer(0, capacity - 32, 64, false),
                  "exceeds DRAM capacity");
+}
+
+TEST(DramDeath, StripeSetRangeChecks)
+{
+    dram::DramController ctrl(dram::DramConfig::lpddr4_2133());
+    const Bytes capacity = ctrl.config().capacityBytes;
+    // The first stripes are in range; the last starts at capacity, or
+    // starts below it and runs past.
+    EXPECT_DEATH(ctrl.transfer(0, capacity - 4096, 64, false, 3, 2048),
+                 "exceeds DRAM capacity");
+    EXPECT_DEATH(ctrl.transfer(0, capacity - 2080, 64, true, 2, 2048),
+                 "exceeds DRAM capacity");
+    // addr + (stripes - 1) x stride wraps past 2^64 back into range,
+    // through the add and through the multiply.
+    EXPECT_DEATH(ctrl.transfer(0, 64, 64, false, 2, ~Bytes{0} - 63),
+                 "exceeds DRAM capacity");
+    EXPECT_DEATH(ctrl.transfer(0, 64, 64, false, (1ull << 32) + 1,
+                               1ull << 32),
+                 "exceeds DRAM capacity");
+    // A set of no stripes moves no bytes.
+    EXPECT_DEATH(ctrl.transfer(0, 0, 64, false, 0, 64), "zero-byte read");
+    EXPECT_DEATH(ctrl.transfer(0, 0, 0, true, 4, 64), "zero-byte write");
 }
 
 /** Construct a controller from the default config after @p edit. */
@@ -388,6 +454,7 @@ TEST(Dram, InRangeEdgesAccepted)
     const Bytes capacity =
         cfg.capacityBytes * static_cast<Bytes>(cfg.channels);
     EXPECT_GT(ctrl.transfer(0, capacity - 64, 64, false), 0u);
+    EXPECT_GT(ctrl.transfer(0, capacity - 2112, 64, false, 2, 2048), 0u);
     EXPECT_GT(ctrl.ndpUpdate(0, capacity - 512 * 4, 512, 4), 0u);
 }
 
