@@ -23,7 +23,6 @@ registerAll()
     registerAblationInt4();
     registerAblationDesignSpace();
     registerFaultResilience();
-    registerScaleoutAllreduce();
     registerKernels();
     registerObsOverhead();
 }

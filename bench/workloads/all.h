@@ -23,7 +23,6 @@ void registerLdqCompression();
 void registerAblationInt4();
 void registerAblationDesignSpace();
 void registerFaultResilience();
-void registerScaleoutAllreduce();
 void registerKernels();
 void registerObsOverhead();
 

@@ -3,21 +3,21 @@
  * Cooperative cancellation token.
  *
  * Stopping a running training leg without tearing its state: a
- * deadline, an operator request and graceful shutdown all reduce to
- * "please stop at the next safe point". A CancelToken carries that
- * request. Producers (a caller, the fault sweep's per-trial deadline)
- * call cancel() with a typed reason or arm a wall-clock deadline; the
- * consumer (the QuantTrainer step loop) polls cancelled() at step
- * boundaries only. Because the poll sites are step boundaries, a
- * cancelled training run stops exactly where a checkpoint is
- * consistent — cancellation never produces a torn snapshot, and the
- * work done before the stop is bitwise identical to the same prefix
- * of an uncancelled run.
+ * deadline reduces to "please stop at the next safe point". A
+ * CancelToken carries that request. The producer (the fault sweep's
+ * per-trial deadline) arms a wall-clock deadline, or a caller
+ * cancels outright; the consumer (the QuantTrainer step loop) polls
+ * cancelled() at step boundaries only. Because the poll sites are
+ * step boundaries, a cancelled training run stops exactly where a
+ * checkpoint is consistent — cancellation never produces a torn
+ * snapshot, and the work done before the stop is bitwise identical
+ * to the same prefix of an uncancelled run. Signals do not go
+ * through the token: the trainer polls shutdownRequested()
+ * (common/signal_flag.h) beside it.
  *
  * Thread safety: all members are lock-free atomics; any thread may
- * cancel, any thread may poll. The first cancel reason wins — a
- * deadline firing after an explicit Shutdown cancel does not
- * overwrite it, so reports stay stable.
+ * cancel, any thread may poll. The first cancel latches, so reports
+ * stay stable.
  */
 
 #ifndef CQ_COMMON_CANCEL_H
@@ -33,12 +33,8 @@ namespace cq {
 enum class CancelReason : int
 {
     None = 0,
-    /** Explicit caller request (API user, operator). */
-    User,
     /** The token's wall-clock deadline passed. */
     Deadline,
-    /** The process is draining for shutdown (SIGTERM/SIGINT). */
-    Shutdown,
 };
 
 inline const char *
@@ -47,12 +43,8 @@ cancelReasonName(CancelReason r)
     switch (r) {
     case CancelReason::None:
         return "none";
-    case CancelReason::User:
-        return "user";
     case CancelReason::Deadline:
         return "deadline";
-    case CancelReason::Shutdown:
-        return "shutdown";
     }
     return "?";
 }
@@ -74,28 +66,23 @@ class CancelToken
     }
 
     /**
-     * Arm (or with the epoch value 0, disarm) an absolute deadline on
-     * the steady clock. Once now() passes it, cancelled() reports
-     * true with reason Deadline.
+     * Arm a deadline @p ms milliseconds from now on the steady clock
+     * (0 disarms). Once now() passes it, cancelled() reports true
+     * with reason Deadline.
      */
-    void setDeadline(std::chrono::steady_clock::time_point when)
-    {
-        deadlineNs_.store(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                when.time_since_epoch())
-                .count(),
-            std::memory_order_relaxed);
-    }
-
-    /** Arm a deadline @p ms milliseconds from now (0 disarms). */
     void setDeadlineInMs(std::uint64_t ms)
     {
         if (ms == 0) {
             deadlineNs_.store(0, std::memory_order_relaxed);
             return;
         }
-        setDeadline(std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(ms));
+        deadlineNs_.store(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                (std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(ms))
+                    .time_since_epoch())
+                .count(),
+            std::memory_order_relaxed);
     }
 
     /**

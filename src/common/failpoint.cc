@@ -252,13 +252,6 @@ Registry::declaredSites()
         "ckpt.manifest.close",
         "ckpt.manifest.rename",
         "ckpt.manifest.dirfsync",
-        // Multi-shard dist manifest (same durable-write ladder).
-        "dist.manifest.open",
-        "dist.manifest.write",
-        "dist.manifest.fsync",
-        "dist.manifest.close",
-        "dist.manifest.rename",
-        "dist.manifest.dirfsync",
         // Checkpoint read / verify path.
         "ckpt.read.open",
         "ckpt.read.read",

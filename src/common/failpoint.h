@@ -40,7 +40,7 @@
  *
  * The canonical site list lives in declaredSites(); the fault-sweep
  * tool (tools/cq_faultsweep) enumerates it, fires every entry inside
- * short train/dist/bench runs, and treats a site that is hit or
+ * short train/bench runs, and treats a site that is hit or
  * configured but not declared as a build failure — so an undeclared
  * failure path cannot silently join the codebase.
  */

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "obs/context.h"
 #include "obs/trace.h"
 
 namespace cq {
@@ -70,9 +69,6 @@ struct ThreadPool::State
     std::size_t end = 0;
     std::size_t chunkSize = 0;
     std::size_t chunkCount = 0;
-    /** Caller's packed obs context (ctxId + step): workers adopt it
-     *  so `pool.chunk` spans keep the submitting job's attribution. */
-    std::uint64_t obsFrame = 0;
     /** Exception out of the lowest-indexed throwing chunk. */
     std::exception_ptr error;
     /** Chunk index that error came from (chunkCount = none yet). */
@@ -120,14 +116,9 @@ struct ThreadPool::State
             if (stop)
                 return;
             seen = generation;
-            const std::uint64_t frame = obsFrame;
             lock.unlock();
-            {
-                // Worker w always owns chunk w + 1; the caller owns
-                // chunk 0 (and already carries its own context).
-                obs::ObsFrameScope obsScope(frame);
-                runChunk(workerIndex + 1);
-            }
+            // Worker w always owns chunk w + 1; the caller owns chunk 0.
+            runChunk(workerIndex + 1);
             lock.lock();
             if (--pending == 0)
                 done.notify_one();
@@ -256,7 +247,6 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         state_->end = end;
         state_->chunkSize = (range + chunks - 1) / chunks;
         state_->chunkCount = chunks;
-        state_->obsFrame = obs::currentObsFrame();
         state_->error = nullptr;
         state_->errorChunk = chunks;
         state_->pending = numThreads_ - 1;

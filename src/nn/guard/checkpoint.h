@@ -121,8 +121,8 @@ struct CheckpointWriteOptions
      * Failpoint site prefix for the durable-write ladder: the open /
      * write / fsync / close / rename / dirfsync stages evaluate
      * "<prefix>.open" etc. (common/failpoint.h). Checkpoint bodies
-     * use the default; manifest writers override ("ckpt.manifest",
-     * "dist.manifest") so each persistence surface is independently
+     * use the default; the generation manifest overrides it
+     * ("ckpt.manifest") so each persistence surface is independently
      * fireable.
      */
     std::string failpointPrefix = "ckpt.body";

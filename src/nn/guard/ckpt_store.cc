@@ -29,8 +29,15 @@ constexpr char kManifestMagic[] = "CQMANIFEST01";
 /** Cap on manifest lines parsed, against a corrupted/garbage file. */
 constexpr std::size_t kMaxManifestEntries = 1 << 16;
 
-} // namespace
-
+/**
+ * Durable small-file write (the generation manifest) with the same
+ * temp/fsync/rename/dir-fsync ladder as checkpoint bodies. Content
+ * goes out in small chunks so the onWrite kill/slow hooks get
+ * byte-granular purchase on manifest rewrites too (mid-prune kills
+ * are part of the verified surface). ENOENT on temp create or rename
+ * classifies as DirMissing (the directory vanished — transient,
+ * recreate + retry).
+ */
 CheckpointWriteResult
 writeTextFileDurable(const std::string &path,
                      const std::string &content,
@@ -106,6 +113,8 @@ writeTextFileDurable(const std::string &path,
         return CheckpointWriteResult::DirFsyncFailed;
     return CheckpointWriteResult::Ok;
 }
+
+} // namespace
 
 // ------------------------------------------------------ CheckpointStore
 

@@ -45,19 +45,6 @@
 
 namespace cq::nn::guard {
 
-/**
- * Durable small-file write with the same temp/fsync/rename/dir-fsync
- * ladder as checkpoint bodies. Content goes out in small chunks so
- * the onWrite kill/slow hooks get byte-granular purchase on manifest
- * rewrites too (mid-prune kills are part of the verified surface).
- * Shared by the generation manifest and the multi-shard manifest
- * (shard_manifest.h). ENOENT on temp create or rename classifies as
- * DirMissing (the directory vanished — transient, recreate + retry).
- */
-CheckpointWriteResult
-writeTextFileDurable(const std::string &path, const std::string &content,
-                     const CheckpointWriteOptions &options);
-
 /** Store configuration. */
 struct CheckpointStoreConfig
 {

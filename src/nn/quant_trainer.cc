@@ -10,7 +10,6 @@
 
 #include "common/logging.h"
 #include "common/signal_flag.h"
-#include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -287,9 +286,6 @@ QuantTrainer::beginStep()
     ++step_;
     stepHealthy_ = true;
     lastStepDiscarded_ = false;
-    // Label subsequent spans/telemetry with the step (observational
-    // only; the pool hands the label to its workers with the job).
-    obs::setObsStep(step_);
     // Telemetry scratch for the step (observational only).
     stepStartNs_ = obs::detail::monotonicNowNs();
     phaseFwdUs_ = phaseBwdUs_ = phaseQuantUs_ = 0.0;
@@ -450,7 +446,6 @@ QuantTrainer::emitStepTelemetry(double loss, double grad_max_abs)
         return;
     obs::StepTelemetry rec;
     rec.step = step_;
-    rec.chipId = obs::chipOfContext(obs::currentContextId());
     rec.loss = loss;
     rec.gradMaxAbs = grad_max_abs;
     rec.discarded = lastStepDiscarded_;
@@ -731,21 +726,6 @@ double
 QuantTrainer::commitStep(double loss)
 {
     return finishStep(loss);
-}
-
-void
-QuantTrainer::abandonStep()
-{
-    // The step began (beginStep ran: counter bumped, compute copies
-    // quantized, gradients accumulated) but will not be committed.
-    // Put the FP32 masters back into the network, drop the gradients,
-    // and roll the counter back so the redo sees the same step id.
-    restoreMasterWeights();
-    network_.zeroGrads();
-    CQ_ASSERT_MSG(step_ > 0, "abandonStep without a begun step");
-    --step_;
-    stepHealthy_ = true;
-    lastStepDiscarded_ = false;
 }
 
 double

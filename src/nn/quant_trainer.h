@@ -161,34 +161,24 @@ class QuantTrainer
                               const std::vector<int> &labels);
 
     /**
-     * @name Shard hooks (data-parallel training, src/dist)
+     * @name Split step
      *
-     * stepClassification split at the gradient boundary so a
-     * distributed driver can average gradients across shards between
-     * the backward pass and the optimizer update:
+     * stepClassification split at the gradient boundary, so a caller
+     * can time the two halves apart:
      *
      *   loss = t.forwardBackwardClassification(x, y);  // grads ready
-     *   ... all-reduce each param's grad in place ...
      *   t.commitStep(loss);                            // update
      *
      * forwardBackward + commitStep back-to-back is bitwise identical
-     * to stepClassification. abandonStep() undoes a begun step
-     * without updating (the collective lost a peer and the shard will
-     * redo the step on the rebalanced data), restoring the compute
-     * copies to the masters and rolling the step counter back.
+     * to stepClassification.
      */
     /** @{ */
-    /** Forward + loss + backward; leaves gradients in paramRefs(). */
+    /** Forward + loss + backward; leaves gradients in the params. */
     double forwardBackwardClassification(const Tensor &inputs,
                                          const std::vector<int> &labels);
     /** Guards/watchdog + optimizer update (or rollback) + checkpoint
      *  policy; the second half of a split step. */
     double commitStep(double loss);
-    /** Undo a begun-but-uncommitted step (no update, step counter
-     *  rolled back, gradients cleared). */
-    void abandonStep();
-    /** The trainer's parameters in network order (value + grad). */
-    const std::vector<Param *> &paramRefs() const { return params_; }
     /** @} */
 
     /**

@@ -21,10 +21,6 @@ StepTelemetry::toJson() const
     out.reserve(512);
     out += "{\"step\":";
     out += std::to_string(step);
-    if (chipId >= 0) {
-        out += ",\"chip\":";
-        out += std::to_string(chipId);
-    }
     out += ",\"loss\":";
     appendJsonNumber(out, loss);
     out += ",\"grad_max_abs\":";

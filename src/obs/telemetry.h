@@ -27,10 +27,6 @@ struct StepTelemetry
 {
     std::uint64_t step = 0;
     double loss = 0.0;
-    /** Chip label of the recording thread's context (obs/context.h;
-     *  -1 = not chip work), so a shared telemetry stream can be split
-     *  per chip. */
-    int chipId = -1;
     /** Max |dW| across every weight-gradient tensor of the step. */
     double gradMaxAbs = 0.0;
     /** True when a guard trip discarded the step's update. */

@@ -14,7 +14,6 @@
 #include <mutex>
 
 #include "common/fileutil.h"
-#include "obs/context.h"
 #include "obs/jsonw.h"
 #include "obs/metrics.h"
 
@@ -60,10 +59,6 @@ struct HostSpan
     const char *name;
     std::uint64_t startNs;
     std::uint64_t endNs;
-    /** Attribution context at record time (chipId + 1; 0 = none). */
-    std::uint32_t ctxId;
-    /** Training step label at record time (0 = before any step). */
-    std::uint32_t step;
 };
 
 /** Per-thread buffer, owned by the session. Appends until spanCap,
@@ -155,8 +150,7 @@ TraceSession::record(const char *name, std::uint64_t start_ns,
     thread_local ThreadBuf *buf = nullptr;
     if (buf == nullptr)
         buf = impl_->registerThread();
-    const HostSpan span{name, start_ns, end_ns,
-                        detail::tlsCtxId, detail::tlsStep};
+    const HostSpan span{name, start_ns, end_ns};
     const std::size_t cap = impl_->spanCap.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(buf->mu);
     if (buf->spans.size() < cap) {
@@ -275,44 +269,15 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
         out += "\"}}";
     }
 
-    // Chip-attributed spans render in their own process group (pid 3)
-    // with one track per chip, so a --chips run reads as N parallel
-    // timelines in Perfetto.
-    std::map<int, bool> chipTrackNamed;
-    bool chipProcessNamed = false;
     for (const BufSnap &buf : snaps) {
         for (const HostSpan &s : buf.spans) {
             if (!keep(s))
                 continue;
-            const int chipId = chipOfContext(s.ctxId);
-            const bool chipTrack = chipId >= 0;
-            if (chipTrack) {
-                if (!chipProcessNamed) {
-                    chipProcessNamed = true;
-                    comma();
-                    out += "{\"name\":\"process_name\",\"ph\":\"M\","
-                           "\"pid\":3,\"tid\":0,\"args\":{\"name\":"
-                           "\"cambricon-q chips\"}}";
-                }
-                if (!chipTrackNamed[chipId]) {
-                    chipTrackNamed[chipId] = true;
-                    comma();
-                    out += "{\"name\":\"thread_name\",\"ph\":\"M\","
-                           "\"pid\":3,\"tid\":";
-                    out += std::to_string(chipId);
-                    out += ",\"args\":{\"name\":\"chip-";
-                    out += std::to_string(chipId);
-                    out += "\"}}";
-                }
-            }
             comma();
             out += "{\"name\":";
             appendJsonString(out, s.name);
-            out += ",\"cat\":\"host\",\"ph\":\"X\",\"pid\":";
-            out += chipTrack ? '3' : '1';
-            out += ",\"tid\":";
-            out += std::to_string(
-                chipTrack ? static_cast<std::uint32_t>(chipId) : buf.tid);
+            out += ",\"cat\":\"host\",\"ph\":\"X\",\"pid\":1,\"tid\":";
+            out += std::to_string(buf.tid);
             out += ",\"ts\":";
             const double ts_us =
                 (s.startNs >= epochNs
@@ -324,13 +289,6 @@ TraceSession::chromeTraceJson(const TraceExportFilter &filter) const
             appendJsonFixed(
                 out,
                 static_cast<double>(s.endNs - s.startNs) / 1000.0, 3);
-            if (chipTrack) {
-                out += ",\"args\":{\"chip\":";
-                out += std::to_string(chipId);
-                out += ",\"step\":";
-                out += std::to_string(s.step);
-                out += '}';
-            }
             out += '}';
         }
     }

@@ -135,9 +135,7 @@ class TraceSession
     /**
      * Filtered variant: only host spans matching `filter` (external
      * spans are omitted whenever the filter is active — they keep
-     * their own time base). Spans whose recording context carried a
-     * chipId render in pid 3 with one tid per chip ("chip-N" tracks)
-     * and carry {"chip","step"} args.
+     * their own time base).
      */
     std::string chromeTraceJson(const TraceExportFilter &filter) const;
 

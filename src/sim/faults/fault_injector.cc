@@ -21,7 +21,6 @@ faultSiteName(FaultSite site)
       case FaultSite::Gradients:      return "gradients";
       case FaultSite::OptimizerState: return "optimizerState";
       case FaultSite::Accumulators:   return "accumulators";
-      case FaultSite::LinkPayload:    return "linkPayload";
     }
     return "?";
 }
@@ -45,7 +44,6 @@ FaultInjector::targets(FaultSite site) const
       case FaultSite::Gradients:      return config_.targetGradients;
       case FaultSite::OptimizerState: return config_.targetOptimizerState;
       case FaultSite::Accumulators:   return config_.targetAccumulators;
-      case FaultSite::LinkPayload:    return config_.targetLinkPayload;
     }
     return false;
 }
@@ -121,37 +119,6 @@ FaultInjector::corrupt(Tensor &t, FaultSite site)
 }
 
 std::size_t
-FaultInjector::corruptBytes(std::uint8_t *data, std::size_t n,
-                            FaultSite site)
-{
-    if (n == 0)
-        return 0;
-    const std::size_t total_bits = n * 8;
-    const double lambda =
-        config_.bitFlipsPerMbit * static_cast<double>(total_bits) / 1e6;
-    const std::size_t events = poisson(rng_, lambda);
-
-    std::size_t flipped = 0;
-    for (std::size_t e = 0; e < events; ++e) {
-        const std::size_t start = rng_.below(total_bits);
-        for (unsigned b = 0; b < config_.burstLength; ++b) {
-            const std::size_t bit = start + b;
-            if (bit >= total_bits)
-                break;
-            data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-            ++flipped;
-        }
-    }
-    if (events > 0) {
-        stats_.add("faults.events", static_cast<double>(events));
-        stats_.add("faults.bitsFlipped", static_cast<double>(flipped));
-        stats_.add(std::string("faults.site.") + faultSiteName(site),
-                   static_cast<double>(events));
-    }
-    return flipped;
-}
-
-std::size_t
 FaultInjector::corruptCoded(float *data, std::size_t n,
                             std::uint8_t *check, std::size_t num_words,
                             FaultSite site)
@@ -215,15 +182,6 @@ FaultInjector::maybeCorruptCoded(float *data, std::size_t n,
     if (!targets(site))
         return 0;
     return corruptCoded(data, n, check, num_words, site);
-}
-
-std::size_t
-FaultInjector::maybeCorruptBytes(std::uint8_t *data, std::size_t n,
-                                 FaultSite site)
-{
-    if (!targets(site))
-        return 0;
-    return corruptBytes(data, n, site);
 }
 
 std::size_t

@@ -40,7 +40,6 @@ enum class FaultSite
     Gradients,       ///< weight-gradient buffers (WGSTORE stream)
     OptimizerState,  ///< m/v moment rows adjacent to the weights
     Accumulators,    ///< PE-array accumulators / GEMM output tiles
-    LinkPayload,     ///< serialized collective messages on a chip link
 };
 
 const char *faultSiteName(FaultSite site);
@@ -65,7 +64,6 @@ struct FaultConfig
     bool targetGradients = false;
     bool targetOptimizerState = false;
     bool targetAccumulators = false;
-    bool targetLinkPayload = false;
     /** @} */
 };
 
@@ -94,21 +92,6 @@ class FaultInjector
 
     /** Convenience overload for tensors. */
     std::size_t corrupt(Tensor &t, FaultSite site);
-
-    /**
-     * Injection pass over an opaque byte buffer (serialized wire
-     * messages, headers included). Same Poisson event model as the
-     * float overload, but the bit string is @p n bytes long, so the
-     * flips land anywhere in the serialized frame. Used by the
-     * interconnect model to corrupt in-flight collective messages
-     * after their CRC is computed.
-     */
-    std::size_t corruptBytes(std::uint8_t *data, std::size_t n,
-                             FaultSite site);
-
-    /** Gated variant of corruptBytes(), mirroring maybeCorrupt(). */
-    std::size_t maybeCorruptBytes(std::uint8_t *data, std::size_t n,
-                                  FaultSite site);
 
     /**
      * Pass over @p site only if the config targets it (the trainer's

@@ -5,8 +5,8 @@
  * windows (one-shot, every-Nth, byte-offset), counter persistence
  * across disarm, the injectable I/O seam, the telemetry sink's
  * degraded drop mode, the durable-write ladder's typed results, the
- * checkpoint store's ENOSPC prune-and-retry, and the dist trainer's
- * storage eviction.
+ * checkpoint store's ENOSPC prune-and-retry, and training that
+ * outlives a disk that never accepts a checkpoint.
  */
 
 #include <gtest/gtest.h>
@@ -14,14 +14,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/fileutil.h"
-#include "dist/dist_harness.h"
 #include "nn/guard/checkpoint.h"
 #include "nn/guard/ckpt_store.h"
+#include "nn/guard/crash_harness.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "tensor/tensor.h"
@@ -486,33 +488,45 @@ TEST_F(Failpoint, StoreReportsUnreadableDirAsDirMissing)
     EXPECT_EQ(load.gen, 2u);
 }
 
-// ------------------------------------------ dist storage eviction
+// ------------------------------------- persistent storage failure
 
-TEST_F(Failpoint, DistEvictsChipWithPersistentStorageFailure)
+TEST_F(Failpoint, PersistentStorageFailureNeverStopsTraining)
 {
     auto &reg = fp::Registry::instance();
-    const std::string root = freshDir("fp_dist_storage");
-    // Every chip's local shard commit fails every wave (full disk).
-    // After the failure streak one chip is evicted with the Storage
-    // classification; the last alive chip is never evicted, so
-    // training still completes (degraded to no durable checkpoints).
-    ASSERT_TRUE(reg.configureOne("ckpt.body.write", "enospc"));
+    const auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    for (const bool async : {true, false}) {
+        SCOPED_TRACE(async ? "async commits" : "sync commits");
+        nn::guard::CrashHarnessConfig cfg;
+        cfg.seed = 31;
+        cfg.steps = 20;
+        cfg.ckptEvery = 2;
+        cfg.asyncCheckpoint = async;
 
-    dist::DistHarnessConfig cfg;
-    cfg.seed = 31;
-    cfg.chips = 2;
-    cfg.steps = 8;
-    cfg.ckptRoot = root;
-    cfg.ckptEvery = 2;
-    const auto r = dist::runDistHarness(cfg);
-    reg.reset();
+        cfg.dir = freshDir("fp_disk_ok");
+        cfg.mastersOut = ::testing::TempDir() + "fp_disk_ok.bin";
+        const auto ref = nn::guard::runCrashHarness(cfg);
 
-    EXPECT_EQ(r.train.stepsCompleted, cfg.steps);
-    EXPECT_GE(r.train.survivors, 1u);
-    bool sawStorage = false;
-    for (const auto &f : r.train.failures)
-        sawStorage |= f.kind == dist::ChipFailure::Storage;
-    EXPECT_TRUE(sawStorage);
+        // A full disk: every checkpoint body write fails, so no commit
+        // ever lands. Each one is dropped and training carries on.
+        cfg.dir = freshDir("fp_disk_full");
+        cfg.mastersOut = ::testing::TempDir() + "fp_disk_full.bin";
+        ASSERT_TRUE(reg.configureOne("ckpt.body.write", "enospc"));
+        const auto full = nn::guard::runCrashHarness(cfg);
+        const std::uint64_t fires = reg.site("ckpt.body.write").fires();
+        reg.reset();
+
+        EXPECT_GT(fires, 0u);
+        EXPECT_EQ(full.stepsRun, cfg.steps);
+        EXPECT_EQ(full.mastersCrc, ref.mastersCrc);
+        const std::string masters = slurp(cfg.mastersOut);
+        EXPECT_FALSE(masters.empty());
+        EXPECT_TRUE(masters ==
+                    slurp(::testing::TempDir() + "fp_disk_ok.bin"))
+            << "masters differ from the run without the failpoint";
+    }
 }
 
 } // namespace

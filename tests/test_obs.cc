@@ -29,7 +29,6 @@
 #include "common/stats.h"
 #include "common/threadpool.h"
 #include "nn/guard/crash_harness.h"
-#include "obs/context.h"
 #include "obs/http_export.h"
 #include "obs/metrics.h"
 #include "obs/obs_server.h"
@@ -684,56 +683,44 @@ TEST_F(ObsTraceTest, SpanRingCapsMemoryAndCountsDroppedSpans)
 }
 
 // ---------------------------------------------------------------------------
-// ObsContext propagation
+// Pool-chunk spans
 // ---------------------------------------------------------------------------
 
 TEST_F(ObsTraceTest, ContextLabelsLandInSpanArgsAcrossPoolChunks)
 {
     auto &session = obs::TraceSession::instance();
-    const std::uint32_t prevStep = obs::currentObsStep();
-    {
-        obs::ObsContextScope chip(3);
-        obs::setObsStep(42);
-        { CQ_TRACE_SCOPE("ctx.direct"); }
-        // Pool workers adopt the caller's frame, so chunk-side spans
-        // carry the same attribution.
-        parallelFor(0, 4, 1, [&](std::size_t, std::size_t) {
-            CQ_TRACE_SCOPE("ctx.chunk");
-        });
-    }
-    obs::setObsStep(prevStep);
-    { CQ_TRACE_SCOPE("ctx.outside"); } // restored: no args
+    parallelFor(0, 4, 1, [&](std::size_t, std::size_t) {
+        CQ_TRACE_SCOPE("ctx.chunk");
+    });
+    { CQ_TRACE_SCOPE("ctx.outside"); }
 
     const std::string json = session.chromeTraceJson();
-    // One span event as a substring: from its "name" key to the start
-    // of the next event (span events are adjacent in the array).
-    const auto argsOf = [&](const char *name) {
-        const std::size_t at = json.find(std::string("\"name\":\"") +
-                                         name + "\"");
-        EXPECT_NE(at, std::string::npos) << name << " in " << json;
-        if (at == std::string::npos)
-            return std::string();
-        const std::size_t end = json.find(",{\"name\"", at);
-        return json.substr(at, end == std::string::npos
-                                   ? std::string::npos
-                                   : end - at);
+    // Every span event named @p name, each as a substring from its
+    // "name" key to the start of the next event (span events are
+    // adjacent in the array).
+    const auto eventsOf = [&](const char *name) {
+        std::vector<std::string> events;
+        const std::string key = std::string("\"name\":\"") + name + "\"";
+        for (std::size_t at = json.find(key); at != std::string::npos;
+             at = json.find(key, at + 1)) {
+            const std::size_t end = json.find(",{\"name\"", at);
+            events.push_back(json.substr(
+                at, end == std::string::npos ? std::string::npos
+                                             : end - at));
+        }
+        return events;
     };
-    for (const char *name : {"ctx.direct", "ctx.chunk"}) {
-        EXPECT_NE(argsOf(name).find("\"chip\":3"), std::string::npos)
-            << name;
-        EXPECT_NE(argsOf(name).find("\"step\":42"), std::string::npos)
-            << name;
-        EXPECT_NE(argsOf(name).find("\"pid\":3,\"tid\":3"),
-                  std::string::npos)
-            << name;
+    // Chunks run on pool workers land on the host process like any
+    // other span: pid 1, the recording thread's tid, no args.
+    for (const char *name : {"ctx.chunk", "ctx.outside"}) {
+        const std::vector<std::string> events = eventsOf(name);
+        EXPECT_FALSE(events.empty()) << name << " in " << json;
+        for (const std::string &ev : events) {
+            EXPECT_NE(ev.find("\"pid\":1,"), std::string::npos) << ev;
+            EXPECT_EQ(ev.find("\"args\""), std::string::npos) << ev;
+        }
     }
-    // Chip spans render on the per-chip process (pid 3, tid = chip).
-    EXPECT_NE(json.find("\"args\":{\"name\":\"chip-3\"}"),
-              std::string::npos);
-    EXPECT_EQ(argsOf("ctx.outside").find("\"args\""),
-              std::string::npos);
-    EXPECT_NE(argsOf("ctx.outside").find("\"pid\":1,"),
-              std::string::npos);
+    EXPECT_EQ(json.find("\"pid\":3"), std::string::npos) << json;
 }
 
 // ---------------------------------------------------------------------------

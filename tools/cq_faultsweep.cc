@@ -1,7 +1,7 @@
 /**
  * @file
  * Exhaustive failpoint sweep: fire every declared failpoint (and
- * sampled pairs) inside short train / dist / bench runs and
+ * sampled pairs) inside short train / bench runs and
  * assert the four robustness invariants:
  *
  *   1. no crash    - the child process exits normally (no signal)
@@ -64,7 +64,6 @@
 #include "common/fileutil.h"
 #include "common/isolated_trial.h"
 #include "common/rng.h"
-#include "dist/dist_harness.h"
 #include "harness/export.h"
 #include "nn/guard/ckpt_store.h"
 #include "nn/guard/crash_harness.h"
@@ -152,8 +151,6 @@ familyOf(const std::string &site)
 {
     if (startsWith(site, "obs."))
         return "obs";
-    if (startsWith(site, "dist.manifest."))
-        return "dist";
     if (startsWith(site, "bench.json."))
         return "bench";
     // ckpt.* and fs.* all fire inside the checkpointed resume leg.
@@ -308,28 +305,6 @@ runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
                : kInvariantViolation;
 }
 
-/** Two-chip leg with shard checkpointing (dist.manifest sites). */
-int
-runDistScenario(const std::string &dir, const std::vector<Arm> &arms,
-                CancelToken &cancel)
-{
-    armAll(arms);
-    dist::DistHarnessConfig cfg;
-    cfg.seed = 11;
-    cfg.chips = 2;
-    cfg.steps = 6;
-    cfg.globalBatch = 16;
-    cfg.ckptRoot = dir + "/dist";
-    cfg.ckptEvery = 2;
-    cfg.evalSize = 32;
-    cfg.cancel = &cancel;
-    const auto r = dist::runDistHarness(cfg);
-    return r.train.stepsCompleted == cfg.steps &&
-                   r.train.survivors > 0
-               ? kHandled
-               : kInvariantViolation;
-}
-
 /** Export a BENCH_*.json; a failed write must surface through the
  *  error string, never as a silent half-file. */
 int
@@ -371,8 +346,6 @@ trialBody(const std::string &family, const std::string &dir,
     int rc;
     if (family == "obs")
         rc = runObsScenario(dir, arms, cancel);
-    else if (family == "dist")
-        rc = runDistScenario(dir, arms, cancel);
     else if (family == "bench")
         rc = runBenchScenario(dir, arms, cancel);
     else

@@ -10,12 +10,7 @@
  * A third mode actually trains: --train spiral runs the quantized
  * spiral-MLP workload under the crash-consistent generation store,
  * with elastic resume (--resume) and clean SIGTERM/SIGINT shutdown
- * (final synchronous checkpoint, then exit 0). Adding --chips N
- * (N >= 2) switches the same task to the N-chip data-parallel
- * trainer (src/dist): LDQ-quantized ring all-reduce over the modeled
- * interconnect, with optional planned faults --chip-fail C@S
- * (chip C crashes at step S) and --straggler C@S (chip C turns
- * persistent straggler from step S); survivors rebalance and finish.
+ * (final synchronous checkpoint, then exit 0).
  *
  * Usage:
  *   cqsim --network resnet18 [--target cq|cq-nondp|cq-t|cq-v|tpu]
@@ -33,9 +28,13 @@
  * --telemetry-out F (one JSONL record per step), --metrics-every N
  * (periodic metrics rewrite) and the in-situ correction knobs
  * --ecc, --abft and --fault-rate FLIPS_PER_MBIT.
+ *
+ * A flag that only the other mode reads (say --disasm with --train,
+ * or --ckpt-dir with --network) exits 2 rather than being ignored.
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,7 +47,6 @@
 #include "common/signal_flag.h"
 #include "compiler/codegen.h"
 #include "compiler/workloads.h"
-#include "dist/dist_harness.h"
 #include "nn/guard/crash_harness.h"
 #include "obs/jsonw.h"
 #include "obs/metrics.h"
@@ -79,8 +77,6 @@ printUsage(std::FILE *to)
         "             [--resume D] [--sync-ckpt] [--masters-out F]\n"
         "             [--ecc] [--abft] [--fault-rate R]\n"
         "             [--telemetry-out F] [--metrics-every N]\n"
-        "             [--chips N] [--chip-fail C@S] "
-        "[--straggler C@S]\n"
         "observability (all modes):\n"
         "             [--trace-out F] [--metrics-out F]\n"
         "             [--obs-port P]       live scrape endpoint on "
@@ -99,6 +95,25 @@ usage()
 {
     printUsage(stderr);
     std::exit(2);
+}
+
+/** Flags only --train reads. */
+constexpr std::array<const char *, 13> kTrainOnlyFlags = {
+    "--steps",      "--seed",        "--ckpt-dir",      "--ckpt-every",
+    "--ckpt-keep",  "--resume",      "--sync-ckpt",     "--masters-out",
+    "--ecc",        "--abft",        "--fault-rate",    "--telemetry-out",
+    "--metrics-every"};
+
+/** Flags only --network / --gemm read. */
+constexpr std::array<const char *, 7> kSimOnlyFlags = {
+    "--target", "--bits", "--optimizer", "--batch",
+    "--disasm", "--stats", "--trace"};
+
+template <std::size_t N>
+bool
+isOneOf(const std::string &arg, const std::array<const char *, N> &set)
+{
+    return std::find(set.begin(), set.end(), arg) != set.end();
 }
 
 /** Strict parses shared with the other tools (common/argparse.h). */
@@ -127,11 +142,6 @@ struct TrainArgs
     double faultRate = 0.0;
     std::string telemetryOut;
     std::uint64_t metricsEvery = 0;
-
-    // Distributed leg (--chips >= 2 routes to src/dist).
-    std::uint64_t chips = 1;
-    std::string chipFail;  // "C@S": chip C crashes at step S
-    std::string straggler; // "C@S": chip C straggles from step S
 };
 
 /** The live observability plane (--obs-port). */
@@ -156,7 +166,6 @@ touchScrapeFamilies()
     reg.counter("trainer.steps");
     reg.gauge("trainer.loss");
     reg.histogram("trainer.step_time_us");
-    reg.histogram("dist.allreduce_latency_us");
 }
 
 /** Start the scrape server; prints the bound port (tests and the CI
@@ -193,168 +202,6 @@ trainerHealthJson()
     return out;
 }
 
-/** Parse a "C@S" planned-fault spec (chip index @ global step). */
-bool
-parseChipAtStep(const std::string &flag, const std::string &text,
-                std::size_t chips, std::size_t &chip,
-                std::uint64_t &step)
-{
-    unsigned long long c = 0, s = 0;
-    char tail = '\0';
-    if (std::sscanf(text.c_str(), "%llu@%llu%c", &c, &s, &tail) != 2 ||
-        s == 0) {
-        std::fprintf(stderr,
-                     "cqsim: bad %s spec '%s' (want CHIP@STEP with "
-                     "STEP >= 1)\n",
-                     flag.c_str(), text.c_str());
-        return false;
-    }
-    if (c >= chips) {
-        std::fprintf(stderr,
-                     "cqsim: %s chip %llu out of range (have %zu "
-                     "chips)\n",
-                     flag.c_str(), c, chips);
-        return false;
-    }
-    chip = static_cast<std::size_t>(c);
-    step = s;
-    return true;
-}
-
-/** The --train ... --chips N leg: N-chip data-parallel training with
- *  LDQ-quantized ring all-reduce and optional planned chip faults. */
-int
-runTrainDist(const TrainArgs &a, const std::string &traceOut,
-             const std::string &metricsOut, const ObsPlaneArgs &obsArgs)
-{
-    dist::DistHarnessConfig cfg;
-    cfg.seed = a.seed;
-    cfg.chips = static_cast<std::size_t>(a.chips);
-    cfg.steps = a.steps;
-    cfg.link.corruptFlipsPerMbit = a.faultRate;
-    cfg.ckptRoot = a.ckptDir.empty() ? a.resumeDir : a.ckptDir;
-    cfg.ckptEvery = a.ckptDir.empty() ? 0 : a.ckptEvery;
-    cfg.resume = !a.resumeDir.empty();
-    cfg.resumeRoot = a.resumeDir;
-
-    cfg.faults.resize(cfg.chips);
-    if (!a.chipFail.empty()) {
-        std::size_t chip = 0;
-        std::uint64_t step = 0;
-        if (!parseChipAtStep("--chip-fail", a.chipFail, cfg.chips,
-                             chip, step))
-            return 2;
-        cfg.faults[chip].crashAtStep = step;
-    }
-    if (!a.straggler.empty()) {
-        std::size_t chip = 0;
-        std::uint64_t step = 0;
-        if (!parseChipAtStep("--straggler", a.straggler, cfg.chips,
-                             chip, step))
-            return 2;
-        cfg.faults[chip].stragglerFromStep = step;
-    }
-
-    // Tracing feeds both --trace-out and the live /trace endpoint;
-    // per-chip contexts land the spans on pid-3 "chip-N" tracks.
-    if (!traceOut.empty() || obsArgs.enabled())
-        obs::TraceSession::instance().setEnabled(true);
-    obs::ObsServer obsServer;
-    if (obsArgs.enabled()) {
-        obs::ObsServerConfig ocfg;
-        const std::size_t chipsTotal =
-            static_cast<std::size_t>(a.chips);
-        ocfg.health.emplace_back("trainer", trainerHealthJson);
-        ocfg.health.emplace_back("dist", [chipsTotal] {
-            auto &reg = obs::MetricRegistry::instance();
-            std::string out = "{\"chips_alive\":";
-            out += std::to_string(static_cast<std::uint64_t>(
-                reg.gauge("dist.chips_alive").value()));
-            out += ",\"chips_total\":";
-            out += std::to_string(chipsTotal);
-            out += ",\"step\":";
-            out += std::to_string(static_cast<std::uint64_t>(
-                reg.gauge("dist.step").value()));
-            out += '}';
-            return out;
-        });
-        if (!startObsServer(obsServer, std::move(ocfg), obsArgs.port))
-            return 2;
-    }
-
-    std::printf("dist:      spiral MLP on %llu chips, steps %llu, "
-                "seed %llu\n",
-                static_cast<unsigned long long>(a.chips),
-                static_cast<unsigned long long>(a.steps),
-                static_cast<unsigned long long>(a.seed));
-    if (!cfg.ckptRoot.empty()) {
-        if (cfg.ckptEvery > 0)
-            std::printf("ckpt:      root %s, wave every %llu steps\n",
-                        cfg.ckptRoot.c_str(),
-                        static_cast<unsigned long long>(
-                            cfg.ckptEvery));
-        else
-            std::printf("ckpt:      root %s, final wave only\n",
-                        cfg.ckptRoot.c_str());
-    }
-
-    const dist::DistHarnessResult r = dist::runDistHarness(cfg);
-    const dist::DistTrainerResult &t = r.train;
-
-    if (cfg.resume) {
-        if (t.resumed)
-            std::printf("resume:    global step %llu restored onto "
-                        "%llu chips\n",
-                        static_cast<unsigned long long>(t.resumedStep),
-                        static_cast<unsigned long long>(a.chips));
-        else
-            std::printf("resume:    cold start (no usable shard "
-                        "snapshot in %s)\n",
-                        a.resumeDir.c_str());
-    }
-    for (const dist::ChipFailureEvent &ev : t.failures)
-        std::printf("failure:   chip %zu %s at step %llu (survivors "
-                    "rebalanced)\n",
-                    ev.chip, dist::chipFailureName(ev.kind),
-                    static_cast<unsigned long long>(ev.step));
-    std::printf("result:    %llu/%llu steps committed, %zu/%llu "
-                "chips survived, final loss %.6f, masters crc %08x "
-                "(%s)\n",
-                static_cast<unsigned long long>(t.stepsCompleted),
-                static_cast<unsigned long long>(a.steps),
-                t.survivors,
-                static_cast<unsigned long long>(a.chips), t.finalLoss,
-                t.mastersCrc,
-                t.replicasIdentical ? "replicas identical"
-                                    : "REPLICA DIVERGENCE");
-    std::printf("wire:      %llu bytes on wire (fp32 would be %llu, "
-                "%.2fx), %llu retransmits, %.1f ms simulated\n",
-                static_cast<unsigned long long>(t.bytesOnWire),
-                static_cast<unsigned long long>(t.fp32Bytes),
-                t.bytesOnWire > 0
-                    ? static_cast<double>(t.fp32Bytes) /
-                          static_cast<double>(t.bytesOnWire)
-                    : 0.0,
-                static_cast<unsigned long long>(t.retransmits),
-                t.simUs / 1000.0);
-    std::printf("accuracy:  %.4f on the held-out spiral set\n",
-                r.accuracy);
-
-    obsServer.stop();
-    if (!traceOut.empty()) {
-        if (obs::TraceSession::instance().writeChromeTrace(traceOut))
-            std::printf("trace:     %s (chrome://tracing, per-chip "
-                        "tracks)\n",
-                        traceOut.c_str());
-    }
-    if (!metricsOut.empty())
-        obs::MetricRegistry::instance().writeProm(metricsOut, {});
-
-    if (!t.replicasIdentical)
-        return 1;
-    return t.survivors > 0 ? 0 : 1;
-}
-
 int
 runTrain(const TrainArgs &a, const std::string &traceOut,
          const std::string &metricsOut, const ObsPlaneArgs &obsArgs)
@@ -364,13 +211,6 @@ runTrain(const TrainArgs &a, const std::string &traceOut,
                      "cqsim: unknown --train task '%s' (supported: "
                      "spiral)\n",
                      a.task.c_str());
-        return 2;
-    }
-    if (a.chips >= 2)
-        return runTrainDist(a, traceOut, metricsOut, obsArgs);
-    if (!a.chipFail.empty() || !a.straggler.empty()) {
-        std::fprintf(stderr, "cqsim: --chip-fail/--straggler need "
-                             "--chips >= 2\n");
         return 2;
     }
     // A live scrape port counts as an output: the run is observable
@@ -521,9 +361,15 @@ main(int argc, char **argv)
     std::string traceOut, metricsOut;
     ObsPlaneArgs obsArgs;
     TrainArgs train;
+    // The first flag seen that only one mode reads.
+    std::string trainOnly, simOnly;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (trainOnly.empty() && isOneOf(arg, kTrainOnlyFlags))
+            trainOnly = arg;
+        if (simOnly.empty() && isOneOf(arg, kSimOnlyFlags))
+            simOnly = arg;
         const auto next = [&]() -> std::string {
             return args::nextValue(kProg, argc, argv, i);
         };
@@ -586,12 +432,6 @@ main(int argc, char **argv)
             train.telemetryOut = next();
         else if (arg == "--metrics-every")
             train.metricsEvery = parseU64(arg, next(), 1, 1000000);
-        else if (arg == "--chips")
-            train.chips = parseU64(arg, next(), 1, 32);
-        else if (arg == "--chip-fail")
-            train.chipFail = next();
-        else if (arg == "--straggler")
-            train.straggler = next();
         else if (arg == "--obs-port")
             obsArgs.port =
                 static_cast<int>(parseU64(arg, next(), 0, 65535));
@@ -614,7 +454,19 @@ main(int argc, char **argv)
                      "/ --train\n");
         return 2;
     }
-    if (!train.task.empty())
+    const bool training = !train.task.empty();
+    const std::string &stray = training ? simOnly : trainOnly;
+    if (!stray.empty()) {
+        std::fprintf(stderr,
+                     "cqsim: %s is a %s flag; %s does not read it\n",
+                     stray.c_str(),
+                     training ? "--network/--gemm" : "--train",
+                     training          ? "--train"
+                     : network.empty() ? "--gemm"
+                                       : "--network");
+        return 2;
+    }
+    if (training)
         return runTrain(train, traceOut, metricsOut, obsArgs);
 
     const compiler::WorkloadIR ir =
