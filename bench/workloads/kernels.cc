@@ -3,9 +3,9 @@
  * Microbenchmarks of the software kernels the repository is built
  * on, re-hosted from the former google-benchmark main onto the
  * harness's own repeat/clock machinery: streaming statistics, LDQ /
- * E2BQM quantization, GEMM with a thread-scaling sweep, the
- * bit-serial PE datapath, the NDPO update and the DRAM controller's
- * transfer hot path.
+ * E2BQM quantization, GEMM with a thread-scaling sweep, a conv
+ * layer's im2col/col2im/ReLU, the bit-serial PE datapath, the NDPO
+ * update and the DRAM controller's transfer hot path.
  *
  * Every clock-derived metric is recorded with the timing flag (so
  * determinism checks skip it) and the thread sweeps record wall AND
@@ -28,6 +28,7 @@
 #include "common/threadpool.h"
 #include "dram/dram_controller.h"
 #include "harness/workload.h"
+#include "nn/activation.h"
 #include "nn/optimizer.h"
 #include "obs/cpu_time.h"
 #include "quant/block_quant.h"
@@ -206,6 +207,51 @@ recordTrainerGemms(WorkloadResult &out, int iters)
     out.setTiming("gemm_conv3_min_gflops", slowest, "GFLOP/s");
 }
 
+/**
+ * The non-GEMM kernels of the same conv3 layer at pool width 1:
+ * im2col of its 32 x 16 x 6 x 6 input, col2im of its 1152 x 144
+ * column gradient, and its ReLU layer's forward (on a half-negative
+ * pre-activation) and backward, 18,432 elements each. Records each
+ * kernel's fastest of @p iters calls in microseconds, and their sum
+ * as conv3_nongemm_us.
+ */
+void
+recordConvLayerKernels(WorkloadResult &out, int iters)
+{
+    const Conv2dGeometry geo{16, 16, 3, 3, 1, 1};
+    const Shape shape{32, 16, 6, 6};
+    Rng rng(4);
+    Tensor x(shape), pre(shape), dy(shape);
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = rng.below(2) == 0 ? 0.0f
+                                 : static_cast<float>(rng.uniform());
+    pre.fillGaussian(rng, 0.0f, 1.0f);
+    dy.fillGaussian(rng, 0.0f, 0.01f);
+    Tensor dcols({1152, 144});
+    dcols.fillGaussian(rng, 0.0f, 0.01f);
+    nn::Activation relu("relu3", nn::ActKind::ReLU);
+    ThreadPool::instance().setNumThreads(1);
+    double total = 0.0;
+    // relu_fwd runs before relu_bwd, which reads its cache.
+    const std::pair<const char *, std::function<Tensor()>> kernels[] = {
+        {"im2col", [&] { return im2col(x, geo); }},
+        {"col2im", [&] { return col2im(dcols, shape, geo); }},
+        {"relu_fwd", [&] { return relu.forward(pre); }},
+        {"relu_bwd", [&] { return relu.backward(dy); }}};
+    for (const auto &[name, kernel] : kernels) {
+        double best = 0.0;
+        for (int i = 0; i < iters; ++i) {
+            const double ms = timeIt(1, [&] { kernel(); }).wallMs;
+            best = i == 0 ? ms : std::min(best, ms);
+        }
+        out.setTiming(std::string("conv3_") + name + "_us", best * 1e3,
+                      "us");
+        total += best * 1e3;
+    }
+    ThreadPool::instance().setNumThreads(0);
+    out.setTiming("conv3_nongemm_us", total, "us");
+}
+
 WorkloadResult
 runGemm(const WorkloadContext &ctx)
 {
@@ -258,9 +304,12 @@ runGemm(const WorkloadContext &ctx)
     ThreadPool::instance().setNumThreads(0);
     out.set("gemm_scaling_n", static_cast<double>(n));
     recordTrainerGemms(out, ctx.quick ? 5 : 20);
+    recordConvLayerKernels(out, 50);
     out.notes = "matmul over the shared pool; speedup is wall-clock "
-                "vs the 1-thread width; conv3 rows are the trainer's "
-                "three GEMMs at width 1 (PERF-09 gates the slowest)";
+                "vs the 1-thread width; gemm_conv3 rows are the "
+                "trainer's three GEMMs at width 1 (PERF-09 gates the "
+                "slowest), conv3_*_us its im2col, col2im and ReLU "
+                "forward/backward (PERF-11 gates the ReLU forward)";
     return out;
 }
 
@@ -337,7 +386,8 @@ registerKernels()
          "repository kernels (supplementary)", runQuant});
     Registry::instance().add(
         {"kernels_gemm", "kernels",
-         "GEMM timings and the thread-scaling wall-vs-CPU sweep",
+         "GEMM timings and the thread-scaling wall-vs-CPU sweep, "
+         "and conv-layer kernels",
          "repository kernels (supplementary)", runGemm});
     Registry::instance().add(
         {"kernels_arch", "kernels",

@@ -5,7 +5,9 @@
 
 #include "nn/activation.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -30,46 +32,19 @@ Activation::Activation(std::string name, ActKind kind)
 
 namespace {
 
-float
-actForward(ActKind kind, float x)
-{
-    switch (kind) {
-      case ActKind::ReLU:
-        return x > 0.0f ? x : 0.0f;
-      case ActKind::Tanh:
-        return std::tanh(x);
-      case ActKind::Sigmoid:
-        return 1.0f / (1.0f + std::exp(-x));
-      case ActKind::Gelu: {
-        // tanh approximation of GELU
-        const float c = 0.7978845608f; // sqrt(2/pi)
-        const float inner = c * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      }
-    }
-    return x;
-}
+/** GELU's tanh approximation: sqrt(2/pi) and the cubic coefficient. */
+constexpr float kGeluC = 0.7978845608f;
+constexpr float kGeluA = 0.044715f;
 
-float
-actBackward(ActKind kind, float x, float y, float dy)
+/**
+ * @p v when @p keep, else +0, without a branch: the compare result
+ * widened to an all-ones or all-zeros mask and ANDed into the bits.
+ */
+inline float
+keepOrZero(float v, bool keep)
 {
-    switch (kind) {
-      case ActKind::ReLU:
-        return x > 0.0f ? dy : 0.0f;
-      case ActKind::Tanh:
-        return dy * (1.0f - y * y);
-      case ActKind::Sigmoid:
-        return dy * y * (1.0f - y);
-      case ActKind::Gelu: {
-        const float c = 0.7978845608f;
-        const float x3 = 0.044715f * x * x * x;
-        const float t = std::tanh(c * (x + x3));
-        const float dt = (1.0f - t * t) *
-                         c * (1.0f + 3.0f * 0.044715f * x * x);
-        return dy * (0.5f * (1.0f + t) + 0.5f * x * dt);
-      }
-    }
-    return dy;
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) &
+                                (0u - static_cast<std::uint32_t>(keep)));
 }
 
 } // namespace
@@ -77,22 +52,76 @@ actBackward(ActKind kind, float x, float y, float dy)
 Tensor
 Activation::forward(const Tensor &input)
 {
-    cachedInput_ = input;
     Tensor out(input.shape());
-    for (std::size_t i = 0; i < input.numel(); ++i)
-        out[i] = actForward(kind_, input[i]);
-    cachedOutput_ = out;
+    const std::size_t n = input.numel();
+    const float *x = input.data();
+    float *y = out.data();
+    // One switch per call, not one per element.
+    switch (kind_) {
+      case ActKind::ReLU:
+        // x > 0 ? x : +0, for NaN and -0 too.
+        for (std::size_t i = 0; i < n; ++i)
+            y[i] = keepOrZero(x[i], x[i] > 0.0f);
+        break;
+      case ActKind::Tanh:
+        for (std::size_t i = 0; i < n; ++i)
+            y[i] = std::tanh(x[i]);
+        break;
+      case ActKind::Sigmoid:
+        for (std::size_t i = 0; i < n; ++i)
+            y[i] = 1.0f / (1.0f + std::exp(-x[i]));
+        break;
+      case ActKind::Gelu:
+        for (std::size_t i = 0; i < n; ++i) {
+            const float v = x[i];
+            const float inner = kGeluC * (v + kGeluA * v * v * v);
+            y[i] = 0.5f * v * (1.0f + std::tanh(inner));
+        }
+        break;
+    }
+    // Backward reads x for GELU and y for the rest (ReLU's y > 0
+    // exactly when x > 0), so only that tensor is kept. Assigning it
+    // reuses the cache's buffer from the previous step.
+    if (kind_ == ActKind::Gelu)
+        cached_ = input;
+    else
+        cached_ = out;
     return out;
 }
 
 Tensor
 Activation::backward(const Tensor &grad_output)
 {
-    CQ_ASSERT(grad_output.shape() == cachedInput_.shape());
+    CQ_ASSERT(grad_output.shape() == cached_.shape());
     Tensor grad_in(grad_output.shape());
-    for (std::size_t i = 0; i < grad_output.numel(); ++i)
-        grad_in[i] = actBackward(kind_, cachedInput_[i],
-                                 cachedOutput_[i], grad_output[i]);
+    const std::size_t n = grad_output.numel();
+    const float *dy = grad_output.data();
+    const float *c = cached_.data();
+    float *dx = grad_in.data();
+    switch (kind_) {
+      case ActKind::ReLU:
+        for (std::size_t i = 0; i < n; ++i)
+            dx[i] = keepOrZero(dy[i], c[i] > 0.0f);
+        break;
+      case ActKind::Tanh:
+        for (std::size_t i = 0; i < n; ++i)
+            dx[i] = dy[i] * (1.0f - c[i] * c[i]);
+        break;
+      case ActKind::Sigmoid:
+        for (std::size_t i = 0; i < n; ++i)
+            dx[i] = dy[i] * c[i] * (1.0f - c[i]);
+        break;
+      case ActKind::Gelu:
+        for (std::size_t i = 0; i < n; ++i) {
+            const float v = c[i];
+            const float x3 = kGeluA * v * v * v;
+            const float t = std::tanh(kGeluC * (v + x3));
+            const float dt =
+                (1.0f - t * t) * kGeluC * (1.0f + 3.0f * kGeluA * v * v);
+            dx[i] = dy[i] * (0.5f * (1.0f + t) + 0.5f * v * dt);
+        }
+        break;
+    }
     return grad_in;
 }
 

@@ -30,8 +30,8 @@ class Activation : public Layer
   private:
     std::string name_;
     ActKind kind_;
-    Tensor cachedInput_;
-    Tensor cachedOutput_;
+    /** What backward reads: the input for GELU, else the output. */
+    Tensor cached_;
 };
 
 } // namespace cq::nn

@@ -5,6 +5,7 @@
 
 #include "nn/pooling.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -30,29 +31,36 @@ MaxPool2d::forward(const Tensor &input)
 
     cachedInputShape_ = input.shape();
     Tensor out({n, c, p, q});
-    argmax_.assign(out.numel(), 0);
+    argmax_.resize(out.numel());
 
+    const float *src = input.data();
+    float *dst = out.data();
     std::size_t oi = 0;
-    for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t ic = 0; ic < c; ++ic)
-            for (std::size_t oy = 0; oy < p; ++oy)
-                for (std::size_t ox = 0; ox < q; ++ox, ++oi) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::size_t best_idx = 0;
-                    for (std::size_t ky = 0; ky < window_; ++ky)
-                        for (std::size_t kx = 0; kx < window_; ++kx) {
-                            const std::size_t iy = oy * stride_ + ky;
-                            const std::size_t ix = ox * stride_ + kx;
-                            const float v = input.at4(in, ic, iy, ix);
-                            if (v > best) {
-                                best = v;
-                                best_idx =
-                                    ((in * c + ic) * h + iy) * w + ix;
-                            }
+    for (std::size_t plane = 0; plane < n * c; ++plane) {
+        const std::size_t base = plane * h * w;
+        const float *img = src + base;
+        for (std::size_t oy = 0; oy < p; ++oy)
+            for (std::size_t ox = 0; ox < q; ++ox, ++oi) {
+                // Taps in (ky, kx) order, first maximum wins. A window
+                // with nothing above -inf (all NaN or -inf) outputs
+                // -inf and routes its gradient to its own first tap.
+                const std::size_t first = oy * stride_ * w + ox * stride_;
+                float best = -std::numeric_limits<float>::infinity();
+                std::size_t best_off = first;
+                for (std::size_t ky = 0; ky < window_; ++ky) {
+                    const std::size_t line = first + ky * w;
+                    for (std::size_t kx = 0; kx < window_; ++kx) {
+                        const float v = img[line + kx];
+                        if (v > best) {
+                            best = v;
+                            best_off = line + kx;
                         }
-                    out[oi] = best;
-                    argmax_[oi] = best_idx;
+                    }
                 }
+                dst[oi] = best;
+                argmax_[oi] = base + best_off;
+            }
+    }
     return out;
 }
 
@@ -61,8 +69,10 @@ MaxPool2d::backward(const Tensor &grad_output)
 {
     CQ_ASSERT(grad_output.numel() == argmax_.size());
     Tensor grad_in(cachedInputShape_);
-    for (std::size_t i = 0; i < grad_output.numel(); ++i)
-        grad_in[argmax_[i]] += grad_output[i];
+    const float *dy = grad_output.data();
+    float *dx = grad_in.data();
+    for (std::size_t i = 0; i < argmax_.size(); ++i)
+        dx[argmax_[i]] += dy[i];
     return grad_in;
 }
 
@@ -77,14 +87,15 @@ GlobalAvgPool::forward(const Tensor &input)
     cachedInputShape_ = input.shape();
     Tensor out({n, c});
     const float inv = 1.0f / static_cast<float>(h * w);
-    for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t ic = 0; ic < c; ++ic) {
-            double s = 0.0;
-            for (std::size_t iy = 0; iy < h; ++iy)
-                for (std::size_t ix = 0; ix < w; ++ix)
-                    s += input.at4(in, ic, iy, ix);
-            out.at2(in, ic) = static_cast<float>(s) * inv;
-        }
+    const float *src = input.data();
+    float *dst = out.data();
+    for (std::size_t plane = 0; plane < n * c; ++plane) {
+        const float *img = src + plane * h * w;
+        double s = 0.0;
+        for (std::size_t i = 0; i < h * w; ++i)
+            s += img[i];
+        dst[plane] = static_cast<float>(s) * inv;
+    }
     return out;
 }
 
@@ -97,13 +108,10 @@ GlobalAvgPool::backward(const Tensor &grad_output)
               grad_output.dim(1) == c);
     Tensor grad_in(cachedInputShape_);
     const float inv = 1.0f / static_cast<float>(h * w);
-    for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t ic = 0; ic < c; ++ic) {
-            const float g = grad_output.at2(in, ic) * inv;
-            for (std::size_t iy = 0; iy < h; ++iy)
-                for (std::size_t ix = 0; ix < w; ++ix)
-                    grad_in.at4(in, ic, iy, ix) = g;
-        }
+    const float *dy = grad_output.data();
+    float *dx = grad_in.data();
+    for (std::size_t plane = 0; plane < n * c; ++plane)
+        std::fill_n(dx + plane * h * w, h * w, dy[plane] * inv);
     return grad_in;
 }
 

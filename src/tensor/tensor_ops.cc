@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/threadpool.h"
@@ -60,6 +61,27 @@ validTaps(std::ptrdiff_t origin, std::size_t kernel, std::size_t extent)
     const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(
         static_cast<std::ptrdiff_t>(extent) - origin, lo, k);
     return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
+}
+
+/**
+ * For each input coordinate i in [0, extent), the outputs o whose
+ * window of @p kernel taps at @p stride (after @p pad) covers i, i.e.
+ * 0 <= i + pad - o * stride < kernel, as the range [first, second)
+ * clipped to [0, outExtent).
+ */
+std::vector<std::pair<std::size_t, std::size_t>>
+coveringOutputs(std::size_t extent, std::size_t outExtent,
+                std::size_t kernel, std::size_t stride, std::size_t pad)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> cover(extent);
+    for (std::size_t i = 0; i < extent; ++i) {
+        const std::size_t at = i + pad;
+        const std::size_t hi = std::min(outExtent, at / stride + 1);
+        const std::size_t lo =
+            at < kernel ? 0 : (at - kernel) / stride + 1;
+        cover[i] = {std::min(lo, hi), hi};
+    }
+    return cover;
 }
 
 } // namespace
@@ -352,30 +374,45 @@ im2col(const Tensor &input, const Conv2dGeometry &g)
     Tensor cols({n * p * q, patch});
     const float *src = input.data();
     float *out = cols.data();
+    const std::size_t taps = g.kernelH * g.kernelW;
     const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(w);
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
-    // Every patch row of the output is written by exactly one index,
-    // so chunking the flattened (n, oy, ox) space is race-free.
-    parallelFor(0, n * p * q, rowGrain(patch),
+    // The unit of work is one output row (in, oy): its q patch rows
+    // are written by it alone, so any chunking is race-free.
+    parallelFor(0, n * p, rowGrain(q * patch),
                 [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            const std::size_t in = r / (p * q);
+        // Unit lo's (in, oy), then counters: no division per row.
+        std::size_t in = lo / p, oy = lo % p;
+        for (std::size_t u = lo; u < hi; ++u) {
             const std::ptrdiff_t y0 =
-                static_cast<std::ptrdiff_t>((r / q) % p * g.stride) - pad;
-            const std::ptrdiff_t x0 =
-                static_cast<std::ptrdiff_t>(r % q * g.stride) - pad;
+                static_cast<std::ptrdiff_t>(oy * g.stride) - pad;
             const auto [ky0, ky1] = validTaps(y0, g.kernelH, h);
-            const auto [kx0, kx1] = validTaps(x0, g.kernelW, w);
-            for (std::size_t ic = 0; ic < c; ++ic) {
-                const float *plane = src + (in * c + ic) * h * w;
-                float *taps = out + r * patch + ic * g.kernelH * g.kernelW;
-                for (std::size_t ky = ky0; ky < ky1; ++ky) {
-                    const float *line =
-                        plane + (y0 + static_cast<std::ptrdiff_t>(ky)) * iw;
-                    float *dst = taps + ky * g.kernelW;
-                    for (std::size_t kx = kx0; kx < kx1; ++kx)
-                        dst[kx] = line[x0 + static_cast<std::ptrdiff_t>(kx)];
+            const float *image = src + in * c * h * w;
+            float *row = out + u * q * patch;
+            for (std::size_t ox = 0; ox < q; ++ox, row += patch) {
+                const std::ptrdiff_t x0 =
+                    static_cast<std::ptrdiff_t>(ox * g.stride) - pad;
+                const auto [kx0, kx1] = validTaps(x0, g.kernelW, w);
+                if (kx0 == kx1)
+                    continue;
+                for (std::size_t ic = 0; ic < c; ++ic) {
+                    const float *plane = image + ic * h * w;
+                    float *slots = row + ic * taps;
+                    // From each line's first tap inside the image.
+                    for (std::size_t ky = ky0; ky < ky1; ++ky) {
+                        const float *line =
+                            plane +
+                            ((y0 + static_cast<std::ptrdiff_t>(ky)) * iw +
+                             x0 + static_cast<std::ptrdiff_t>(kx0));
+                        float *dst = slots + ky * g.kernelW + kx0;
+                        for (std::size_t kx = 0; kx < kx1 - kx0; ++kx)
+                            dst[kx] = line[kx];
+                    }
                 }
+            }
+            if (++oy == p) {
+                oy = 0;
+                ++in;
             }
         }
     });
@@ -402,39 +439,38 @@ col2im(const Tensor &cols, const Shape &inputShape, const Conv2dGeometry &g)
     Tensor out(inputShape);
     const float *in = cols.data();
     float *dst = out.data();
-    const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(w);
-    const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
-    // Overlapping patches accumulate into the same input pixels, so
-    // the parallel dimension is the (image, channel) plane: each plane
-    // is touched by exactly one chunk, and inside a plane the patches
-    // are walked in the same (oy, ox, ky, kx) order as the serial
-    // loop, keeping every pixel's accumulation order fixed.
-    parallelFor(0, n * c, rowGrain(p * q * g.kernelH * g.kernelW),
+    const std::size_t taps = g.kernelH * g.kernelW;
+    const auto coverH = coveringOutputs(h, p, g.kernelH, g.stride, g.pad);
+    const auto coverW = coveringOutputs(w, q, g.kernelW, g.stride, g.pad);
+    // Each pixel gathers its taps into a register. For one pixel every
+    // (oy, ox) holds at most one tap, and the gather adds them in
+    // ascending (oy, ox) from +0, the order in which a scatter over
+    // (oy, ox, ky, kx) would add them into the zeroed output, so every
+    // sum is the same. Planes are disjoint, so any chunking is exact.
+    parallelFor(0, n * c, rowGrain(p * q * taps),
                 [&](std::size_t lo, std::size_t hi) {
         for (std::size_t plane = lo; plane < hi; ++plane) {
-            const std::size_t inn = plane / c;
-            const std::size_t patch_base =
-                plane % c * g.kernelH * g.kernelW;
+            const float *src =
+                in + plane / c * p * q * patch + plane % c * taps;
             float *pix = dst + plane * h * w;
-            for (std::size_t oy = 0; oy < p; ++oy) {
-                const std::ptrdiff_t y0 =
-                    static_cast<std::ptrdiff_t>(oy * g.stride) - pad;
-                const auto [ky0, ky1] = validTaps(y0, g.kernelH, h);
-                for (std::size_t ox = 0; ox < q; ++ox) {
-                    const std::ptrdiff_t x0 =
-                        static_cast<std::ptrdiff_t>(ox * g.stride) - pad;
-                    const auto [kx0, kx1] = validTaps(x0, g.kernelW, w);
-                    const float *taps = in +
-                                        ((inn * p + oy) * q + ox) * patch +
-                                        patch_base;
-                    for (std::size_t ky = ky0; ky < ky1; ++ky) {
-                        float *line =
-                            pix + (y0 + static_cast<std::ptrdiff_t>(ky)) * iw;
-                        const float *row = taps + ky * g.kernelW;
-                        for (std::size_t kx = kx0; kx < kx1; ++kx)
-                            line[x0 + static_cast<std::ptrdiff_t>(kx)] +=
-                                row[kx];
+            for (std::size_t iy = 0; iy < h; ++iy) {
+                const auto [oy0, oy1] = coverH[iy];
+                for (std::size_t ix = 0; ix < w; ++ix) {
+                    const auto [ox0, ox1] = coverW[ix];
+                    const std::size_t kx0 = ix + g.pad - ox0 * g.stride;
+                    float acc = 0.0f;
+                    for (std::size_t oy = oy0; oy < oy1; ++oy) {
+                        // Tap (ky, kx0) of output (oy, ox0); each later
+                        // ox is one row on and stride taps back.
+                        const std::size_t ky = iy + g.pad - oy * g.stride;
+                        std::size_t at =
+                            (oy * q + ox0) * patch + ky * g.kernelW + kx0;
+                        for (std::size_t ox = ox0; ox < ox1; ++ox) {
+                            acc += src[at];
+                            at += patch - g.stride;
+                        }
                     }
+                    pix[iy * w + ix] = acc;
                 }
             }
         }

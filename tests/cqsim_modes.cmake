@@ -47,7 +47,7 @@ foreach(flag
         "--ckpt-keep;2" "--resume;never-created" "--sync-ckpt"
         "--masters-out;never-created.bin" "--ecc" "--abft"
         "--fault-rate;1" "--telemetry-out;never-created.jsonl"
-        "--metrics-every;2")
+        "--metrics-every;2" "--obs-port;0")
     list(GET flag 0 name)
     expect_rejected("--network;tiny;${flag}"
                     "${name} is a --train flag; --network does not")

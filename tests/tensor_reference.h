@@ -12,7 +12,8 @@
  * double-sum loops are kept to show that the GEMM version computes the
  * same function within float rounding (test_nn.cc). Test-only and
  * deliberately unoptimized: keep it a literal statement of the
- * numerics, not a second fast path.
+ * numerics, not a second fast path. diffOperand seeds the operands of
+ * these tests and of the layer oracles' (layer_reference.h).
  */
 
 #ifndef CQ_TESTS_TENSOR_REFERENCE_H
@@ -23,8 +24,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 
+#include "common/rng.h"
 #include "nn/softmax.h"
 #include "quant/e2bqm.h"
 #include "tensor/tensor.h"
@@ -55,6 +59,36 @@ bitDifference(const Tensor &got, const Tensor &want)
                    std::to_string(want[i]);
     }
     return "";
+}
+
+/**
+ * Seeded operand: N(0, 1) with a @p zero_frac share of +0/-0 (ReLU-like
+ * sparsity) and, when @p specials, ~3 % subnormals, +-Inf and NaN.
+ */
+inline Tensor
+diffOperand(Rng &rng, Shape shape, double zero_frac, bool specials)
+{
+    Tensor t(std::move(shape));
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        const double u = rng.uniform();
+        float v = static_cast<float>(rng.gaussian());
+        if (u < zero_frac) {
+            v = rng.below(2) == 0 ? 0.0f : -0.0f;
+        } else if (specials && u < zero_frac + 0.03) {
+            switch (rng.below(4)) {
+              case 0:
+                v = std::numeric_limits<float>::denorm_min() *
+                    static_cast<float>(1 + rng.below(1000)) *
+                    (rng.below(2) == 0 ? 1.0f : -1.0f);
+                break;
+              case 1: v = std::numeric_limits<float>::infinity(); break;
+              case 2: v = -std::numeric_limits<float>::infinity(); break;
+              default: v = std::numeric_limits<float>::quiet_NaN(); break;
+            }
+        }
+        t[i] = v;
+    }
+    return t;
 }
 
 /**

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "layer_reference.h"
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/batchnorm.h"
@@ -368,6 +370,127 @@ TEST(AttentionDiff, GemmCoreMatchesDoubleLoopOracle)
             EXPECT_LT(normwiseGap(got, want), bound)
                 << params[2 * p + t]->name;
         }
+}
+
+// ------------------------------------- layer oracles (vs plain loops)
+
+TEST(LayerDiff, ActivationsMatchReferenceLoops)
+{
+    // Forward and backward of every kind, bitwise, with the specials
+    // in both the input and the incoming gradient. ReLU must give +0
+    // for -0 and NaN (a std::max(x, 0.0f) ReLU keeps both), and its
+    // backward, which reads the cached output, must equal the oracle's
+    // x > 0 ? dy : 0.
+    Rng rng(41);
+    for (auto kind : {ActKind::ReLU, ActKind::Tanh, ActKind::Sigmoid,
+                      ActKind::Gelu}) {
+        Activation layer("act", kind);
+        for (int trial = 0; trial < 4; ++trial) {
+            const Shape shape =
+                trial % 2 == 0 ? Shape{4, 3, 5, 7} : Shape{33, 17};
+            const bool specials = trial < 3;
+            const Tensor x = test::diffOperand(rng, shape, 0.1, specials);
+            const Tensor dy = test::diffOperand(rng, shape, 0.1, specials);
+            SCOPED_TRACE(std::string(actKindName(kind)) + " trial " +
+                         std::to_string(trial));
+            const Tensor y = layer.forward(x);
+            const Tensor dx = layer.backward(dy);
+            const Tensor yRef = test::referenceActivation(kind, x);
+            EXPECT_EQ(test::bitDifference(y, yRef), "");
+            EXPECT_EQ(test::bitDifference(
+                          dx, test::referenceActivationBackward(kind, x,
+                                                                yRef, dy)),
+                      "");
+        }
+    }
+}
+
+TEST(LayerDiff, MaxPoolMatchesReferenceLoops)
+{
+    // Normal values snapped to multiples of 0.5, so windows hold exact
+    // ties (the first maximum wins), plus the specials and one whole
+    // window of NaN and one of -inf. Each output's gradient is
+    // distinct, so the backward pass pins every window's argmax.
+    struct Pool
+    {
+        std::size_t window, stride;
+    };
+    Rng rng(43);
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const Pool pool : {Pool{2, 2}, Pool{3, 1}, Pool{2, 3}, Pool{3, 2}}) {
+        for (int trial = 0; trial < 3; ++trial) {
+            const std::size_t h = pool.window + rng.below(8);
+            const std::size_t w = pool.window + rng.below(8);
+            Tensor x = test::diffOperand(rng, {2, 3, h, w}, 0.1, true);
+            for (std::size_t i = 0; i < x.numel(); ++i)
+                if (std::isnormal(x[i]))
+                    x[i] = std::round(x[i] * 2.0f) / 2.0f;
+            for (std::size_t ky = 0; ky < pool.window; ++ky)
+                for (std::size_t kx = 0; kx < pool.window; ++kx) {
+                    x.at4(0, 1, ky, kx) =
+                        std::numeric_limits<float>::quiet_NaN();
+                    x.at4(1, 2, ky, kx) = -inf;
+                }
+            SCOPED_TRACE("window " + std::to_string(pool.window) +
+                         " stride " + std::to_string(pool.stride) +
+                         " trial " + std::to_string(trial));
+            MaxPool2d layer("pool", pool.window, pool.stride);
+            const Tensor y = layer.forward(x);
+            Tensor dy(y.shape());
+            for (std::size_t i = 0; i < dy.numel(); ++i)
+                dy[i] = static_cast<float>(i + 1);
+            const Tensor dx = layer.backward(dy);
+            const test::ReferenceMaxPool ref =
+                test::referenceMaxPool(x, pool.window, pool.stride);
+            EXPECT_EQ(test::bitDifference(y, ref.out), "");
+            EXPECT_EQ(test::bitDifference(dx, test::referenceMaxPoolBackward(
+                                                  ref, x.shape(), dy)),
+                      "");
+        }
+    }
+}
+
+TEST(LayerDiff, GlobalAvgPoolMatchesReferenceLoops)
+{
+    Rng rng(47);
+    for (int trial = 0; trial < 8; ++trial) {
+        const std::size_t h = 1 + rng.below(7), w = 1 + rng.below(7);
+        const bool specials = trial % 2 == 1;
+        const Tensor x = test::diffOperand(rng, {3, 4, h, w}, 0.1, specials);
+        const Tensor dy = test::diffOperand(rng, {3, 4}, 0.1, specials);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        GlobalAvgPool layer("gap");
+        EXPECT_EQ(test::bitDifference(layer.forward(x),
+                                      test::referenceGlobalAvgPool(x)),
+                  "");
+        EXPECT_EQ(test::bitDifference(
+                      layer.backward(dy),
+                      test::referenceGlobalAvgPoolBackward(x.shape(), dy)),
+                  "");
+    }
+}
+
+TEST(Layers, MaxPoolNanWindowKeepsItsGradient)
+{
+    // 0..15 in one 4x4 plane with its bottom-right 2x2 window NaN:
+    // that window outputs -inf and routes its gradient to its own
+    // first tap (2, 2), not to element (0, 0) of the top-left window.
+    Tensor x({1, 1, 4, 4});
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = static_cast<float>(i);
+    for (std::size_t iy = 2; iy < 4; ++iy)
+        for (std::size_t ix = 2; ix < 4; ++ix)
+            x.at4(0, 0, iy, ix) = std::numeric_limits<float>::quiet_NaN();
+    MaxPool2d layer("pool", 2, 2);
+    const Tensor y = layer.forward(x);
+    EXPECT_EQ(y.vec(), (std::vector<float>{
+                           5.0f, 7.0f, 13.0f,
+                           -std::numeric_limits<float>::infinity()}));
+    const Tensor dx = layer.backward(Tensor(y.shape(), 1.0f));
+    std::vector<float> want(16, 0.0f);
+    for (std::size_t i : {5u, 7u, 13u, 10u})
+        want[i] = 1.0f;
+    EXPECT_EQ(dx.vec(), want);
 }
 
 TEST(GradCheckTest, PositionalEncoding)

@@ -215,36 +215,6 @@ TEST(TensorOps, CosineSimilarityIdentical)
 
 // ------------------------------------------ differential (vs oracle)
 
-/**
- * Seeded operand: N(0, 1) with a @p zero_frac share of +0/-0 (ReLU-like
- * sparsity) and, when @p specials, ~3 % subnormals, +-Inf and NaN.
- */
-Tensor
-diffOperand(Rng &rng, Shape shape, double zero_frac, bool specials)
-{
-    Tensor t(std::move(shape));
-    for (std::size_t i = 0; i < t.numel(); ++i) {
-        const double u = rng.uniform();
-        float v = static_cast<float>(rng.gaussian());
-        if (u < zero_frac) {
-            v = rng.below(2) == 0 ? 0.0f : -0.0f;
-        } else if (specials && u < zero_frac + 0.03) {
-            switch (rng.below(4)) {
-              case 0:
-                v = std::numeric_limits<float>::denorm_min() *
-                    static_cast<float>(1 + rng.below(1000)) *
-                    (rng.below(2) == 0 ? 1.0f : -1.0f);
-                break;
-              case 1: v = std::numeric_limits<float>::infinity(); break;
-              case 2: v = -std::numeric_limits<float>::infinity(); break;
-              default: v = std::numeric_limits<float>::quiet_NaN(); break;
-            }
-        }
-        t[i] = v;
-    }
-    return t;
-}
-
 TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
 {
     // Widths 1..100 cover every 16/8/4/1 tile mix; each shape runs on
@@ -261,10 +231,10 @@ TEST(TensorDiff, GemmVariantsMatchReferenceLoops)
         const std::size_t n = 1 + rng.below(100);
         const double zf = zeroFracs[trial % 3];
         const int kind = trial % 4;
-        Tensor a = diffOperand(rng, {m, k}, zf, kind == 1 || kind == 3);
-        Tensor at = diffOperand(rng, {k, m}, zf, kind == 1 || kind == 3);
-        Tensor b = diffOperand(rng, {k, n}, 0.1, kind == 3);
-        Tensor bt = diffOperand(rng, {n, k}, 0.1, kind == 3);
+        Tensor a = test::diffOperand(rng, {m, k}, zf, kind == 1 || kind == 3);
+        Tensor at = test::diffOperand(rng, {k, m}, zf, kind == 1 || kind == 3);
+        Tensor b = test::diffOperand(rng, {k, n}, 0.1, kind == 3);
+        Tensor bt = test::diffOperand(rng, {n, k}, 0.1, kind == 3);
         if (kind == 2 && k > 0) {
             const float specials[] = {
                 std::numeric_limits<float>::infinity(),
@@ -335,6 +305,23 @@ TEST(TensorDiff, SignedZerosAndSpecialsAreExact)
 TEST(TensorDiff, Im2colCol2imMatchReferenceLoops)
 {
     Rng rng(77);
+    // im2col of x and col2im of a seeded column gradient against the
+    // oracle loops, on one thread and on a 4-wide pool.
+    const auto check = [&rng](const Tensor &x, const Conv2dGeometry &g,
+                              bool specials) {
+        for (unsigned threads : {1u, 4u}) {
+            ThreadPool::instance().setNumThreads(threads);
+            const Tensor cols = im2col(x, g);
+            EXPECT_EQ(test::bitDifference(cols, test::referenceIm2col(x, g)),
+                      "");
+            const Tensor grads =
+                test::diffOperand(rng, cols.shape(), 0.3, specials);
+            EXPECT_EQ(test::bitDifference(
+                          col2im(grads, x.shape(), g),
+                          test::referenceCol2im(grads, x.shape(), g)),
+                      "");
+        }
+    };
     for (int trial = 0; trial < 60; ++trial) {
         Conv2dGeometry g{};
         g.inChannels = 1 + rng.below(4);
@@ -346,21 +333,22 @@ TEST(TensorDiff, Im2colCol2imMatchReferenceLoops)
         const std::size_t n = 1 + rng.below(3);
         const std::size_t h = g.kernelH + rng.below(10);
         const std::size_t w = g.kernelW + rng.below(10);
-        const Tensor x =
-            diffOperand(rng, {n, g.inChannels, h, w}, 0.3, trial % 4 == 3);
+        const Tensor x = test::diffOperand(rng, {n, g.inChannels, h, w},
+                                           0.3, trial % 4 == 3);
         SCOPED_TRACE("trial " + std::to_string(trial));
-        for (unsigned threads : {1u, 4u}) {
-            ThreadPool::instance().setNumThreads(threads);
-            const Tensor cols = im2col(x, g);
-            EXPECT_EQ(test::bitDifference(cols, test::referenceIm2col(x, g)),
-                      "");
-            const Tensor grads =
-                diffOperand(rng, cols.shape(), 0.3, trial % 4 == 3);
-            EXPECT_EQ(test::bitDifference(
-                          col2im(grads, x.shape(), g),
-                          test::referenceCol2im(grads, x.shape(), g)),
-                      "");
-        }
+        check(x, g, trial % 4 == 3);
+    }
+    // The train-cnn-hqt conv layers: batch 32, 3x3 kernels, stride 1,
+    // pad 1, on its 1-channel 12x12 input and its 8- and 16-channel
+    // 6x6 maps.
+    const std::pair<std::size_t, std::size_t> trainerLayers[] = {
+        {1, 12}, {8, 6}, {16, 6}};
+    for (const auto &[channels, side] : trainerLayers) {
+        const Conv2dGeometry g{channels, 16, 3, 3, 1, 1};
+        SCOPED_TRACE("train-cnn-hqt layer with " + std::to_string(channels) +
+                     " input channels");
+        check(test::diffOperand(rng, {32, channels, side, side}, 0.5, true), g,
+              true);
     }
     ThreadPool::instance().setNumThreads(0);
 }

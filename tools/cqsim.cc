@@ -26,8 +26,9 @@
  * timelines in --network/--gemm mode); --metrics-out F writes a
  * Prometheus text snapshot. --train additionally takes
  * --telemetry-out F (one JSONL record per step), --metrics-every N
- * (periodic metrics rewrite) and the in-situ correction knobs
- * --ecc, --abft and --fault-rate FLIPS_PER_MBIT.
+ * (periodic metrics rewrite), --obs-port P (the live scrape
+ * endpoint) and the in-situ correction knobs --ecc, --abft and
+ * --fault-rate FLIPS_PER_MBIT.
  *
  * A flag that only the other mode reads (say --disasm with --train,
  * or --ckpt-dir with --network) exits 2 rather than being ignored.
@@ -77,12 +78,12 @@ printUsage(std::FILE *to)
         "             [--resume D] [--sync-ckpt] [--masters-out F]\n"
         "             [--ecc] [--abft] [--fault-rate R]\n"
         "             [--telemetry-out F] [--metrics-every N]\n"
-        "observability (all modes):\n"
-        "             [--trace-out F] [--metrics-out F]\n"
         "             [--obs-port P]       live scrape endpoint on "
         "127.0.0.1:P (0 = ephemeral);\n"
         "                                  serves /metrics "
         "/metrics.json /healthz /trace\n"
+        "observability (all modes):\n"
+        "             [--trace-out F] [--metrics-out F]\n"
         "fault injection (all modes):\n"
         "             [--failpoints SPEC]   "
         "e.g. \"ckpt.body.write=enospc,once=1\"\n"
@@ -98,11 +99,11 @@ usage()
 }
 
 /** Flags only --train reads. */
-constexpr std::array<const char *, 13> kTrainOnlyFlags = {
+constexpr std::array<const char *, 14> kTrainOnlyFlags = {
     "--steps",      "--seed",        "--ckpt-dir",      "--ckpt-every",
     "--ckpt-keep",  "--resume",      "--sync-ckpt",     "--masters-out",
     "--ecc",        "--abft",        "--fault-rate",    "--telemetry-out",
-    "--metrics-every"};
+    "--metrics-every", "--obs-port"};
 
 /** Flags only --network / --gemm read. */
 constexpr std::array<const char *, 7> kSimOnlyFlags = {
