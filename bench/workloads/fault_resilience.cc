@@ -1,11 +1,10 @@
 /**
  * @file
  * Fault-resilience sweep: final accuracy of a quantized (HQT)
- * training run vs DRAM bit-flip rate under three protection levels
+ * training run vs DRAM bit-flip rate, with and without protection
  * (DESIGN.md §5):
  *
  *   unprotected   - faults land on bare FP32 masters
- *   rollback-only - guardrails + CRC checkpoints (detect/recover)
  *   ECC+ABFT      - in-situ SEC-DED over the masters with background
  *                   scrubbing, plus ABFT-checksummed GEMMs, plus the
  *                   rollback ladder underneath
@@ -16,10 +15,7 @@
  */
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "common/fileutil.h"
@@ -37,34 +33,9 @@ namespace {
 enum class Arm
 {
     Unprotected,
-    RollbackOnly,
     EccAbft,
-    GuardedCompute,     ///< accumulator faults, guardrails only
     GuardedComputeAbft, ///< accumulator faults, guardrails + ABFT
 };
-
-/**
- * A fresh checkpoint directory per protected arm: an arm that trips
- * before its first checkpoint must find nothing to roll back to, not
- * the previous arm's snapshot.
- */
-std::string
-freshCheckpointDir()
-{
-    char tmpl[] = "/tmp/cq-bench-resilience-XXXXXX";
-    CQ_ASSERT_MSG(::mkdtemp(tmpl) != nullptr,
-                  "fault_resilience: mkdtemp failed");
-    return tmpl;
-}
-
-/** Remove a checkpoint directory and the files in it. */
-void
-removeCheckpointDir(const std::string &dir)
-{
-    for (const std::string &f : listDir(dir))
-        std::remove((dir + "/" + f).c_str());
-    ::rmdir(dir.c_str());
-}
 
 struct SweepPoint
 {
@@ -77,8 +48,14 @@ struct SweepPoint
 SweepPoint
 runArm(double rate, Arm arm, int steps)
 {
-    const std::string ckpt =
-        arm != Arm::Unprotected ? freshCheckpointDir() : "";
+    // A fresh checkpoint directory per protected arm: an arm that trips
+    // before its first checkpoint must find nothing to roll back to,
+    // not the previous arm's snapshot.
+    const std::string ckpt = arm != Arm::Unprotected
+                                 ? makeTempDir("cq-bench-resilience-")
+                                 : "";
+    CQ_ASSERT_MSG(arm == Arm::Unprotected || !ckpt.empty(),
+                  "fault_resilience: mkdtemp failed");
     nn::SpiralDataset data(2, 0.1, 17);
     nn::Network net = nn::makeSpiralMlp(18);
 
@@ -102,8 +79,7 @@ runArm(double rate, Arm arm, int steps)
     fcfg.seed = 0xBEEF;
     fcfg.bitFlipsPerMbit = rate;
     fcfg.burstLength = 1;
-    const bool computeArm = arm == Arm::GuardedCompute ||
-                            arm == Arm::GuardedComputeAbft;
+    const bool computeArm = arm == Arm::GuardedComputeAbft;
     fcfg.targetMasterWeights = !computeArm;
     fcfg.targetAccumulators = computeArm;
     sim::FaultInjector inj(fcfg);
@@ -126,7 +102,7 @@ runArm(double rate, Arm arm, int steps)
     if (!std::isfinite(p.accuracyPct))
         p.diverged = true;
     if (!ckpt.empty())
-        removeCheckpointDir(ckpt);
+        removeTree(ckpt);
     return p;
 }
 

@@ -21,7 +21,7 @@ run(const WorkloadContext &)
     const auto cfg = arch::CambriconQConfig::edge();
     const auto hw = energy::HwCharacteristics::cambriconQ();
     const double peakTopsInt8 =
-        2.0 * cfg.peakMacsPerCycleInt8() * cfg.freqGhz / 1e3;
+        2.0 * cfg.peakMacsPerCycleInt8() / 1e3; // at 1 GHz
     const double eff = peakTopsInt8 / (hw.corePowerMw() / 1000.0);
 
     WorkloadResult out;

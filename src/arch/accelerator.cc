@@ -27,9 +27,10 @@ unitName(Unit unit)
 }
 
 double
-PerfReport::timeMs(double freq_ghz) const
+PerfReport::timeMs() const
 {
-    return static_cast<double>(totalTicks) / (freq_ghz * 1e6);
+    // One tick is one ns: 1e6 ticks per ms.
+    return static_cast<double>(totalTicks) / 1e6;
 }
 
 double

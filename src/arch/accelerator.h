@@ -75,8 +75,8 @@ struct PerfReport
     /** Per-instruction timeline (filled when requested). */
     std::vector<TraceEntry> trace;
 
-    /** Wall-clock per minibatch in milliseconds at the config clock. */
-    double timeMs(double freq_ghz = 1.0) const;
+    /** Wall-clock per minibatch in milliseconds (1 GHz clock). */
+    double timeMs() const;
     /** Total energy in millijoules. */
     double energyMj() const;
     /** Fraction of phase busy time attributed to @p phase. */

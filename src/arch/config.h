@@ -88,9 +88,6 @@ struct CambriconQConfig
     /** Memory system. */
     dram::DramConfig dram = dram::DramConfig::lpddr4_2133();
 
-    /** Clock (GHz); ticks are cycles of this clock. */
-    double freqGhz = 1.0;
-
     /** Peak INT8 MACs per cycle across all arrays. */
     double peakMacsPerCycleInt8() const;
 

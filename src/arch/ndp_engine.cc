@@ -19,20 +19,6 @@ NdpEngine::configure(const nn::NdpoConstants &constants)
 }
 
 void
-NdpEngine::attachEcc(dram::EccProtectedArray *w,
-                     dram::EccProtectedArray *m,
-                     dram::EccProtectedArray *v)
-{
-    if (w == nullptr || m == nullptr || v == nullptr) {
-        eccW_ = eccM_ = eccV_ = nullptr;
-        return;
-    }
-    eccW_ = w;
-    eccM_ = m;
-    eccV_ = v;
-}
-
-void
 NdpEngine::weightGradientStore(std::vector<float> &weights,
                                std::vector<float> &m,
                                std::vector<float> &v,
@@ -52,69 +38,9 @@ NdpEngine::weightGradientStore(std::vector<float> &weights,
                       v.size() == weights.size(),
                   "w/m/v/g row sizes differ: w=%zu m=%zu v=%zu g=%zu",
                   weights.size(), m.size(), v.size(), gradients.size());
-    if (eccAttached()) {
-        CQ_ASSERT_MSG(eccW_->numFloats() == weights.size() &&
-                          eccM_->numFloats() == m.size() &&
-                          eccV_->numFloats() == v.size(),
-                      "ECC sideband covers %zu/%zu/%zu floats, rows "
-                      "have %zu",
-                      eccW_->numFloats(), eccM_->numFloats(),
-                      eccV_->numFloats(), weights.size());
-    }
-    if (faults_ != nullptr) {
-        // Upsets accumulated in the DRAM rows since the last update
-        // are visible to the NDPO when it opens them. With ECC the
-        // flips land post-encode, on the 72-bit coded words.
-        if (eccAttached()) {
-            faults_->maybeCorruptCoded(weights.data(), weights.size(),
-                                       eccW_->checkBits(),
-                                       eccW_->numWords(),
-                                       sim::FaultSite::MasterWeights);
-            faults_->maybeCorruptCoded(m.data(), m.size(),
-                                       eccM_->checkBits(),
-                                       eccM_->numWords(),
-                                       sim::FaultSite::OptimizerState);
-            faults_->maybeCorruptCoded(v.data(), v.size(),
-                                       eccV_->checkBits(),
-                                       eccV_->numWords(),
-                                       sim::FaultSite::OptimizerState);
-        } else {
-            faults_->maybeCorrupt(weights.data(), weights.size(),
-                                  sim::FaultSite::MasterWeights);
-            faults_->maybeCorrupt(m.data(), m.size(),
-                                  sim::FaultSite::OptimizerState);
-            faults_->maybeCorrupt(v.data(), v.size(),
-                                  sim::FaultSite::OptimizerState);
-        }
-    }
-    if (eccAttached()) {
-        // Read stage: decode-correct every word the NDPO consumes.
-        lastEcc_ = dram::EccProtectedArray::Report{};
-        lastEcc_.merge(eccW_->correctAll(weights.data()));
-        lastEcc_.merge(eccM_->correctAll(m.data()));
-        lastEcc_.merge(eccV_->correctAll(v.data()));
-        stats_.add("ecc.scannedWords",
-                   static_cast<double>(lastEcc_.scanned));
-        if (lastEcc_.corrected > 0)
-            stats_.add("ecc.corrected",
-                       static_cast<double>(lastEcc_.corrected));
-        if (lastEcc_.uncorrectable > 0)
-            stats_.add("ecc.uncorrectable",
-                       static_cast<double>(lastEcc_.uncorrectable));
-    }
     for (std::size_t i = 0; i < weights.size(); ++i)
         constants_.apply(weights[i], m[i], v[i], gradients[i]);
     elements_ += weights.size();
-    if (eccAttached()) {
-        // Write-back stage: the RMW update re-encodes the rows.
-        eccW_->encodeAll(weights.data());
-        eccM_->encodeAll(m.data());
-        eccV_->encodeAll(v.data());
-        stats_.add("ecc.reencodedWords",
-                   static_cast<double>(eccW_->numWords() +
-                                       eccM_->numWords() +
-                                       eccV_->numWords()));
-    }
 }
 
 } // namespace cq::arch

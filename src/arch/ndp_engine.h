@@ -13,15 +13,9 @@
  * NdpoConstants::apply() datapath as the software optimizer, so tests
  * can require bit-identical results. The timing behaviour (3xACT /
  * WRITE stream / 3xPRE per row group) lives in
- * DramController::ndpUpdate.
- *
- * With SEC-DED ECC attached (attachEcc), the engine models an x72
- * read-modify-write path: upsets land on the *coded* words (data or
- * check bits), the read stage decode-corrects every word before the
- * NDPO consumes it, and the write-back re-encodes the updated rows.
- * Single-bit errors are repaired exactly; double-bit errors are
- * counted uncorrectable (ecc.uncorrectable) and the word passes
- * through unrepaired for the trainer's guardrails to catch.
+ * DramController::ndpUpdate. SEC-DED protection of the DRAM-resident
+ * masters is modeled by the trainer (nn::EccPolicy), which
+ * decode-corrects them on read and re-encodes them after the update.
  */
 
 #ifndef CQ_ARCH_NDP_ENGINE_H
@@ -29,11 +23,8 @@
 
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
-#include "dram/ecc.h"
 #include "nn/optimizer.h"
-#include "sim/faults/fault_injector.h"
 
 namespace cq::arch {
 
@@ -45,8 +36,6 @@ class NdpEngine
 
     /** CROSET: program the constant registers. */
     void configure(const nn::NdpoConstants &constants);
-
-    const nn::NdpoConstants &constants() const { return constants_; }
 
     /**
      * WGSTORE: stream @p gradients against the (weights, m, v) rows,
@@ -60,54 +49,10 @@ class NdpEngine
     /** Elements processed since construction (activity counter). */
     std::uint64_t elementsProcessed() const { return elements_; }
 
-    /**
-     * Attach a fault injector (not owned; nullptr detaches). Before
-     * each WGSTORE the injector corrupts the DRAM-resident images it
-     * targets -- the w rows (MasterWeights) and the m/v rows
-     * (OptimizerState) -- modeling upsets that struck the cells since
-     * the previous update, so the NDPO reads the faulted values. With
-     * ECC attached the flips land on the coded words instead
-     * (post-encode injection).
-     */
-    void attachFaultInjector(sim::FaultInjector *injector)
-    {
-        faults_ = injector;
-    }
-
-    /**
-     * Attach SEC-DED sideband arrays for the w/m/v rows (not owned;
-     * any nullptr detaches all three). Each array must cover the
-     * corresponding row passed to weightGradientStore() and have been
-     * encoded (EccProtectedArray::encodeAll) against its current
-     * contents. Subsequent WGSTOREs decode-correct on read and
-     * re-encode on write-back, accumulating ecc.* counters.
-     */
-    void attachEcc(dram::EccProtectedArray *w,
-                   dram::EccProtectedArray *m,
-                   dram::EccProtectedArray *v);
-
-    bool eccAttached() const { return eccW_ != nullptr; }
-
-    /** Aggregate ECC outcome of the most recent WGSTORE. */
-    const dram::EccProtectedArray::Report &lastEccReport() const
-    {
-        return lastEcc_;
-    }
-
-    /** ecc.* counters (correctedBits are word repairs, not bits). */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
-
   private:
     nn::NdpoConstants constants_;
     bool configured_ = false;
     std::uint64_t elements_ = 0;
-    sim::FaultInjector *faults_ = nullptr;
-    dram::EccProtectedArray *eccW_ = nullptr;
-    dram::EccProtectedArray *eccM_ = nullptr;
-    dram::EccProtectedArray *eccV_ = nullptr;
-    dram::EccProtectedArray::Report lastEcc_;
-    StatGroup stats_;
 };
 
 } // namespace cq::arch

@@ -40,10 +40,8 @@ class Squ
      */
     double bytesPerCycle(unsigned ways) const;
 
-    /** Block (slice) size the SQU statistics close over. */
-    Bytes blockBytes() const { return blockBytes_; }
-
   private:
+    /** Block (slice) size the SQU statistics close over. */
     Bytes blockBytes_;
     unsigned statRate_;
     unsigned quantRate_;

@@ -10,12 +10,11 @@
 namespace cq::arch {
 
 std::size_t
-exportPerfTraceToSession(const PerfReport &report, double freq_ghz,
+exportPerfTraceToSession(const PerfReport &report,
                          obs::TraceSession &session)
 {
-    // Ticks are cycles; at freq_ghz GHz one cycle is 1/freq_ghz ns,
-    // so tick -> us divides by (freq_ghz * 1000).
-    const double ticksPerUs = freq_ghz * 1000.0;
+    // Ticks are 1 GHz cycles, so tick -> us divides by 1000.
+    const double ticksPerUs = 1000.0;
     std::size_t exported = 0;
     for (const TraceEntry &e : report.trace) {
         obs::ExternalSpan span;

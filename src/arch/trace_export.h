@@ -18,12 +18,11 @@ namespace cq::arch {
 
 /**
  * Convert every TraceEntry of @p report into an external span on
- * @p session. Cycle timestamps convert to microseconds at
- * @p freq_ghz (ticks are ns at 1 GHz). Returns the number of spans
- * exported (0 when the report was collected without a trace).
+ * @p session. Cycle timestamps convert to microseconds (ticks are ns
+ * at 1 GHz). Returns the number of spans exported (0 when the report
+ * was collected without a trace).
  */
 std::size_t exportPerfTraceToSession(const PerfReport &report,
-                                     double freq_ghz,
                                      obs::TraceSession &session);
 
 } // namespace cq::arch

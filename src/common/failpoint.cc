@@ -57,19 +57,6 @@ defaultErrnoFor(ActionKind kind)
 
 } // namespace
 
-const char *
-actionKindName(ActionKind kind)
-{
-    switch (kind) {
-      case ActionKind::Off:        return "off";
-      case ActionKind::Fail:       return "fail";
-      case ActionKind::ShortWrite: return "short";
-      case ActionKind::Delay:      return "delay";
-      case ActionKind::AllocFail:  return "alloc";
-    }
-    return "?";
-}
-
 // ----------------------------------------------------------------- Site
 
 struct Site::Impl
@@ -90,7 +77,6 @@ struct Site::Impl
     /** @{ */
     std::uint64_t evals = 0;
     std::uint64_t fires = 0;
-    std::uint64_t bytes = 0;
     /** @} */
 };
 
@@ -118,7 +104,6 @@ Site::resetCounters()
     impl_->winBytes = 0;
     impl_->evals = 0;
     impl_->fires = 0;
-    impl_->bytes = 0;
 }
 
 bool
@@ -142,20 +127,12 @@ Site::fires() const
     return impl_->fires;
 }
 
-std::uint64_t
-Site::bytesSeen() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->bytes;
-}
-
 Outcome
 Site::evaluate(std::uint64_t bytes)
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     Impl &s = *impl_;
     ++s.evals;
-    s.bytes += bytes;
     const std::uint64_t index = s.winEvals++;
     if (!s.armed) {
         s.winBytes += bytes;
@@ -504,15 +481,6 @@ Registry::status() const
         out.push_back(std::move(st));
     }
     return out;
-}
-
-std::uint64_t
-Registry::totalFires() const
-{
-    std::uint64_t total = 0;
-    for (const SiteStatus &st : status())
-        total += st.fires;
-    return total;
 }
 
 // --------------------------------------------------------- spec parsing

@@ -71,8 +71,6 @@ enum class ActionKind : int
     AllocFail,
 };
 
-const char *actionKindName(ActionKind kind);
-
 /** Result of evaluating a site: Off almost always. */
 struct Outcome
 {
@@ -127,13 +125,13 @@ class Site
     /**
      * The per-call check. @p bytes is the size of the guarded
      * operation (0 for non-write operations); it feeds the
-     * byte-offset trigger and the cumulative byte counter.
+     * byte-offset trigger.
      */
     Outcome evaluate(std::uint64_t bytes = 0);
 
     /** Arm with @p config (Off disarms). Resets the trigger window
      *  (index, fire limit, byte origin) so a re-arm starts fresh; the
-     *  cumulative evals()/fires()/bytesSeen() reporting counters are
+     *  cumulative evals()/fires() reporting counters are
      *  untouched. */
     void arm(const SiteConfig &config);
     bool armed() const;
@@ -144,7 +142,6 @@ class Site
 
     std::uint64_t evals() const;
     std::uint64_t fires() const;
-    std::uint64_t bytesSeen() const;
 
     Site(const Site &) = delete;
     Site &operator=(const Site &) = delete;
@@ -214,9 +211,6 @@ class Registry
 
     /** Per-site status of every known site (declared + dynamic). */
     std::vector<SiteStatus> status() const;
-
-    /** Total fires across all sites since the last reset(). */
-    std::uint64_t totalFires() const;
 
     /**
      * The canonical, checked-in list of every failpoint the codebase

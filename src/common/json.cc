@@ -68,7 +68,6 @@ namespace {
 struct Parser
 {
     const std::string &text;
-    const ParseOptions &options;
     std::size_t pos = 0;
     std::string error;
     std::size_t errorAt = 0;
@@ -113,10 +112,9 @@ struct Parser
             // open above it; refusing at the limit (rather than one
             // past it) keeps even empty-container towers bounded, and
             // with them the parser's recursion depth.
-            if (depth >= options.maxDepth)
+            if (depth >= kMaxDepth)
                 return fail("nesting deeper than " +
-                                std::to_string(options.maxDepth) +
-                                " levels",
+                                std::to_string(kMaxDepth) + " levels",
                             ParseErrorKind::TooDeep);
             return c == '{' ? parseObject(out, depth)
                             : parseArray(out, depth);
@@ -369,9 +367,9 @@ parseErrorKindName(ParseErrorKind kind)
 }
 
 ParseResult
-parse(const std::string &text, const ParseOptions &options)
+parse(const std::string &text)
 {
-    Parser p{text, options, 0, {}, 0, ParseErrorKind::None};
+    Parser p{text, 0, {}, 0, ParseErrorKind::None};
     ParseResult r;
     if (!p.parseValue(r.value, 0)) {
         r.error = p.error;
@@ -391,7 +389,7 @@ parse(const std::string &text, const ParseOptions &options)
 }
 
 ParseResult
-parseFile(const std::string &path, const ParseOptions &options)
+parseFile(const std::string &path)
 {
     ParseResult r;
     std::FILE *f = std::fopen(path.c_str(), "rb");
@@ -412,7 +410,7 @@ parseFile(const std::string &path, const ParseOptions &options)
         r.errorKind = ParseErrorKind::Io;
         return r;
     }
-    return parse(text, options);
+    return parse(text);
 }
 
 } // namespace cq::json

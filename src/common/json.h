@@ -94,23 +94,19 @@ enum class ParseErrorKind
 {
     None,    ///< ok == true
     Syntax,  ///< malformed JSON (bad token, trailing junk, ...)
-    TooDeep, ///< nesting exceeded ParseOptions::maxDepth
+    TooDeep, ///< nesting exceeded kMaxDepth
     Io,      ///< parseFile could not open/read the file
 };
 
 const char *parseErrorKindName(ParseErrorKind kind);
 
-/** Knobs for parse(); defaults match the old behaviour. */
-struct ParseOptions
-{
-    /**
-     * Maximum container nesting depth. The parser recurses once per
-     * level, so this bounds stack use; 64 is far above anything the
-     * repo's writers emit while keeping worst-case recursion a few
-     * kilobytes of stack.
-     */
-    int maxDepth = 64;
-};
+/**
+ * Maximum container nesting depth. The parser recurses once per
+ * level, so this bounds stack use; 64 is far above anything the
+ * repo's writers emit while keeping worst-case recursion a few
+ * kilobytes of stack.
+ */
+inline constexpr int kMaxDepth = 64;
 
 struct ParseResult
 {
@@ -122,12 +118,10 @@ struct ParseResult
 };
 
 /** Parse a complete JSON document (trailing junk is an error). */
-ParseResult parse(const std::string &text,
-                  const ParseOptions &options = {});
+ParseResult parse(const std::string &text);
 
 /** Read @p path and parse it; I/O failure reports via error too. */
-ParseResult parseFile(const std::string &path,
-                      const ParseOptions &options = {});
+ParseResult parseFile(const std::string &path);
 
 } // namespace cq::json
 

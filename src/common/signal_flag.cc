@@ -64,12 +64,6 @@ shutdownRequested()
     return gShutdownRequested.load(std::memory_order_relaxed);
 }
 
-int
-shutdownSignalCount()
-{
-    return gShutdownSignals.load(std::memory_order_relaxed);
-}
-
 void
 requestShutdown()
 {

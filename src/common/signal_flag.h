@@ -34,12 +34,6 @@ void installShutdownSignalHandler();
 /** True once SIGTERM/SIGINT arrived (or requestShutdown() ran). */
 bool shutdownRequested();
 
-/** Shutdown signals observed since install/clear (programmatic
- *  requestShutdown() counts once). Two or more means the escalation
- *  path fired (only observable in-process by tests that stub the
- *  exit). */
-int shutdownSignalCount();
-
 /** Set the flag programmatically (tests, embedding applications). */
 void requestShutdown();
 

@@ -7,37 +7,7 @@
 
 #include <sstream>
 
-#include "common/logging.h"
-
 namespace cq {
-
-StatGroup::StatGroup(StatGroup &&other) noexcept
-    : stats_(std::move(other.stats_))
-{
-    // The nodes migrated here; handles into `other` are now stale.
-    ++other.generation_;
-}
-
-StatGroup &
-StatGroup::operator=(const StatGroup &other)
-{
-    if (this != &other) {
-        stats_ = other.stats_;
-        ++generation_;
-    }
-    return *this;
-}
-
-StatGroup &
-StatGroup::operator=(StatGroup &&other) noexcept
-{
-    if (this != &other) {
-        stats_ = std::move(other.stats_);
-        ++generation_;
-        ++other.generation_;
-    }
-    return *this;
-}
 
 double &
 StatGroup::counter(const std::string &name)
@@ -94,25 +64,6 @@ StatGroup::merge(const StatGroup &other)
 {
     for (const auto &kv : other.stats_)
         stats_[kv.first] += kv.second;
-}
-
-double *
-StatGroup::Handle::checked() const
-{
-    if (group_ == nullptr)
-        panic("StatGroup handle used before binding");
-    if (gen_ != group_->generation())
-        panic("StatGroup handle outlived its counters: the group was "
-              "assigned over or moved from (generation %llu != %llu)",
-              static_cast<unsigned long long>(gen_),
-              static_cast<unsigned long long>(group_->generation()));
-    return value_;
-}
-
-StatGroup::Handle
-StatGroup::handle(const std::string &name)
-{
-    return Handle(this, &stats_[name], generation_);
 }
 
 } // namespace cq

@@ -14,10 +14,7 @@
  * group *object*: inserts (counter()/add()/merge()) and reset() never
  * move existing map nodes. It is invalidated by anything that replaces
  * the map wholesale — assigning over the group, moving from it, or
- * destroying it. Code that stores a raw `double &` beyond the
- * statement that obtained it should prefer handle(), which carries a
- * generation stamp and panics (always, in every build type) instead
- * of silently writing through a dangling reference.
+ * destroying it.
  *
  * StatGroup is not thread-safe; concurrent mutation needs external
  * synchronization (the thread pool merges per-worker groups at join).
@@ -26,7 +23,6 @@
 #ifndef CQ_COMMON_STATS_H
 #define CQ_COMMON_STATS_H
 
-#include <cstdint>
 #include <map>
 #include <string>
 
@@ -39,15 +35,6 @@ namespace cq {
 class StatGroup
 {
   public:
-    StatGroup() = default;
-    StatGroup(const StatGroup &other) : stats_(other.stats_) {}
-    StatGroup(StatGroup &&other) noexcept;
-    /** Assignment replaces the map: every outstanding counter()
-     *  reference and handle() into the destination is invalidated
-     *  (the generation is bumped, so handles detect it). */
-    StatGroup &operator=(const StatGroup &other);
-    StatGroup &operator=(StatGroup &&other) noexcept;
-
     /**
      * Create (or fetch) the counter with the given dotted name.
      * See the reference lifetime contract in the file header.
@@ -60,8 +47,8 @@ class StatGroup
     /** Add @p delta to the counter named @p name. */
     void add(const std::string &name, double delta);
 
-    /** Reset every counter to zero. Outstanding references and
-     *  handles remain valid (values are zeroed in place). */
+    /** Reset every counter to zero. Outstanding references remain
+     *  valid (values are zeroed in place). */
     void reset();
 
     /** Sum of all counters whose names start with @p prefix. */
@@ -77,50 +64,8 @@ class StatGroup
      *  Outstanding references into this group remain valid. */
     void merge(const StatGroup &other);
 
-    /** Bumped whenever the map is replaced wholesale (assignment,
-     *  move-from); lets Handle detect stale access. */
-    std::uint64_t generation() const { return generation_; }
-
-    /**
-     * A checked alternative to storing the raw `double &` from
-     * counter(): remembers the group's generation at creation and
-     * panics on use after the group was assigned over or moved from.
-     * The check is one integer compare and is active in every build
-     * type (the default RelWithDebInfo build defines NDEBUG, so an
-     * assert()-style check would vanish exactly where it matters).
-     */
-    class Handle
-    {
-      public:
-        Handle() = default;
-
-        void add(double delta) { *checked() += delta; }
-        void set(double v) { *checked() = v; }
-        double get() const { return *checked(); }
-        bool valid() const
-        {
-            return group_ != nullptr && gen_ == group_->generation();
-        }
-
-      private:
-        friend class StatGroup;
-        Handle(StatGroup *group, double *value, std::uint64_t gen)
-            : group_(group), value_(value), gen_(gen)
-        {
-        }
-        double *checked() const;
-
-        StatGroup *group_ = nullptr;
-        double *value_ = nullptr;
-        std::uint64_t gen_ = 0;
-    };
-
-    /** Generation-checked counter accessor (see Handle). */
-    Handle handle(const std::string &name);
-
   private:
     std::map<std::string, double> stats_;
-    std::uint64_t generation_ = 0;
 };
 
 } // namespace cq

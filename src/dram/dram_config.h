@@ -48,20 +48,17 @@ struct DramConfig
     Tick tRAS = 33;  ///< ACTIVATE -> PRECHARGE
     /**
      * Data-bus occupancy of one 64 B burst. 64 B at 17.06 GB/s is
-     * 3.75 ns; we model it as alternating 4/4/4/3 tick bursts to keep
-     * integer ticks while hitting the exact average.
+     * 3.75 ns; we model it as alternating 4/4/4/3 tick bursts (every
+     * 4th burst one tick shorter) to keep integer ticks while hitting
+     * the exact average.
      */
     Tick tBurst = 4;
-    /** Every 4th burst is one tick shorter (see tBurst). */
-    bool fractionalBurst = true;
     /** Command-bus serialization between row commands. */
     Tick tCmd = 1;
     /** Average refresh interval (all-bank refresh). */
     Tick tREFI = 3900;
     /** Refresh cycle time: banks blocked for this long. */
     Tick tRFC = 280;
-    /** Disable refresh modeling (e.g. for micro-tests). */
-    bool refreshEnabled = true;
     /** @} */
 
     /** @name Energy (pJ) and power (mW) */
@@ -84,14 +81,12 @@ struct DramConfig
     double standbyPowerMw = 75.0;
     /** @} */
 
-    /** Peak bandwidth implied by the burst settings, bytes/tick. */
+    /** Peak bandwidth of the 4/4/4/3 burst pattern, bytes/tick. */
     double
     peakBytesPerTick() const
     {
-        const double avg_burst =
-            fractionalBurst ? (static_cast<double>(tBurst) - 0.25)
-                            : static_cast<double>(tBurst);
-        return static_cast<double>(burstBytes) / avg_burst;
+        return static_cast<double>(burstBytes) /
+               (static_cast<double>(tBurst) - 0.25);
     }
 
     /** Default accelerator-class memory system (17.06 GB/s). */

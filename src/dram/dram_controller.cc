@@ -73,9 +73,7 @@ DramController::DramController(DramConfig config)
 
     for (unsigned p = 0; p < 4; ++p) {
         // 4/4/4/3 pattern: average 3.75 ticks -> 17.06 GB/s on 64 B.
-        burstDur_[p] = config_.tBurst;
-        if (config_.fractionalBurst && p == 3)
-            burstDur_[p] -= 1;
+        burstDur_[p] = p == 3 ? config_.tBurst - 1 : config_.tBurst;
         // With multiple channels each channel has its own bus; we model
         // the aggregate as `channels` bursts being able to overlap by
         // crediting the shared-bus time 1/channels per burst.
@@ -100,8 +98,6 @@ DramController::DramController(DramConfig config)
 void
 DramController::applyRefreshUpTo(Tick now)
 {
-    if (!config_.refreshEnabled)
-        return;
     while (nextRefresh_ <= now) {
         // All-bank refresh: rows close, banks stall for tRFC.
         for (auto &b : banks_) {
@@ -225,9 +221,7 @@ DramController::window(Tick earliest, Tick done, std::uint64_t burst,
     const auto bankOf = [&](std::uint64_t b) -> std::size_t {
         return ((b & channelMask_) << bankShift_) | (win & bankMask_);
     };
-    const auto refreshDue = [&] {
-        return config_.refreshEnabled && done >= nextRefresh_;
-    };
+    const auto refreshDue = [&] { return done >= nextRefresh_; };
     for (;;) {
         // A refresh falls due before a burst once an earlier burst of
         // the stripe finished at or after it; it closes every row, so
@@ -252,8 +246,7 @@ DramController::window(Tick earliest, Tick done, std::uint64_t burst,
         // refresh can fall due among them only if the second-to-last
         // finishes at or after it.
         const std::uint64_t run =
-            config_.refreshEnabled && count > 1 &&
-                    runFinish(count - 2) >= nextRefresh_
+            count > 1 && runFinish(count - 2) >= nextRefresh_
                 ? runBeforeRefresh()
                 : count;
         // Run burst j starts busSpan(phase, j) after the first. Only the
@@ -284,7 +277,7 @@ inline Tick
 DramController::oneChannelWindow(Tick earliest, Tick done,
                                  std::uint64_t burst, std::uint64_t count)
 {
-    if (config_.refreshEnabled && done >= nextRefresh_)
+    if (done >= nextRefresh_)
         applyRefreshUpTo(done);
     // One row of one bank: the first burst steps, and burst j starts
     // busSpan(phase, j) after it.
@@ -296,7 +289,7 @@ DramController::oneChannelWindow(Tick earliest, Tick done,
     const Tick last = first + busSpan(phase, count - 1);
     const unsigned last_phase = (phase + count - 1) & 3;
     const unsigned prev_phase = (last_phase + 3) & 3;
-    if (count > 1 && config_.refreshEnabled &&
+    if (count > 1 &&
         last - burstBus_[prev_phase] + config_.tCAS +
                 burstDur_[prev_phase] >=
             nextRefresh_) {
@@ -373,7 +366,7 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
     Addr cur = addr;
 
     while (remaining > 0) {
-        if (config_.refreshEnabled && t >= nextRefresh_)
+        if (t >= nextRefresh_)
             applyRefreshUpTo(t);
         const std::size_t in_row = std::min(remaining, per_row);
 

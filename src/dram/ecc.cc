@@ -85,17 +85,6 @@ hammingBits(std::uint64_t data)
 
 } // namespace
 
-const char *
-eccStatusName(EccStatus status)
-{
-    switch (status) {
-      case EccStatus::Ok:              return "ok";
-      case EccStatus::CorrectedSingle: return "correctedSingle";
-      case EccStatus::DoubleDetected:  return "doubleDetected";
-    }
-    return "?";
-}
-
 std::uint8_t
 eccEncodeWord(std::uint64_t data)
 {

@@ -51,8 +51,6 @@ enum class EccStatus
     DoubleDetected,   ///< two flips: detected, NOT corrected
 };
 
-const char *eccStatusName(EccStatus status);
-
 /** Decode result: corrected word plus what the decoder did. */
 struct EccDecode
 {

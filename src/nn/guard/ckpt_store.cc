@@ -589,13 +589,6 @@ AsyncCheckpointWriter::retried() const
     return retried_;
 }
 
-CheckpointWriteResult
-AsyncCheckpointWriter::lastResult() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lastResult_;
-}
-
 void
 AsyncCheckpointWriter::writerLoop()
 {

@@ -219,7 +219,6 @@ class AsyncCheckpointWriter
     std::size_t dropped() const;
     /** Failed commit attempts that were retried. */
     std::size_t retried() const;
-    CheckpointWriteResult lastResult() const;
 
   private:
     void writerLoop();

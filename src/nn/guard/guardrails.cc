@@ -46,38 +46,24 @@ scanTensor(const Tensor &t)
     return total;
 }
 
-LossWatchdog::LossWatchdog(const GuardrailConfig &config)
-    : config_(config)
-{
-}
-
 bool
 LossWatchdog::observe(double loss)
 {
-    if (!std::isfinite(loss) || loss > config_.absoluteLossLimit)
+    if (!std::isfinite(loss) || loss > kAbsoluteLossLimit)
         return true;
-    if (healthy_ >= config_.warmupSteps && ema_ > 0.0 &&
-        loss > config_.lossSpikeFactor * ema_) {
+    if (healthy_ >= kWatchdogWarmupSteps && ema_ > 0.0 &&
+        loss > kLossSpikeFactor * ema_ && loss > kLossSpikeFloor) {
         return true;
     }
     ema_ = healthy_ == 0
                ? loss
-               : config_.emaDecay * ema_ +
-                     (1.0 - config_.emaDecay) * loss;
+               : kLossEmaDecay * ema_ + (1.0 - kLossEmaDecay) * loss;
     ++healthy_;
     return false;
 }
 
-void
-LossWatchdog::reset()
-{
-    ema_ = 0.0;
-    healthy_ = 0;
-}
-
-CircuitBreakerBank::CircuitBreakerBank(std::size_t num_layers,
-                                       std::size_t cooldown)
-    : remaining_(num_layers, 0), cooldown_(std::max<std::size_t>(1, cooldown))
+CircuitBreakerBank::CircuitBreakerBank(std::size_t num_layers)
+    : remaining_(num_layers, 0)
 {
 }
 
@@ -87,7 +73,7 @@ CircuitBreakerBank::trip(std::size_t layer)
     CQ_ASSERT_MSG(layer < remaining_.size(),
                   "breaker layer %zu out of range (%zu layers)", layer,
                   remaining_.size());
-    remaining_[layer] = cooldown_;
+    remaining_[layer] = kBreakerCooldown;
     ++trips_;
 }
 
@@ -95,7 +81,7 @@ void
 CircuitBreakerBank::tripAll()
 {
     for (auto &r : remaining_)
-        r = cooldown_;
+        r = kBreakerCooldown;
     ++trips_;
 }
 
@@ -123,11 +109,8 @@ CircuitBreakerBank::openCount() const
     return n;
 }
 
-HealthMonitor::HealthMonitor(GuardrailConfig config,
-                             std::size_t num_layers)
-    : config_(config),
-      watchdog_(config_),
-      breakers_(num_layers, config_.breakerCooldown)
+HealthMonitor::HealthMonitor(std::size_t num_layers)
+    : breakers_(num_layers)
 {
 }
 
@@ -135,8 +118,6 @@ bool
 HealthMonitor::checkTensor(const Tensor &t, const char *site,
                            std::size_t layer)
 {
-    if (!config_.enabled)
-        return false;
     const TensorHealth h = scanTensor(t);
     bool bad = false;
     if (h.nanCount > 0) {
@@ -147,7 +128,7 @@ HealthMonitor::checkTensor(const Tensor &t, const char *site,
         stats_.add("guard.infsCaught", static_cast<double>(h.infCount));
         bad = true;
     }
-    if (static_cast<double>(h.maxAbs) > config_.saturationThreshold) {
+    if (static_cast<double>(h.maxAbs) > kSaturationThreshold) {
         // The streaming max-abs statistic (the SQU's scale theta)
         // saturated: any quantization scale derived from it is junk.
         stats_.add("guard.saturations", 1.0);
@@ -180,8 +161,6 @@ HealthMonitor::tripAllLayers()
 bool
 HealthMonitor::observeLoss(double loss)
 {
-    if (!config_.enabled)
-        return false;
     const bool tripped = watchdog_.observe(loss);
     if (tripped) {
         stats_.add("guard.watchdogTrips", 1.0);

@@ -15,7 +15,7 @@
  *    CQ_THREADS setting.
  *  - LossWatchdog: an exponential-moving-average baseline of the
  *    minibatch loss; trips on NaN/Inf loss, an absolute limit, or a
- *    configurable spike factor over the EMA.
+ *    spike over both 10x the EMA and a one-nat floor.
  *  - CircuitBreakerBank: per-layer breakers. A tripped layer falls
  *    back from the quantized (HQT) path to FP32 for a cooldown of N
  *    healthy steps, then re-arms.
@@ -55,57 +55,52 @@ struct TensorHealth
  */
 TensorHealth scanTensor(const Tensor &t);
 
-/** Guardrail thresholds (see DESIGN.md §5.2 for the rationale). */
-struct GuardrailConfig
-{
-    /** Master switch; false turns every check into a no-op. */
-    bool enabled = true;
-    /** Scan layer inputs in the forward pass. */
-    bool scanActivations = true;
-    /** Scan neuron gradients (backward) and weight gradients. */
-    bool scanGradients = true;
-    /**
-     * A tensor whose max-abs exceeds this value trips the guard even
-     * when still finite: the SQU's streaming max-abs statistic (the
-     * quantization scale theta) has left the range any healthy tensor
-     * reaches, so the quantized encoding is garbage. The default sits
-     * orders of magnitude above normal weights/activations (O(1-1e3))
-     * and orders below the ~1e19+ values a flipped FP32 exponent bit
-     * produces, catching upsets that never reach Inf.
-     */
-    double saturationThreshold = 1e8;
-    /** Watchdog: loss > factor * EMA trips (after warmup). */
-    double lossSpikeFactor = 10.0;
-    /** Watchdog: any loss above this trips, EMA regardless. */
-    double absoluteLossLimit = 1e6;
-    /** EMA decay per observed healthy loss. */
-    double emaDecay = 0.9;
-    /** Steps before the spike check arms (EMA warm-up). */
-    std::size_t warmupSteps = 5;
-    /** Healthy steps a tripped layer stays on the FP32 path. */
-    std::size_t breakerCooldown = 10;
-};
+/** @name Guardrail thresholds (see DESIGN.md §5.2 for the rationale) */
+/** @{ */
+/**
+ * A tensor whose max-abs exceeds this value trips the guard even when
+ * still finite: the SQU's streaming max-abs statistic (the
+ * quantization scale theta) has left the range any healthy tensor
+ * reaches, so the quantized encoding is garbage. It sits orders of
+ * magnitude above normal weights/activations (O(1-1e3)) and orders
+ * below the ~1e19+ values a flipped FP32 exponent bit produces,
+ * catching upsets that never reach Inf.
+ */
+inline constexpr double kSaturationThreshold = 1e8;
+/** Watchdog: loss > factor * EMA trips (after warmup)... */
+inline constexpr double kLossSpikeFactor = 10.0;
+/**
+ * ...when the loss also exceeds this floor (nats). A converged run's
+ * EMA sits near 1e-3, where ordinary minibatch noise is a 10x "spike";
+ * a real divergence climbs far past one nat.
+ */
+inline constexpr double kLossSpikeFloor = 1.0;
+/** Watchdog: any loss above this trips, EMA regardless. */
+inline constexpr double kAbsoluteLossLimit = 1e6;
+/** EMA decay per observed healthy loss. */
+inline constexpr double kLossEmaDecay = 0.9;
+/** Healthy losses before the spike check arms (EMA warm-up). */
+inline constexpr std::size_t kWatchdogWarmupSteps = 5;
+/** Healthy steps a tripped layer stays on the FP32 path. */
+inline constexpr std::size_t kBreakerCooldown = 10;
+/** @} */
 
 /** Loss-divergence watchdog with an EMA baseline. */
 class LossWatchdog
 {
   public:
-    explicit LossWatchdog(const GuardrailConfig &config);
-
     /**
      * Observe one minibatch loss. Returns true when the loss is
      * divergent (NaN/Inf, above the absolute limit, or a spike over
-     * the EMA after warmup). Only healthy losses update the EMA, so a
-     * divergent run cannot drag its own baseline up.
+     * both the EMA and the floor after warmup). Only healthy losses
+     * update the EMA, so a divergent run cannot drag its own baseline
+     * up.
      */
     bool observe(double loss);
 
     double ema() const { return ema_; }
-    std::size_t healthySteps() const { return healthy_; }
-    void reset();
 
   private:
-    const GuardrailConfig &config_;
     double ema_ = 0.0;
     std::size_t healthy_ = 0;
 };
@@ -113,13 +108,13 @@ class LossWatchdog
 /**
  * One breaker per layer. Tripping opens the breaker: the trainer
  * bypasses quantization (weights, activations, neuron gradients) for
- * that layer until the breaker has counted down @p cooldown healthy
- * steps and re-arms.
+ * that layer until the breaker has counted down kBreakerCooldown
+ * healthy steps and re-arms.
  */
 class CircuitBreakerBank
 {
   public:
-    CircuitBreakerBank(std::size_t num_layers, std::size_t cooldown);
+    explicit CircuitBreakerBank(std::size_t num_layers);
 
     /** Open the breaker of @p layer (restarts its cooldown). */
     void trip(std::size_t layer);
@@ -131,7 +126,6 @@ class CircuitBreakerBank
      *  re-arming. */
     void countDown();
 
-    std::size_t numLayers() const { return remaining_.size(); }
     /** Total trip events since construction. */
     std::size_t trips() const { return trips_; }
     /** Layers currently on the FP32 fallback path. */
@@ -139,7 +133,6 @@ class CircuitBreakerBank
 
   private:
     std::vector<std::size_t> remaining_;
-    std::size_t cooldown_;
     std::size_t trips_ = 0;
 };
 
@@ -151,9 +144,7 @@ class CircuitBreakerBank
 class HealthMonitor
 {
   public:
-    HealthMonitor(GuardrailConfig config, std::size_t num_layers);
-
-    const GuardrailConfig &config() const { return config_; }
+    explicit HealthMonitor(std::size_t num_layers);
 
     /**
      * Scan @p t at @p site ("activation", "neuronGradient", ...) for
@@ -174,7 +165,6 @@ class HealthMonitor
 
     CircuitBreakerBank &breakers() { return breakers_; }
     const CircuitBreakerBank &breakers() const { return breakers_; }
-    LossWatchdog &watchdog() { return watchdog_; }
 
     /** guard.* counters (nansCaught, infsCaught, saturations,
      *  watchdogTrips, breakerTrips, rollbacks, discardedSteps). */
@@ -182,7 +172,6 @@ class HealthMonitor
     const StatGroup &stats() const { return stats_; }
 
   private:
-    GuardrailConfig config_;
     LossWatchdog watchdog_;
     CircuitBreakerBank breakers_;
     StatGroup stats_;

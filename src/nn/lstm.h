@@ -29,8 +29,6 @@ class Lstm : public Layer
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param *> params() override;
 
-    std::size_t hiddenSize() const { return hiddenSize_; }
-
   private:
     std::string name_;
     std::size_t inputSize_;

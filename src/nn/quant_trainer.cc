@@ -66,8 +66,7 @@ QuantTrainer::QuantTrainer(Network &network, QuantTrainerConfig config)
 
     const ResilienceConfig &r = config_.resilience;
     if (r.enabled) {
-        monitor_ = std::make_unique<guard::HealthMonitor>(
-            r.guardrails, network_.size());
+        monitor_ = std::make_unique<guard::HealthMonitor>(network_.size());
         if (!r.checkpointDir.empty()) {
             guard::CheckpointStoreConfig scfg;
             scfg.dir = r.checkpointDir;
@@ -196,11 +195,6 @@ QuantTrainer::loadQuantizedWeights()
             // the breaker engaging rather than omitting the layer.
             ++stepFormats_[network_.layer(layerOfParam_[i]).name()][32];
         }
-        if (faults_ != nullptr) {
-            faults_->maybeCorrupt(params_[i]->value.data(),
-                                  params_[i]->value.numel(),
-                                  sim::FaultSite::ComputeWeights);
-        }
     }
 }
 
@@ -219,13 +213,10 @@ QuantTrainer::forwardQuantized(const Tensor &inputs)
     PhaseTimer timer(phaseFwdUs_);
     const bool quantizes =
         config_.algorithm.policyFor(TensorRole::Activation).quantize;
-    const bool scans =
-        monitor_ != nullptr && monitor_->config().scanActivations;
     Network::TensorHook hook;
-    if (quantizes || scans) {
-        hook = [this, quantizes, scans](const Tensor &x,
-                                        std::size_t li) {
-            if (scans &&
+    if (quantizes || monitor_ != nullptr) {
+        hook = [this, quantizes](const Tensor &x, std::size_t li) {
+            if (monitor_ != nullptr &&
                 monitor_->checkTensor(x, "activation", li)) {
                 stepHealthy_ = false;
                 monitor_->tripLayer(li);
@@ -253,15 +244,13 @@ QuantTrainer::backwardQuantized(const Tensor &grad)
     const bool quantizes =
         config_.algorithm.policyFor(TensorRole::NeuronGradient)
             .quantize;
-    const bool scans =
-        monitor_ != nullptr && monitor_->config().scanGradients;
-    Network::TensorHook hook = [this, quantizes, scans](
-                                   const Tensor &g, std::size_t li) {
+    Network::TensorHook hook = [this, quantizes](const Tensor &g,
+                                                 std::size_t li) {
         if (config_.recordGradientStats) {
             gradientRecords_.push_back(
                 GradientRecord{step_, li, g.maxAbs()});
         }
-        if (scans &&
+        if (monitor_ != nullptr &&
             monitor_->checkTensor(g, "neuronGradient", li)) {
             stepHealthy_ = false;
             monitor_->tripLayer(li);
@@ -340,14 +329,11 @@ QuantTrainer::finishStep(double loss)
     }
     bool watchdog_tripped = false;
     if (monitor_ != nullptr) {
-        if (monitor_->config().scanGradients) {
-            for (std::size_t i = 0; i < params_.size(); ++i) {
-                if (monitor_->checkTensor(params_[i]->grad,
-                                          "weightGradient",
-                                          layerOfParam_[i])) {
-                    stepHealthy_ = false;
-                    monitor_->tripLayer(layerOfParam_[i]);
-                }
+        for (std::size_t i = 0; i < params_.size(); ++i) {
+            if (monitor_->checkTensor(params_[i]->grad, "weightGradient",
+                                      layerOfParam_[i])) {
+                stepHealthy_ = false;
+                monitor_->tripLayer(layerOfParam_[i]);
             }
         }
         if (monitor_->observeLoss(loss)) {

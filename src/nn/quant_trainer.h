@@ -12,7 +12,7 @@
  *
  * The trainer can additionally run under the resilience subsystem
  * (DESIGN.md §5): a sim::FaultInjector corrupts the simulated memory
- * images (master weights, compute copies, gradient buffers) each step,
+ * images (master weights, gradient buffers, GEMM accumulators) each step,
  * a guard::HealthMonitor scans tensors and the loss for numerical
  * ill-health, and CRC-protected checkpoints let a tripped run roll
  * back to the last known-good state instead of diverging. A tripped
@@ -79,7 +79,6 @@ struct ResilienceConfig
 {
     /** False keeps the legacy trainer behaviour (no monitoring). */
     bool enabled = false;
-    guard::GuardrailConfig guardrails;
     /**
      * Generation-store directory (nn/guard/ckpt_store.h): commits are
      * crash-consistent "ckpt-<gen>.bin" files under a CRC'd manifest
@@ -223,24 +222,11 @@ class QuantTrainer
         faults_ = injector;
     }
 
-    /** Health monitor; nullptr when resilience is disabled. */
-    guard::HealthMonitor *monitor() { return monitor_.get(); }
-
-    /** True when the most recent step tripped a guard and its update
-     *  was discarded. */
-    bool lastStepDiscarded() const { return lastStepDiscarded_; }
-
     /** Rollbacks performed since construction. */
     std::size_t rollbackCount() const { return rollbacks_; }
 
     /** True when SEC-DED sidebands protect the master tensors. */
     bool eccEnabled() const { return !masterEcc_.empty(); }
-
-    /** ecc.* counters (empty group when ECC is off). */
-    const StatGroup &eccStats() const { return eccStats_; }
-
-    /** abft.* counters (empty group when ABFT never engaged). */
-    const StatGroup &abftStats() const { return abftStats_; }
 
     /** Write a checkpoint of the current state immediately. With a
      *  generation store this is synchronous (drains the async writer

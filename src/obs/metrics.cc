@@ -379,14 +379,6 @@ MetricRegistry::writeProm(
     return writeWholeFile(path, promText(bridged));
 }
 
-bool
-MetricRegistry::writeJson(
-    const std::string &path,
-    const std::vector<const StatGroup *> &bridged) const
-{
-    return writeWholeFile(path, jsonText(bridged));
-}
-
 void
 MetricRegistry::reset()
 {

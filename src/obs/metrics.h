@@ -150,10 +150,8 @@ class MetricRegistry
     std::string
     jsonText(const std::vector<const StatGroup *> &bridged = {}) const;
 
-    /** promText/jsonText to a file; false on I/O failure. */
+    /** promText to a file; false on I/O failure. */
     bool writeProm(const std::string &path,
-                   const std::vector<const StatGroup *> &bridged = {}) const;
-    bool writeJson(const std::string &path,
                    const std::vector<const StatGroup *> &bridged = {}) const;
 
     /**

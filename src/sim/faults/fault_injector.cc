@@ -16,11 +16,9 @@ const char *
 faultSiteName(FaultSite site)
 {
     switch (site) {
-      case FaultSite::MasterWeights:  return "masterWeights";
-      case FaultSite::ComputeWeights: return "computeWeights";
-      case FaultSite::Gradients:      return "gradients";
-      case FaultSite::OptimizerState: return "optimizerState";
-      case FaultSite::Accumulators:   return "accumulators";
+      case FaultSite::MasterWeights: return "masterWeights";
+      case FaultSite::Gradients:     return "gradients";
+      case FaultSite::Accumulators:  return "accumulators";
     }
     return "?";
 }
@@ -39,11 +37,9 @@ bool
 FaultInjector::targets(FaultSite site) const
 {
     switch (site) {
-      case FaultSite::MasterWeights:  return config_.targetMasterWeights;
-      case FaultSite::ComputeWeights: return config_.targetComputeWeights;
-      case FaultSite::Gradients:      return config_.targetGradients;
-      case FaultSite::OptimizerState: return config_.targetOptimizerState;
-      case FaultSite::Accumulators:   return config_.targetAccumulators;
+      case FaultSite::MasterWeights: return config_.targetMasterWeights;
+      case FaultSite::Gradients:     return config_.targetGradients;
+      case FaultSite::Accumulators:  return config_.targetAccumulators;
     }
     return false;
 }

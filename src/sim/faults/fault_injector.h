@@ -8,8 +8,7 @@
  * any of those representations can silently diverge a training run, so
  * the resilience subsystem (see DESIGN.md §5) models transient
  * single-/multi-bit upsets as seeded bit flips in the simulated memory
- * images: master weights, quantized compute copies, and gradient
- * buffers.
+ * images: master weights, gradient buffers and GEMM accumulators.
  *
  * Injection is driven by the repo's cq::Rng and always runs on the
  * calling thread, so a fixed seed yields a bitwise-identical fault
@@ -36,9 +35,7 @@ namespace cq::sim {
 enum class FaultSite
 {
     MasterWeights,   ///< FP32 masters in DRAM (the NDP engine's rows)
-    ComputeWeights,  ///< quantized weight copies streamed into SB
     Gradients,       ///< weight-gradient buffers (WGSTORE stream)
-    OptimizerState,  ///< m/v moment rows adjacent to the weights
     Accumulators,    ///< PE-array accumulators / GEMM output tiles
 };
 
@@ -60,9 +57,7 @@ struct FaultConfig
     /** @name Target-site enables */
     /** @{ */
     bool targetMasterWeights = true;
-    bool targetComputeWeights = false;
     bool targetGradients = false;
-    bool targetOptimizerState = false;
     bool targetAccumulators = false;
     /** @} */
 };

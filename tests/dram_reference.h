@@ -43,7 +43,7 @@ class ReferenceDram
         Addr cur = addr;
         Bytes remaining = bytes;
         while (remaining > 0) {
-            if (config_.refreshEnabled && done >= nextRefresh_)
+            if (done >= nextRefresh_)
                 applyRefreshUpTo(done);
             const Bytes in_burst =
                 std::min<Bytes>(remaining,
@@ -84,7 +84,7 @@ class ReferenceDram
         std::size_t remaining = num_elements;
         Addr cur = addr;
         while (remaining > 0) {
-            if (config_.refreshEnabled && t >= nextRefresh_)
+            if (t >= nextRefresh_)
                 applyRefreshUpTo(t);
             const std::size_t in_row = std::min(remaining, per_row);
             std::size_t bank;
@@ -176,8 +176,6 @@ class ReferenceDram
     void
     applyRefreshUpTo(Tick now)
     {
-        if (!config_.refreshEnabled)
-            return;
         while (nextRefresh_ <= now) {
             for (auto &b : banks_) {
                 b.rowOpen = false;
@@ -229,16 +227,14 @@ class ReferenceDram
         return t;
     }
 
-    /** 4/4/4/3 fractional-burst pattern when enabled. */
+    /** 4/4/4/3 fractional-burst pattern. */
     Tick
     burstDuration()
     {
         Tick d = config_.tBurst;
-        if (config_.fractionalBurst) {
-            if (burstPhase_ == 3)
-                d -= 1;
-            burstPhase_ = (burstPhase_ + 1) % 4;
-        }
+        if (burstPhase_ == 3)
+            d -= 1;
+        burstPhase_ = (burstPhase_ + 1) % 4;
         return d;
     }
 

@@ -214,22 +214,20 @@ TEST(JsonDepth, DeeplyNestedInputFailsTypedNotByStackOverflow)
 
 TEST(JsonDepth, LimitIsConfigurableAndExact)
 {
-    const auto nested = [](int depth) {
-        std::string t(static_cast<std::size_t>(depth), '[');
-        t.append(static_cast<std::size_t>(depth), ']');
-        return t;
-    };
-    json::ParseOptions opt;
-    opt.maxDepth = 8;
-    EXPECT_TRUE(json::parse(nested(8), opt).ok);
-    const json::ParseResult deep = json::parse(nested(9), opt);
+    const auto depth = static_cast<std::size_t>(json::kMaxDepth);
+    const std::string arrays =
+        std::string(depth, '[') + std::string(depth, ']');
+    EXPECT_TRUE(json::parse(arrays).ok);
+    const json::ParseResult deep = json::parse("[" + arrays + "]");
     EXPECT_FALSE(deep.ok);
     EXPECT_EQ(deep.errorKind, json::ParseErrorKind::TooDeep);
     // Objects count the same as arrays.
-    json::ParseOptions one;
-    one.maxDepth = 1;
-    EXPECT_TRUE(json::parse("{\"a\": 1}", one).ok);
-    EXPECT_FALSE(json::parse("{\"a\": [1]}", one).ok);
+    std::string objects = "1";
+    for (std::size_t d = 0; d < depth; ++d)
+        objects = "{\"a\": " + objects + "}";
+    EXPECT_TRUE(json::parse(objects).ok);
+    EXPECT_EQ(json::parse("[" + objects + "]").errorKind,
+              json::ParseErrorKind::TooDeep);
 }
 
 TEST(JsonDepth, ErrorKindsDistinguishSyntaxIoAndDepth)

@@ -403,7 +403,7 @@ TEST_F(ObsTraceTest, PerfReportBridgesToArchTracks)
 
     auto &session = obs::TraceSession::instance();
     const std::size_t n =
-        arch::exportPerfTraceToSession(report, 1.0, session);
+        arch::exportPerfTraceToSession(report, session);
     EXPECT_EQ(n, 2u);
 
     const std::string json = session.chromeTraceJson();
@@ -563,39 +563,6 @@ TEST(ObsStatGroup, ReferencesSurviveInsertMergeAndReset)
     EXPECT_DOUBLE_EQ(r, 0.0);
     r = 1.0;
     EXPECT_DOUBLE_EQ(g.get("alpha"), 1.0);
-}
-
-TEST(ObsStatGroup, HandleTracksGenerationAcrossBenignMutation)
-{
-    StatGroup g;
-    StatGroup::Handle h = g.handle("hits");
-    h.add(2.0);
-    g.counter("other") = 9.0;
-    g.merge(g); // self-merge doubles every counter, moves no node
-    g.reset();
-    h.set(4.0);
-    EXPECT_TRUE(h.valid());
-    EXPECT_DOUBLE_EQ(g.get("hits"), 4.0);
-    EXPECT_EQ(g.generation(), 0u);
-}
-
-TEST(ObsStatGroupDeathTest, HandleOutlivingAssignedOverGroupPanics)
-{
-    StatGroup g;
-    StatGroup::Handle h = g.handle("hits");
-    h.add(1.0);
-    StatGroup replacement;
-    replacement.counter("hits") = 100.0;
-    g = replacement; // wholesale map replacement: handle goes stale
-    EXPECT_FALSE(h.valid());
-    EXPECT_DEATH(h.add(1.0), "outlived");
-}
-
-TEST(ObsStatGroupDeathTest, UnboundHandlePanics)
-{
-    StatGroup::Handle h;
-    EXPECT_FALSE(h.valid());
-    EXPECT_DEATH(h.get(), "before binding");
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@
 namespace cq {
 namespace {
 
+/** A refresh interval past the end of every test's run: no refresh. */
+constexpr Tick kNoRefresh = Tick{1} << 62;
+
 // ---------------------------------------------------------------- DRAM
 
 TEST(Dram, PeakBandwidthMatchesSpec)
@@ -187,7 +190,7 @@ TEST(Dram, RefreshesIssuedPeriodically)
 TEST(Dram, RefreshDisableRestoresThroughput)
 {
     dram::DramConfig no_ref = dram::DramConfig::lpddr4_2133();
-    no_ref.refreshEnabled = false;
+    no_ref.tREFI = kNoRefresh;
     dram::DramController with(dram::DramConfig::lpddr4_2133());
     dram::DramController without(no_ref);
     const Bytes bytes = 4 << 20;
@@ -237,7 +240,11 @@ referenceStripes(test::ReferenceDram &ref, Tick earliest, Addr addr,
     return done;
 }
 
-/** (channels, refresh enabled, fractional bursts) */
+/**
+ * (channels, refresh, 4/4/4/3 bursts). The controller models only the
+ * 4/4/4/3 pattern, so the third element is always true; it stays in
+ * the tuple so every arm keeps its name and seed.
+ */
 class DramDiff
     : public ::testing::TestWithParam<std::tuple<unsigned, bool, bool>>
 {
@@ -249,10 +256,9 @@ TEST_P(DramDiff, RowRunsMatchPerBurstModel)
     Rng rng(1000 * channels + 10 * refresh + fractional);
     for (int trial = 0; trial < 4; ++trial) {
         dram::DramConfig cfg = dram::DramConfig::scaled(channels);
-        cfg.refreshEnabled = refresh;
-        cfg.fractionalBurst = fractional;
         // A short refresh interval lands refreshes inside row runs.
-        cfg.tREFI = 600 + rng.below(1501);
+        const Tick refi = 600 + rng.below(1501);
+        cfg.tREFI = refresh ? refi : kNoRefresh;
         dram::DramController fast(cfg);
         test::ReferenceDram ref(cfg);
         Tick t = 0;
@@ -343,11 +349,11 @@ TEST_P(DramDiff, RowRunsMatchPerBurstModel)
 INSTANTIATE_TEST_SUITE_P(
     ChannelsRefreshBursts, DramDiff,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 16u),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(true)),
     [](const auto &info) {
         return "ch" + std::to_string(std::get<0>(info.param)) +
                (std::get<1>(info.param) ? "_refresh" : "_norefresh") +
-               (std::get<2>(info.param) ? "_frac" : "_whole");
+               "_frac";
     });
 
 // ------------------------------------------------------------ error paths

@@ -546,8 +546,8 @@ main(int argc, char **argv)
     const auto report = acc.run(prog, trace || !traceOut.empty());
 
     std::printf("\nresult:    %.3f ms, %.2f mJ (%.2f W average)\n",
-                report.timeMs(cfg.freqGhz), report.energyMj(),
-                report.energyMj() / report.timeMs(cfg.freqGhz));
+                report.timeMs(), report.energyMj(),
+                report.energyMj() / report.timeMs());
     std::printf("phases:   ");
     for (std::size_t p = 0; p < arch::kNumPhases; ++p)
         std::printf(" %s=%.1f%%",
@@ -589,8 +589,8 @@ main(int argc, char **argv)
     if (!traceOut.empty()) {
         auto &session = obs::TraceSession::instance();
         session.setEnabled(true);
-        const std::size_t spans = arch::exportPerfTraceToSession(
-            report, cfg.freqGhz, session);
+        const std::size_t spans =
+            arch::exportPerfTraceToSession(report, session);
         session.writeChromeTrace(traceOut);
         std::printf("trace-out: %zu simulated spans -> %s\n", spans,
                     traceOut.c_str());
