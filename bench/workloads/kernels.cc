@@ -15,6 +15,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -315,6 +316,45 @@ runGemm(const WorkloadContext &ctx)
 
 // ---------------- architecture-model hot paths ----------------
 
+/**
+ * Host ns per stripe of one DRAM transfer() call that moves 128
+ * stripes of 126 B on one channel, at a 256 B and at a 2,400 B stride,
+ * the fastest of 1000 calls each at pool width 1. At 256 B (one of
+ * sim-cnn's most common SLOAD shapes) eight stripes share each row
+ * window; at 2,400 B each stripe has a window of its own. Each stride
+ * has its own controller, whose calls start when the one before
+ * finished, 128 strides further on, and the two strides take turns
+ * call by call, so a slow stretch of the host reaches both. A single
+ * call is timed on the monotonic clock alone: the CPU-time clocks of
+ * timeIt() would cost more than the call.
+ */
+std::pair<double, double>
+stripeSetNs()
+{
+    constexpr std::uint64_t stripes = 128;
+    constexpr Bytes strides[2] = {256, 2400};
+    ThreadPool::instance().setNumThreads(1);
+    std::vector<dram::DramController> ctrls(
+        2, dram::DramController(dram::DramConfig::lpddr4_2133()));
+    Tick t[2] = {0, 0};
+    Addr addr[2] = {0, 0};
+    double best[2] = {0.0, 0.0};
+    for (int i = 0; i < 1000; ++i) {
+        for (int s = 0; s < 2; ++s) {
+            const auto t0 = std::chrono::steady_clock::now();
+            t[s] = ctrls[s].transfer(t[s], addr[s], 126, false, stripes,
+                                     strides[s]);
+            const double ns = std::chrono::duration<double, std::nano>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+            best[s] = i == 0 ? ns : std::min(best[s], ns);
+            addr[s] += stripes * strides[s];
+        }
+    }
+    ThreadPool::instance().setNumThreads(0);
+    return {best[0] / stripes, best[1] / stripes};
+}
+
 WorkloadResult
 runArch(const WorkloadContext &ctx)
 {
@@ -369,8 +409,17 @@ runArch(const WorkloadContext &ctx)
         recordInterval(out, "dram_ndp_update_16k", t);
         out.set("dram_ndp_final_tick", static_cast<double>(t0));
     }
+    // The same call at two strides on the same host and clock: their
+    // ratio cancels the host's speed, which the ns figures carry.
+    const auto [set_ns, wide_ns] = stripeSetNs();
+    out.setTiming("dram_stripe_set_ns", set_ns, "ns");
+    out.setTiming("dram_stripe_wide_ns", wide_ns, "ns");
+    out.setTiming("dram_stripe_set_ratio", set_ns / wide_ns, "x");
     out.notes = "bit-serial PE dot product, NDPO update and DRAM "
-                "controller hot paths";
+                "controller hot paths; dram_stripe_*_ns are host ns per "
+                "stripe of one 128-stripe transfer, and PERF-12 gates "
+                "dram_stripe_set_ratio, the 256 B stride's over the "
+                "2,400 B stride's";
     return out;
 }
 

@@ -30,12 +30,23 @@
  * the second-to-last finish against the next tREFI tells whether a
  * refresh can fall due inside it; only then is the window split at
  * the refresh, after which the first burst on each channel steps
- * again. With one channel, a straight-line version schedules the
- * window (one row of one bank) and hands it to the general routine
- * after its first burst when a refresh can fall due inside. Results
- * stay bitwise equal to the per-burst model, which the tests keep as
- * an oracle (tests/dram_reference.h) and compare against on random
- * call sequences.
+ * again.
+ *
+ * One channel: one step per row-window visit. A straight-line version
+ * of the routine schedules a window (one row of one bank) as one step
+ * and one closed-form run. A visit is the consecutive stripes of a set
+ * that lie wholly in one window; they run as one row run of their
+ * summed bursts. A burst holds its bank exactly as long as the bus, so
+ * each later stripe's first burst is a row hit that starts when the
+ * bus frees, as a separate call's would. Each stripe's refresh checks
+ * see only its own finishes, so while the visit's second-to-last
+ * finish is before the next tREFI none can fire; otherwise its stripes
+ * go one at a time. A burst that two stripes share is scheduled once
+ * for each. Multi-channel windows keep their per-channel steps: a
+ * later stripe's first burst there can find its channel's bank still
+ * busy. Results stay bitwise equal to the per-burst model, which the
+ * tests keep as an oracle (tests/dram_reference.h) and compare against
+ * on random call sequences.
  *
  * Energy. dynamicEnergy() is the command counters times the per-command
  * energies. Every constant is a whole number of pJ and every product
@@ -124,9 +135,6 @@ class DramController
     /** Standby energy for a run of @p total_ticks (pJ). */
     PicoJoule standbyEnergy(Tick total_ticks) const;
 
-    /** Reset all state (row buffers, bus, stats). */
-    void reset();
-
   private:
     /**
      * Panic unless @p stripes stripes of @p bytes at @p addr +
@@ -169,12 +177,17 @@ class DramController
                 std::uint64_t count);
 
     /**
-     * window() for channels == 1 in straight-line code: one step and
-     * one closed-form run, or window() itself for the rest of the
-     * window when a refresh can fall due inside it.
+     * window() for channels == 1 in straight-line code: the @p count
+     * bursts from @p burst, all in one row window, for a stripe whose
+     * finish so far is @p done, as one step and one closed-form run.
+     * The bursts may also be a visit's: consecutive stripes at
+     * done == earliest, the first sending @p own of them. When a
+     * refresh can fall due inside the run, only the first stripe's
+     * @p own bursts go: the first steps and window() takes the rest.
+     * Sets @p count to the bursts scheduled; returns the latest finish.
      */
     Tick oneChannelWindow(Tick earliest, Tick done, std::uint64_t burst,
-                          std::uint64_t count);
+                          std::uint64_t &count, std::uint64_t own);
 
     /**
      * How many bursts of a row run starting now start before a

@@ -119,16 +119,6 @@ TEST(Dram, ScaledChannelsFaster)
     EXPECT_LT(3 * t4, t1); // close to 4x faster
 }
 
-TEST(Dram, ResetClearsState)
-{
-    dram::DramController ctrl(dram::DramConfig::lpddr4_2133());
-    ctrl.transfer(0, 0, 4096, false);
-    ctrl.reset();
-    EXPECT_EQ(ctrl.dynamicEnergy(), 0.0);
-    EXPECT_EQ(ctrl.busBytes(), 0u);
-    EXPECT_EQ(ctrl.busFreeAt(), 0u);
-}
-
 // ---------------------------------------------------------------- NDP path
 
 TEST(DramNdp, UpdateCheaperThanExplicitTraffic)
@@ -278,25 +268,44 @@ TEST_P(DramDiff, RowRunsMatchPerBurstModel)
                                           : rng.below(256 << 10);
             if (rng.below(2) == 0)
                 addr &= ~Addr{63};
-            const std::uint64_t kind = rng.below(20);
+            const std::uint64_t kind = rng.below(24);
             std::string what;
             Tick got = 0, want = 0;
             if (kind >= 16) {
-                // A stripe set: the strided DMA of SLOAD/SSTORE. Strides
-                // fall below, at and above the row window, or are 0;
-                // some sets start just short of a window boundary so
-                // their stripes cross it.
+                // A stripe set: the strided DMA of SLOAD/SSTORE. Three
+                // draws: sets of up to 300 stripes whose strides fall
+                // below, at and above the row window, or are 0; sets of
+                // short stripes, many to a window, at strides that are
+                // 0, mostly not multiples of 64 B, or multiples of 64 B
+                // below the window; and single transfers of 64-256 KiB,
+                // which cross many full windows and, with refresh,
+                // several tREFI. Some sets start just short of a window
+                // boundary so their stripes cross it.
                 const Bytes window = cfg.rowBytes * channels;
-                const std::uint64_t stripes = 1 + rng.below(300);
-                const Bytes bytes = 1 + rng.below(2048);
-                const std::uint64_t stride_class = rng.below(5);
-                const Bytes stride =
-                    stride_class == 0   ? 0
-                    : stride_class == 1 ? 1 + rng.below(window - 1)
-                    : stride_class == 2 ? window
-                    : stride_class == 3 ? window + 1 + rng.below(window)
-                                        : bytes + rng.below(64);
-                if (rng.below(4) == 0)
+                std::uint64_t stripes = 1;
+                Bytes bytes = 0, stride = 0;
+                if (kind < 20) {
+                    stripes = 1 + rng.below(300);
+                    bytes = 1 + rng.below(2048);
+                    const std::uint64_t stride_class = rng.below(5);
+                    stride = stride_class == 0   ? 0
+                             : stride_class == 1 ? 1 + rng.below(window - 1)
+                             : stride_class == 2 ? window
+                             : stride_class == 3
+                                 ? window + 1 + rng.below(window)
+                                 : bytes + rng.below(64);
+                } else if (kind < 22) {
+                    stripes = 2 + rng.below(299);
+                    bytes = 1 + rng.below(256);
+                    const std::uint64_t stride_class = rng.below(3);
+                    stride = stride_class == 0   ? 0
+                             : stride_class == 1 ? 1 + rng.below(511)
+                                                 : 64 * (1 + rng.below(
+                                                             window / 64 - 1));
+                } else {
+                    bytes = (64 << 10) + rng.below(192 << 10);
+                }
+                if (kind < 22 && rng.below(4) == 0)
                     addr = (addr / window + 1) * window -
                            1 - rng.below(bytes);
                 const bool is_write = kind % 2 == 0;
