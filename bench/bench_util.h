@@ -37,6 +37,10 @@ struct PlatformResult
     double dramBursts = 0.0;
     /** Host seconds spent in Accelerator::run (0 for the GPU model). */
     double simHostS = 0.0;
+    /** Host seconds spent compiling the program, and its size (0 for
+     *  the GPU model). */
+    double codegenHostS = 0.0;
+    double instrs = 0.0;
 };
 
 inline PlatformResult
@@ -72,13 +76,29 @@ simulate(const arch::CambriconQConfig &cfg, const arch::Program &prog)
     return out;
 }
 
+/** Compile a program with @p compile and simulate it, timing both. */
+template <typename Compile>
+PlatformResult
+compileAndSimulate(const arch::CambriconQConfig &cfg, Compile compile)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    const arch::Program prog = compile();
+    const std::chrono::duration<double> host =
+        std::chrono::steady_clock::now() - t0;
+    PlatformResult out = simulate(cfg, prog);
+    out.codegenHostS = host.count();
+    out.instrs = static_cast<double>(prog.size());
+    return out;
+}
+
 /** Run on a Cambricon-Q-family configuration. */
 inline PlatformResult
 runCambriconQ(const compiler::WorkloadIR &ir,
               const arch::CambriconQConfig &cfg,
               const compiler::CodegenOptions &opts = {})
 {
-    return simulate(cfg, compiler::generateProgram(ir, cfg, opts));
+    return compileAndSimulate(
+        cfg, [&] { return compiler::generateProgram(ir, cfg, opts); });
 }
 
 /** Run on the TPU baseline. */
@@ -86,7 +106,9 @@ inline PlatformResult
 runTpu(const compiler::WorkloadIR &ir,
        const compiler::CodegenOptions &opts = {})
 {
-    return simulate(baseline::tpuConfig(), baseline::compileTpu(ir, opts));
+    return compileAndSimulate(baseline::tpuConfig(), [&] {
+        return baseline::compileTpu(ir, opts);
+    });
 }
 
 /** Run on a GPU model. */

@@ -6,7 +6,9 @@
  * and the Jetson TX2 GPU model; record the geomean speedups, the
  * energy-efficiency gains, the CQ energy split (Fig. 12(d)) and the
  * NDP-ablation penalty. It also reports how fast the simulator itself
- * runs (DRAM bursts per host second), which PERF-08 gates.
+ * runs (DRAM bursts per host second), which PERF-08 gates, and how
+ * fast the compiler emits the 18 programs (instructions per host
+ * second), which PERF-13 gates.
  */
 
 #include <cmath>
@@ -49,10 +51,13 @@ run(const WorkloadContext &)
     double accMj = 0.0, bufMj = 0.0, ddrSbMj = 0.0, ddrDyMj = 0.0;
     double worstNdpPenalty = 0.0;
     double simBursts = 0.0, simHostS = 0.0;
+    double codegenInstrs = 0.0, codegenHostS = 0.0;
     for (const auto &r : rows) {
         for (const PlatformResult *p : {&r.cq, &r.cqNoNdp, &r.tpu}) {
             simBursts += p->dramBursts;
             simHostS += p->simHostS;
+            codegenInstrs += p->instrs;
+            codegenHostS += p->codegenHostS;
         }
         geoGpu *= r.gpu.timeMs / r.cq.timeMs;
         geoTpu *= r.tpu.timeMs / r.cq.timeMs;
@@ -92,6 +97,8 @@ run(const WorkloadContext &)
     out.set("energy_frac_ddr_dynamic", ddrDyMj / total);
     out.setTiming("sim_bursts_per_host_s", simBursts / simHostS,
                   "bursts/s");
+    out.setTiming("codegen_instrs_per_host_s",
+                  codegenInstrs / codegenHostS, "instrs/s");
     out.notes = "paper: 4.20x GPU / 1.70x TPU speedup, 6.41x GPU / "
                 "1.62x TPU energy; DDR dominates Fig. 12(d)";
     return out;

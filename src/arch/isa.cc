@@ -126,6 +126,14 @@ decodeInstr(const EncodedInstr &encoded)
     return ins;
 }
 
+void
+Program::reserve(std::size_t instrs, std::size_t deps)
+{
+    instrs_.reserve(instrs);
+    depStart_.reserve(instrs + 1);
+    depIdx_.reserve(deps);
+}
+
 std::uint32_t
 Program::internTag(std::string_view tag)
 {

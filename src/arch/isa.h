@@ -128,6 +128,13 @@ static_assert(std::is_trivially_copyable_v<Instr>,
 class Program
 {
   public:
+    /**
+     * Size the arrays once for @p instrs instructions holding at most
+     * @p deps dependences in all, so that appending that many
+     * neither copies nor grows them.
+     */
+    void reserve(std::size_t instrs, std::size_t deps);
+
     /** Id of @p tag in the tag table; adds it if it is new. */
     std::uint32_t internTag(std::string_view tag);
 

@@ -1,14 +1,25 @@
 /**
  * @file
  * Implementation of the code generator.
+ *
+ * generateProgram runs two passes. The plan pass picks every GEMM's
+ * tiling and counts every task's instructions in closed form; the
+ * emit pass then writes the program into arrays sized once from that
+ * count and allocates nothing per instruction. generateProgram checks
+ * that the two passes agree.
  */
 
 #include "compiler/codegen.h"
 
 #include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -34,6 +45,106 @@ enum class Region : Addr
     WeightGrads = 0xC,
 };
 
+/** Elements per chunk of a stream task's load -> SFU -> store pipeline. */
+constexpr std::uint64_t kStreamChunk = 128 * 1024;
+/** Weights per chunk of a non-NDP update. */
+constexpr std::uint64_t kUpdateChunk = 256 * 1024;
+
+/**
+ * Most dependences of any instruction: an update's VMUL waits for its
+ * dW, w, m and v loads. Every other instruction has at most two.
+ */
+constexpr std::size_t kMaxDeps = 4;
+
+std::uint64_t
+ceilDiv(std::uint64_t a, std::uint64_t b)
+{
+    return (a + b - 1) / b;
+}
+
+Bytes
+toBytes(std::uint64_t elems, int width)
+{
+    return static_cast<Bytes>((elems * width + 7) / 8);
+}
+
+std::uint64_t
+streamChunks(const StreamTask &task)
+{
+    return std::max<std::uint64_t>(1, ceilDiv(task.inElems, kStreamChunk));
+}
+
+std::uint64_t
+updateChunks(const UpdateTask &task)
+{
+    return std::max<std::uint64_t>(1,
+                                   ceilDiv(task.numWeights, kUpdateChunk));
+}
+
+/** A dependence list held in place, so emitting allocates nothing. */
+class DepList
+{
+  public:
+    DepList() = default;
+    DepList(std::initializer_list<std::uint32_t> deps)
+    {
+        for (std::uint32_t d : deps)
+            push(d);
+    }
+
+    void
+    push(std::uint32_t d)
+    {
+        CQ_ASSERT(size_ < kMaxDeps);
+        idx_[size_++] = d;
+    }
+
+    /** Sort the list and drop repeats; returns what is left. */
+    std::span<const std::uint32_t>
+    sorted()
+    {
+        const auto first = idx_.begin();
+        std::sort(first, first + size_);
+        return {first, std::unique(first, first + size_)};
+    }
+
+  private:
+    std::array<std::uint32_t, kMaxDeps> idx_{};
+    std::size_t size_ = 0;
+};
+
+/**
+ * GEMM loop orders; they differ in which operand is re-streamed:
+ *  NMK: C tile per (m,n); A re-read per n-tile, B per m-tile.
+ *  NKM: C resident for all m rows of one n-tile; B read once.
+ *  MKN: C resident for all n cols of one m-tile; A read once.
+ */
+enum class Order { NMK, NKM, MKN };
+
+/** What the plan pass decided for one GEMM task. */
+struct GemmPlan
+{
+    /** Operand stream sizes in bytes. */
+    Bytes aBytes = 0, bBytes = 0, cBytes = 0;
+    Order order = Order::NMK;
+    /** Tile sizes and tile counts. */
+    std::uint64_t mT = 1, nT = 1, kT = 1;
+    std::uint64_t mTiles = 1, nTiles = 1, kTiles = 1;
+    /** First use of the layer's weights: quantize them first. */
+    bool quantizeWeights = false;
+};
+
+/** What the plan pass decided for a whole program. */
+struct ProgramPlan
+{
+    /** One per GEMM task, in task order. */
+    std::vector<GemmPlan> gemms;
+    /** The program's exact instruction count. */
+    std::size_t instrs = 0;
+    /** An upper bound on its dependences. */
+    std::size_t deps = 0;
+};
+
 class Codegen
 {
   public:
@@ -45,37 +156,8 @@ class Codegen
             regionNext_[r] = static_cast<Addr>(r) << 32;
     }
 
-    Program
-    run()
-    {
-        const bool ndp = useNdp();
-        if (ndp) {
-            // Program the NDPO constant registers once.
-            Instr cro;
-            cro.op = Opcode::CROSET;
-            cro.phase = Phase::WU;
-            cro.tagId = prog_.internTag("ndpo-config");
-            crosetIdx_ = emit(cro, {});
-        }
-        for (const auto &task : ir_.tasks) {
-            switch (task.kind) {
-              case Task::Kind::Gemm:
-                gemm(task.gemm);
-                break;
-              case Task::Kind::Stream:
-                stream(task.stream);
-                break;
-              case Task::Kind::Update:
-                if (!ndp)
-                    update(task.update);
-                break;
-              case Task::Kind::Alias:
-                aliasTensor(task.alias);
-                break;
-            }
-        }
-        return std::move(prog_);
-    }
+    ProgramPlan plan() const;
+    Program emitProgram(const ProgramPlan &plan);
 
   private:
     bool
@@ -104,13 +186,23 @@ class Codegen
         return 1;
     }
 
-    std::uint32_t
-    emit(const Instr &ins, std::vector<std::uint32_t> deps)
+    /**
+     * Instructions storeOutput() emits per output tile: 3 for a
+     * quantized store on the TPU (its S and Q passes plus the store),
+     * 1 otherwise.
+     */
+    std::uint64_t
+    storesPerTile(bool weightGradient) const
     {
-        // Deduplicate and order the dependence list.
-        std::sort(deps.begin(), deps.end());
-        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-        return prog_.append(ins, deps);
+        return !weightGradient && isTpu() ? 3 : 1;
+    }
+
+    GemmPlan planGemm(const GemmTask &task) const;
+
+    std::uint32_t
+    emit(const Instr &ins, DepList deps)
+    {
+        return prog_.append(ins, deps.sorted());
     }
 
     /** Allocate (or look up) the base address of a tensor. */
@@ -135,7 +227,7 @@ class Codegen
      * timing-equivalent to waiting for all of them -- this keeps the
      * dependence graph linear in the instruction count.
      */
-    std::vector<std::uint32_t>
+    DepList
     readersDeps(const std::string &tensor) const
     {
         auto it = lastWriter_.find(tensor);
@@ -144,12 +236,17 @@ class Codegen
         return {it->second};
     }
 
-    void
+    /**
+     * Note @p idx as a writer of @p tensor; returns the tensor's
+     * lastWriter_ slot, which stays put (map nodes do not move).
+     */
+    std::uint32_t *
     noteWrite(const std::string &tensor, std::uint32_t idx)
     {
-        auto [it, inserted] = lastWriter_.emplace(tensor, idx);
+        auto [it, inserted] = lastWriter_.try_emplace(tensor, idx);
         if (!inserted)
             it->second = std::max(it->second, idx);
+        return &it->second;
     }
 
     void
@@ -170,16 +267,13 @@ class Codegen
 
     /**
      * Quantize the FP32 master weights of @p layer into "wq:<layer>"
-     * (plain DQ), once per minibatch; readers wait on its last writer.
+     * (plain DQ); the plan calls for it once per layer and minibatch.
+     * Readers wait on its last writer.
      */
     void
     quantizeWeights(const std::string &layer, std::uint64_t elems)
     {
         const std::string wq = "wq:" + layer;
-        if (quantizedWeights_.count(layer))
-            return;
-        quantizedWeights_.insert(layer);
-
         const Bytes fp32_bytes = elems * 4;
         const Bytes q_bytes = elems * opt_.bits / 8;
         const Addr src =
@@ -250,7 +344,22 @@ class Codegen
          *  (0 until then); on the TPU's quantized store also those of
          *  its S and Q passes. */
         std::uint32_t tagId = 0, statTagId = 0, quantTagId = 0;
+        /** Base address of "w:<layer>", looked up by the first
+         *  WGSTORE. */
+        Addr weightBase = 0;
+        /** `tensor`'s lastWriter_ slot, from the first store on. */
+        std::uint32_t *lastWriter = nullptr;
     };
+
+    /** Note @p idx as the latest writer of @p out's tensor. */
+    void
+    noteWrite(Output &out, std::uint32_t idx)
+    {
+        if (out.lastWriter)
+            *out.lastWriter = std::max(*out.lastWriter, idx);
+        else
+            out.lastWriter = noteWrite(out.tensor, idx);
+    }
 
     /**
      * Emit the store of @p elems output elements at byte @p offset of
@@ -258,25 +367,27 @@ class Codegen
      * a WGSTORE to the NDP engine, which updates w/m/v in place, or a
      * VSTORE for the on-core update. Anything else is quantized: one
      * QSTORE through the SQU on Cambricon-Q; on the TPU an FP32 tile
-     * plus the statistic and quantization passes.
+     * plus the statistic and quantization passes. storesPerTile()
+     * counts what this emits.
      */
     void
     storeOutput(Output &out, Bytes offset, std::uint64_t elems,
                 std::uint32_t dep)
     {
         if (out.weightGradient && useNdp()) {
-            if (!out.tagId)
+            if (!out.tagId) {
                 out.tagId = prog_.internTag(out.layer + ".wgstore");
+                out.weightBase = tensorAddr(
+                    "w:" + out.layer, out.elems * 4, Region::Weights);
+            }
             Instr wgs;
             wgs.op = Opcode::WGSTORE;
             wgs.phase = Phase::WU;
-            wgs.addr = tensorAddr("w:" + out.layer, out.elems * 4,
-                                  Region::Weights) +
-                       offset;
+            wgs.addr = out.weightBase + offset;
             wgs.bytes = elems * 4;
             wgs.elems = elems;
             wgs.tagId = out.tagId;
-            noteWrite(out.tensor, emit(wgs, {dep, crosetIdx_}));
+            noteWrite(out, emit(wgs, {dep, crosetIdx_}));
             return;
         }
         if (out.weightGradient) {
@@ -289,7 +400,7 @@ class Codegen
             vs.bytes = elems * 4;
             vs.buf = BufId::NBout;
             vs.tagId = out.tagId;
-            noteWrite(out.tensor, emit(vs, {dep}));
+            noteWrite(out, emit(vs, {dep}));
             return;
         }
         const Bytes q_bytes =
@@ -306,7 +417,7 @@ class Codegen
             qs.ways = static_cast<std::uint8_t>(out.ways);
             qs.buf = BufId::NBout;
             qs.tagId = out.tagId;
-            noteWrite(out.tensor, emit(qs, {dep}));
+            noteWrite(out, emit(qs, {dep}));
             return;
         }
 
@@ -343,10 +454,10 @@ class Codegen
         qw.bytes = q_bytes;
         qw.buf = BufId::NBout;
         qw.tagId = out.tagId;
-        noteWrite(out.tensor, emit(qw, {quant_idx}));
+        noteWrite(out, emit(qw, {quant_idx}));
     }
 
-    void gemm(const GemmTask &task);
+    void gemm(const GemmTask &task, const GemmPlan &plan);
     void stream(const StreamTask &task);
     void update(const UpdateTask &task);
 
@@ -357,26 +468,84 @@ class Codegen
     std::map<std::string, Addr> addrs_;
     std::array<Addr, 16> regionNext_{};
     std::map<std::string, std::uint32_t> lastWriter_;
-    std::set<std::string> quantizedWeights_;
     std::uint32_t crosetIdx_ = 0;
 };
 
-void
-Codegen::gemm(const GemmTask &task)
+/**
+ * The plan pass: every GEMM's tiling, and the program's instruction
+ * count in closed form. With S the stores per output tile
+ * (storesPerTile(), plus 1 for a fused activation) and n, m and k
+ * tiles, a GEMM emits n·m·(3k + S) in NMK order, n·(k·(1 + 2m) + m·S)
+ * in NKM and m·(k·(1 + 2n) + n·S) in MKN, plus 1 QMOVE (3 passes on
+ * the TPU) the first time a layer's weights are used. A stream task
+ * emits 2 per chunk (load, SFU), 1 more with a second input, plus S.
+ * A non-NDP update emits 2·(2 + state tensors) per chunk: the loads,
+ * the VMUL and the stores of all but dW. The NDP engine adds one
+ * CROSET.
+ */
+ProgramPlan
+Codegen::plan() const
+{
+    ProgramPlan plan;
+    const bool ndp = useNdp();
+    std::uint64_t instrs = ndp ? 1 : 0;
+    std::uint64_t update_vmuls = 0;
+    std::set<std::string_view> quantized;
+    for (const auto &task : ir_.tasks) {
+        switch (task.kind) {
+          case Task::Kind::Gemm: {
+            const GemmTask &t = task.gemm;
+            GemmPlan g = planGemm(t);
+            g.quantizeWeights = t.freshWeightElems > 0 &&
+                                quantized.insert(t.layer).second;
+            const std::uint64_t s = storesPerTile(t.isWeightGradient) +
+                                    (t.fusedActivation ? 1 : 0);
+            const std::uint64_t m = g.mTiles, n = g.nTiles, k = g.kTiles;
+            switch (g.order) {
+              case Order::NMK:
+                instrs += n * m * (3 * k + s);
+                break;
+              case Order::NKM:
+                instrs += n * (k * (1 + 2 * m) + m * s);
+                break;
+              case Order::MKN:
+                instrs += m * (k * (1 + 2 * n) + n * s);
+                break;
+            }
+            if (g.quantizeWeights)
+                instrs += isTpu() ? 3 : 1;
+            plan.gemms.push_back(g);
+            break;
+          }
+          case Task::Kind::Stream: {
+            const StreamTask &t = task.stream;
+            instrs += streamChunks(t) *
+                      (2 + (t.inTensor2.empty() ? 0 : 1) +
+                       storesPerTile(t.isWeightGradient));
+            break;
+          }
+          case Task::Kind::Update:
+            if (!ndp) {
+                const std::uint64_t chunks = updateChunks(task.update);
+                instrs += chunks * 2 * (2 + stateTensors());
+                update_vmuls += chunks;
+            }
+            break;
+          case Task::Kind::Alias:
+            break;
+        }
+    }
+    plan.instrs = instrs;
+    plan.deps = 2 * instrs + (kMaxDeps - 2) * update_vmuls;
+    return plan;
+}
+
+GemmPlan
+Codegen::planGemm(const GemmTask &task) const
 {
     const int bits = opt_.bits;
     const int bits_a = task.aIsFp32 ? 32 : bits;
-    const auto to_bytes = [](std::uint64_t elems, int width) {
-        return static_cast<Bytes>((elems * width + 7) / 8);
-    };
-    const auto ceil_div = [](std::uint64_t a, std::uint64_t b) {
-        return (a + b - 1) / b;
-    };
-    const bool b_is_weights = task.freshWeightElems > 0 ||
-                              task.bTensor.rfind("wq:", 0) == 0;
-
-    if (task.freshWeightElems > 0)
-        quantizeWeights(task.layer, task.freshWeightElems);
+    GemmPlan plan;
 
     // ---- Double-buffered on-chip capacities ----
     const Bytes half_nbin = cfg_.nbinBytes / 2;
@@ -384,35 +553,29 @@ Codegen::gemm(const GemmTask &task)
     const Bytes half_nbout = cfg_.nboutBytes / 2;
 
     // ---- Operand stream sizes in bytes ----
-    const Bytes a_bytes = to_bytes(task.aElems(), bits_a);
-    const Bytes b_bytes = to_bytes(task.bElems(), bits);
-    const Bytes c_bytes =
-        task.isWeightGradient ? task.cElems() * 4
-                              : to_bytes(task.cElems(), bits);
+    plan.aBytes = toBytes(task.aElems(), bits_a);
+    plan.bBytes = toBytes(task.bElems(), bits);
+    plan.cBytes = task.isWeightGradient ? task.cElems() * 4
+                                        : toBytes(task.cElems(), bits);
 
     // ---- Tiling search ----
-    // Three loop orders differ in which operand is re-streamed:
-    //  NMK: C tile per (m,n); A re-read per n-tile, B per m-tile.
-    //  NKM: C resident for all m rows of one n-tile; B read once.
-    //  MKN: C resident for all n cols of one m-tile; A read once.
     // The compiler picks the (kT, order) pair minimizing DRAM traffic,
     // which is what a real tiling pass optimizes for on a
     // bandwidth-bound accelerator.
-    enum class Order { NMK, NKM, MKN };
-    struct Plan
+    struct Candidate
     {
         std::uint64_t kT = 1, mT = 1, nT = 1;
         Order order = Order::NMK;
         double traffic = 1e300;
     };
-    Plan best;
-    const auto consider = [&best](Plan p) {
-        if (p.traffic < best.traffic)
-            best = p;
+    Candidate best;
+    const auto consider = [&best](Candidate c) {
+        if (c.traffic < best.traffic)
+            best = c;
     };
-    const double a_d = static_cast<double>(a_bytes);
-    const double b_d = static_cast<double>(b_bytes);
-    const double c_d = static_cast<double>(c_bytes);
+    const double a_d = static_cast<double>(plan.aBytes);
+    const double b_d = static_cast<double>(plan.bBytes);
+    const double c_d = static_cast<double>(plan.cBytes);
 
     const std::uint64_t kt_cands[] = {task.k, 8192, 4096, 2048,
                                       1024,   512,  256};
@@ -435,9 +598,9 @@ Codegen::gemm(const GemmTask &task)
             if (nt > 0) {
                 consider({kt, mt, nt, Order::NMK,
                           a_d * static_cast<double>(
-                                    ceil_div(task.n, nt)) +
+                                    ceilDiv(task.n, nt)) +
                               b_d * static_cast<double>(
-                                        ceil_div(task.m, mt)) +
+                                        ceilDiv(task.m, mt)) +
                               c_d});
             }
         }
@@ -448,7 +611,7 @@ Codegen::gemm(const GemmTask &task)
             if (nt > 0) {
                 consider({kt, m_cap, nt, Order::NKM,
                           a_d * static_cast<double>(
-                                    ceil_div(task.n, nt)) +
+                                    ceilDiv(task.n, nt)) +
                               b_d + c_d});
             }
         }
@@ -460,7 +623,7 @@ Codegen::gemm(const GemmTask &task)
                 consider({kt, mt, n_cap, Order::MKN,
                           a_d +
                               b_d * static_cast<double>(
-                                        ceil_div(task.m, mt)) +
+                                        ceilDiv(task.m, mt)) +
                               c_d});
             }
         }
@@ -473,13 +636,69 @@ Codegen::gemm(const GemmTask &task)
                   static_cast<unsigned long long>(task.n),
                   static_cast<unsigned long long>(task.k));
 
-    const std::uint64_t m_t = best.mT, n_t = best.nT, k_t = best.kT;
-    const std::uint64_t m_tiles = ceil_div(task.m, m_t);
-    const std::uint64_t n_tiles = ceil_div(task.n, n_t);
-    const std::uint64_t k_tiles = ceil_div(task.k, k_t);
+    plan.order = best.order;
+    plan.mT = best.mT;
+    plan.nT = best.nT;
+    plan.kT = best.kT;
+    plan.mTiles = ceilDiv(task.m, best.mT);
+    plan.nTiles = ceilDiv(task.n, best.nT);
+    plan.kTiles = ceilDiv(task.k, best.kT);
+    return plan;
+}
+
+/** The emit pass: write the program @p plan describes. */
+Program
+Codegen::emitProgram(const ProgramPlan &plan)
+{
+    prog_.reserve(plan.instrs, plan.deps);
+    const bool ndp = useNdp();
+    if (ndp) {
+        // Program the NDPO constant registers once.
+        Instr cro;
+        cro.op = Opcode::CROSET;
+        cro.phase = Phase::WU;
+        cro.tagId = prog_.internTag("ndpo-config");
+        crosetIdx_ = emit(cro, {});
+    }
+    auto gemm_plan = plan.gemms.begin();
+    for (const auto &task : ir_.tasks) {
+        switch (task.kind) {
+          case Task::Kind::Gemm:
+            gemm(task.gemm, *gemm_plan++);
+            break;
+          case Task::Kind::Stream:
+            stream(task.stream);
+            break;
+          case Task::Kind::Update:
+            if (!ndp)
+                update(task.update);
+            break;
+          case Task::Kind::Alias:
+            aliasTensor(task.alias);
+            break;
+        }
+    }
+    return std::move(prog_);
+}
+
+void
+Codegen::gemm(const GemmTask &task, const GemmPlan &plan)
+{
+    const int bits = opt_.bits;
+    const bool b_is_weights = task.freshWeightElems > 0 ||
+                              task.bTensor.rfind("wq:", 0) == 0;
+
+    if (plan.quantizeWeights)
+        quantizeWeights(task.layer, task.freshWeightElems);
+
+    const Bytes a_bytes = plan.aBytes, b_bytes = plan.bBytes,
+                c_bytes = plan.cBytes;
+    const std::uint64_t m_t = plan.mT, n_t = plan.nT, k_t = plan.kT;
+    const std::uint64_t m_tiles = plan.mTiles, n_tiles = plan.nTiles,
+                        k_tiles = plan.kTiles;
 
     // ---- Addresses ----
-    const std::string a_name = task.aTensor;
+    const std::string &a_name = task.aTensor;
     const std::string b_name =
         task.freshWeightElems > 0 ? "wq:" + task.layer : task.bTensor;
     const Addr a_base = tensorAddr(
@@ -505,8 +724,8 @@ Codegen::gemm(const GemmTask &task)
     const std::uint64_t c_tile_elems = std::max<std::uint64_t>(
         1, task.cElems() / (m_tiles * n_tiles));
 
-    const auto a_deps = readersDeps(a_name);
-    const auto b_deps = readersDeps(b_name);
+    const DepList a_deps = readersDeps(a_name);
+    const DepList b_deps = readersDeps(b_name);
     const std::uint32_t a_tag = prog_.internTag(task.layer + ".A");
     const std::uint32_t b_tag = prog_.internTag(task.layer + ".B");
     const std::uint32_t mm_tag = prog_.internTag(task.layer);
@@ -544,7 +763,7 @@ Codegen::gemm(const GemmTask &task)
             lb.op = Opcode::SLOAD;
             lb.elems = std::min<std::uint64_t>(k_cur, 128);
             lb.bytes2 = std::max<Bytes>(
-                to_bytes(task.n, bits), lb.bytes / lb.elems);
+                toBytes(task.n, bits), lb.bytes / lb.elems);
         } else {
             lb.op = Opcode::VLOAD;
         }
@@ -596,7 +815,7 @@ Codegen::gemm(const GemmTask &task)
     };
 
     // ---- Loop nests ----
-    switch (best.order) {
+    switch (plan.order) {
       case Order::NMK:
         for (std::uint64_t nt = 0; nt < n_tiles; ++nt) {
             for (std::uint64_t mt = 0; mt < m_tiles; ++mt) {
@@ -610,9 +829,11 @@ Codegen::gemm(const GemmTask &task)
             }
         }
         break;
-      case Order::NKM:
+      case Order::NKM: {
+        // Every k-tile rewrites each entry, so one array serves all
+        // n-tiles.
+        std::vector<std::uint32_t> last_mm(m_tiles);
         for (std::uint64_t nt = 0; nt < n_tiles; ++nt) {
-            std::vector<std::uint32_t> last_mm(m_tiles, 0);
             for (std::uint64_t kt = 0; kt < k_tiles; ++kt) {
                 const auto b_idx = emit_load_b(nt, kt);
                 for (std::uint64_t mt = 0; mt < m_tiles; ++mt) {
@@ -624,9 +845,10 @@ Codegen::gemm(const GemmTask &task)
                 emit_store(mt, nt, last_mm[mt]);
         }
         break;
-      case Order::MKN:
+      }
+      case Order::MKN: {
+        std::vector<std::uint32_t> last_mm(n_tiles);
         for (std::uint64_t mt = 0; mt < m_tiles; ++mt) {
-            std::vector<std::uint32_t> last_mm(n_tiles, 0);
             for (std::uint64_t kt = 0; kt < k_tiles; ++kt) {
                 const auto a_idx = emit_load_a(mt, kt);
                 for (std::uint64_t nt = 0; nt < n_tiles; ++nt) {
@@ -638,6 +860,7 @@ Codegen::gemm(const GemmTask &task)
                 emit_store(mt, nt, last_mm[nt]);
         }
         break;
+      }
     }
 }
 
@@ -646,9 +869,8 @@ Codegen::stream(const StreamTask &task)
 {
     // Chunked load -> SFU -> store pipeline; inputs are quantized,
     // one byte per element.
-    const std::uint64_t chunk = 128 * 1024;
-    const std::uint64_t chunks =
-        std::max<std::uint64_t>(1, (task.inElems + chunk - 1) / chunk);
+    const std::uint64_t chunk = kStreamChunk;
+    const std::uint64_t chunks = streamChunks(task);
 
     const Addr in_base = tensorAddr(
         task.inTensor,
@@ -673,10 +895,10 @@ Codegen::stream(const StreamTask &task)
                           out_region),
                task.layer + ".out"};
 
-    const auto in_deps = readersDeps(task.inTensor);
-    const auto in2_deps = task.inTensor2.empty()
-                              ? std::vector<std::uint32_t>{}
-                              : readersDeps(task.inTensor2);
+    const DepList in_deps = readersDeps(task.inTensor);
+    const DepList in2_deps = task.inTensor2.empty()
+                                 ? DepList{}
+                                 : readersDeps(task.inTensor2);
     const std::uint32_t in_tag = prog_.internTag(task.layer + ".in");
     const std::uint32_t in2_tag =
         task.inTensor2.empty() ? 0 : prog_.internTag(task.layer + ".in2");
@@ -698,9 +920,7 @@ Codegen::stream(const StreamTask &task)
         li.bytes = std::max<Bytes>(in_elems, 1);
         li.buf = BufId::NBin;
         li.tagId = in_tag;
-        const auto li_idx = emit(li, in_deps);
-
-        std::vector<std::uint32_t> sfu_deps{li_idx};
+        DepList sfu_deps{emit(li, in_deps)};
         if (!task.inTensor2.empty()) {
             Instr l2;
             l2.op = Opcode::VLOAD;
@@ -709,7 +929,7 @@ Codegen::stream(const StreamTask &task)
             l2.bytes = std::max<Bytes>(task.inElems2 / chunks, 1);
             l2.buf = BufId::NBin;
             l2.tagId = in2_tag;
-            sfu_deps.push_back(emit(l2, in2_deps));
+            sfu_deps.push(emit(l2, in2_deps));
         }
 
         Instr sf;
@@ -717,7 +937,7 @@ Codegen::stream(const StreamTask &task)
         sf.phase = task.phase;
         sf.elems = sfu_ops;
         sf.tagId = sfu_tag;
-        const auto sf_idx = emit(sf, std::move(sfu_deps));
+        const auto sf_idx = emit(sf, sfu_deps);
 
         storeOutput(out, c * chunk * out_elem_bytes, out_elems, sf_idx);
     }
@@ -734,7 +954,7 @@ Codegen::update(const UpdateTask &task)
         const char *prefix;
         Region region;
         const char *tag;
-    } kStreams[] = {
+    } kStreams[kMaxDeps] = {
         {"wg:", Region::WeightGrads, ".dW"},
         {"w:", Region::Weights, ".w"},
         {"m:", Region::StateM, ".m"},
@@ -743,9 +963,9 @@ Codegen::update(const UpdateTask &task)
     // dW, w and the optimizer state are loaded; all but dW are stored.
     const unsigned state = stateTensors();
     const unsigned used = 2 + state;
-    Addr base[4] = {};
-    std::vector<std::uint32_t> deps[4];
-    std::uint32_t load_tag[4] = {}, store_tag[4] = {};
+    Addr base[kMaxDeps] = {};
+    DepList deps[kMaxDeps];
+    std::uint32_t load_tag[kMaxDeps] = {}, store_tag[kMaxDeps] = {};
     for (unsigned i = 0; i < used; ++i) {
         const std::string tensor = kStreams[i].prefix + task.layer;
         base[i] =
@@ -758,13 +978,12 @@ Codegen::update(const UpdateTask &task)
     }
     const std::uint32_t opt_tag = prog_.internTag(task.layer + ".opt");
 
-    const std::uint64_t chunk = 256 * 1024;
-    const std::uint64_t chunks = std::max<std::uint64_t>(
-        1, (task.numWeights + chunk - 1) / chunk);
+    const std::uint64_t chunk = kUpdateChunk;
+    const std::uint64_t chunks = updateChunks(task);
     for (std::uint64_t c = 0; c < chunks; ++c) {
         const std::uint64_t elems = std::min<std::uint64_t>(
             chunk, task.numWeights - c * chunk);
-        std::vector<std::uint32_t> loads;
+        DepList loads;
         for (unsigned i = 0; i < used; ++i) {
             Instr ld;
             ld.op = Opcode::VLOAD;
@@ -773,7 +992,7 @@ Codegen::update(const UpdateTask &task)
             ld.bytes = elems * 4;
             ld.buf = BufId::NBin;
             ld.tagId = load_tag[i];
-            loads.push_back(emit(ld, deps[i]));
+            loads.push(emit(ld, deps[i]));
         }
 
         // The element-wise optimizer arithmetic on the vector units.
@@ -782,7 +1001,7 @@ Codegen::update(const UpdateTask &task)
         vm.phase = Phase::WU;
         vm.elems = elems * (2 + 2 * state);
         vm.tagId = opt_tag;
-        const auto vm_idx = emit(vm, std::move(loads));
+        const auto vm_idx = emit(vm, loads);
 
         for (unsigned i = 1; i < used; ++i) {
             Instr st;
@@ -805,7 +1024,11 @@ generateProgram(const WorkloadIR &ir,
                 const CodegenOptions &options)
 {
     Codegen cg(ir, config, options);
-    Program prog = cg.run();
+    const ProgramPlan plan = cg.plan();
+    Program prog = cg.emitProgram(plan);
+    CQ_ASSERT_MSG(prog.size() == plan.instrs,
+                  "%s: planned %zu instructions, emitted %zu",
+                  ir.name.c_str(), plan.instrs, prog.size());
     std::string err;
     CQ_ASSERT_MSG(validateProgram(prog, &err), "%s", err.c_str());
     return prog;

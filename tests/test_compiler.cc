@@ -711,5 +711,64 @@ TEST(Compiler, ProgramsMatchPinnedDigests)
         << table;
 }
 
+/**
+ * generateProgram asserts that the plan pass's closed-form size equals
+ * the number of instructions emitted. Compile the two tiny networks
+ * for every target, width and optimizer, and the Table VI networks on
+ * the throughput configs the pinned digests leave out, so that every
+ * loop order, store kind and update width meets that assert.
+ */
+TEST(Compiler, PlannedSizeHoldsOnEveryTargetWidthAndOptimizer)
+{
+    struct Target
+    {
+        const char *name;
+        arch::CambriconQConfig config;
+        CodegenOptions::Target target;
+    };
+    using CodegenTarget = CodegenOptions::Target;
+    const Target targets[] = {
+        {"CQ", arch::CambriconQConfig::edge(), CodegenTarget::CambriconQ},
+        {"CQ-noNDP", arch::CambriconQConfig::edgeNoNdp(),
+         CodegenTarget::CambriconQ},
+        {"TPU", baseline::tpuConfig(), CodegenTarget::Tpu},
+        {"CQ-T", arch::CambriconQConfig::throughputT(),
+         CodegenTarget::CambriconQ},
+        {"CQ-V", arch::CambriconQConfig::throughputV(),
+         CodegenTarget::CambriconQ},
+    };
+    std::set<Opcode> emitted;
+    const auto compile = [&emitted](const WorkloadIR &ir, const Target &t,
+                                    int bits, nn::OptimizerKind optimizer) {
+        CodegenOptions opts;
+        opts.target = t.target;
+        opts.bits = bits;
+        opts.optimizer = optimizer;
+        const arch::Program prog = generateProgram(ir, t.config, opts);
+        EXPECT_GT(prog.size(), 0u) << ir.name << " on " << t.name;
+        for (const auto &ins : prog)
+            emitted.insert(ins.op);
+    };
+    for (const WorkloadIR &ir : {buildTinyCnn(), buildTinyMlp()}) {
+        for (const Target &t : targets) {
+            for (int bits : {4, 8, 16}) {
+                for (nn::OptimizerKind optimizer :
+                     {nn::OptimizerKind::SGD, nn::OptimizerKind::RMSProp,
+                      nn::OptimizerKind::Adam})
+                    compile(ir, t, bits, optimizer);
+            }
+        }
+    }
+    for (const WorkloadIR &ir : allBenchmarks()) {
+        for (const Target &t : {targets[3], targets[4]})
+            compile(ir, t, 8, nn::OptimizerKind::RMSProp);
+    }
+    // Every kind of instruction the plan counts was emitted.
+    for (Opcode op : {Opcode::CROSET, Opcode::QLOAD, Opcode::SLOAD,
+                      Opcode::QMOVE, Opcode::QSTORE, Opcode::WGSTORE,
+                      Opcode::HMUL, Opcode::VMUL, Opcode::SFU})
+        EXPECT_EQ(emitted.count(op), 1u) << arch::opcodeName(op);
+}
+
 } // namespace
 } // namespace cq::compiler
