@@ -384,9 +384,6 @@ struct Executor
     void
     run()
     {
-        std::string err;
-        CQ_ASSERT_MSG(validateProgram(prog, &err), "%s", err.c_str());
-
         // Two passes over the dependences build the reverse edges:
         // count each instruction's children into childStart[d], sum
         // the counts into end offsets, then fill from the last child

@@ -33,8 +33,6 @@ struct CambriconQConfig
     std::size_t peCols = 64;
     /** Basic operator width; operands are multiples of this. */
     int peBits = 4;
-    /** Adder-tree + output pipeline depth (fill cycles per tile). */
-    Tick peFill = 10;
     /**
      * Weight-stationary systolic dataflow (SCALE-Sim style) instead of
      * the broadcast/adder-tree dataflow; used by the TPU baseline.
@@ -60,7 +58,6 @@ struct CambriconQConfig
 
     /** @name SQU */
     /** @{ */
-    Bytes squBufBytes = 4096;
     /** Statistic-unit streaming width (bytes/cycle). */
     unsigned squStatBytesPerCycle = 32;
     /** Quant-unit width (bytes/cycle); E2BQM ways multiply the work. */

@@ -153,45 +153,20 @@ Program::internTag(std::string_view tag)
 std::uint32_t
 Program::append(const Instr &ins, std::span<const std::uint32_t> deps)
 {
-    CQ_ASSERT(instrs_.size() < UINT32_MAX &&
+    const std::size_t index = instrs_.size();
+    CQ_ASSERT(index < UINT32_MAX &&
               deps.size() <= UINT32_MAX - depIdx_.size());
+    CQ_ASSERT_MSG(ins.tagId < tags_.size(),
+                  "instr %zu has tag id %u outside the table of %zu",
+                  index, ins.tagId, tags_.size());
+    for (std::uint32_t d : deps)
+        CQ_ASSERT_MSG(d < index,
+                      "instr %zu depends on %u (not strictly earlier)",
+                      index, d);
     instrs_.push_back(ins);
     depIdx_.insert(depIdx_.end(), deps.begin(), deps.end());
     depStart_.push_back(static_cast<std::uint32_t>(depIdx_.size()));
     return static_cast<std::uint32_t>(instrs_.size() - 1);
-}
-
-namespace {
-
-bool
-invalid(std::string *error, std::size_t instr, const std::string &why)
-{
-    if (error)
-        *error = "instr " + std::to_string(instr) + " " + why;
-    return false;
-}
-
-} // namespace
-
-bool
-validateProgram(const Program &prog, std::string *error)
-{
-    for (std::size_t i = 0; i < prog.size(); ++i) {
-        if (prog[i].tagId >= prog.numTags()) {
-            return invalid(error, i,
-                           "has tag id " + std::to_string(prog[i].tagId) +
-                               " outside the table of " +
-                               std::to_string(prog.numTags()));
-        }
-        for (std::uint32_t d : prog.deps(i)) {
-            if (d >= i) {
-                return invalid(error, i,
-                               "depends on " + std::to_string(d) +
-                                   " (not strictly earlier)");
-            }
-        }
-    }
-    return true;
 }
 
 } // namespace cq::arch

@@ -140,8 +140,10 @@ class Program
 
     /**
      * Append @p ins (its `tagId` from internTag()) after the
-     * instructions @p deps, which validateProgram() requires to be
-     * earlier; returns the new instruction's index.
+     * instructions @p deps; returns the new instruction's index.
+     * Panics unless every dependence is strictly earlier and the tag
+     * id is in the table: the executor relies on both, so a Program
+     * holds them from the moment it is built.
      */
     std::uint32_t append(const Instr &ins,
                          std::span<const std::uint32_t> deps = {});
@@ -213,13 +215,6 @@ EncodedInstr encodeInstr(const Instr &instr);
 
 /** Decode an instruction (its tag id comes back 0, the empty tag). */
 Instr decodeInstr(const EncodedInstr &encoded);
-
-/**
- * Check the invariants the executor relies on: every instruction's
- * dependences are strictly earlier than it, and its tag id is in the
- * tag table.
- */
-bool validateProgram(const Program &prog, std::string *error = nullptr);
 
 } // namespace cq::arch
 

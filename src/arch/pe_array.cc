@@ -25,7 +25,6 @@ PeArray::PeArray(const CambriconQConfig &config)
     : rows_(config.peRows),
       cols_(config.peCols),
       baseBits_(config.peBits),
-      fill_(config.peFill),
       meshRows_(config.meshRows),
       meshCols_(config.meshCols),
       systolic_(config.systolicDataflow)
@@ -76,14 +75,14 @@ PeArray::mmCycles(std::uint64_t m, std::uint64_t n, std::uint64_t k,
             ceilDiv(k, cols_) * ceilDiv(n_local, rows_);
         const std::uint64_t per_tile =
             m_local * passes + cols_ + rows_ - 1;
-        return static_cast<Tick>(tiles * per_tile) + fill_;
+        return static_cast<Tick>(tiles * per_tile) + kPeFill;
     }
     // Per output row: ceil(k/M) reduction steps; the N accumulators
     // cover ceil(n/N) output groups.
     const std::uint64_t steps = ceilDiv(k, cols_) *
                                 ceilDiv(n_local, rows_) * m_local *
                                 passes;
-    return static_cast<Tick>(steps) + fill_;
+    return static_cast<Tick>(steps) + kPeFill;
 }
 
 double
@@ -105,7 +104,7 @@ Tick
 PeArray::vectorCycles(std::uint64_t elems) const
 {
     // Vector ops use one PE row worth of lanes.
-    return ceilDiv(elems, rows_) + fill_ / 2;
+    return ceilDiv(elems, rows_) + kPeFill / 2;
 }
 
 std::int64_t

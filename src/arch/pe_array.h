@@ -23,6 +23,9 @@
 
 namespace cq::arch {
 
+/** Adder-tree + output pipeline depth (fill cycles per tile). */
+inline constexpr Tick kPeFill = 10;
+
 /** Timing + functional model of the PE array. */
 class PeArray
 {
@@ -87,7 +90,6 @@ class PeArray
     std::size_t rows_;      ///< N accumulators
     std::size_t cols_;      ///< M PEs per accumulator
     int baseBits_;
-    Tick fill_;
     unsigned meshRows_;
     unsigned meshCols_;
     bool systolic_;

@@ -12,11 +12,10 @@
 namespace cq::arch {
 
 Squ::Squ(const CambriconQConfig &config)
-    : blockBytes_(config.squBufBytes),
-      statRate_(config.squStatBytesPerCycle),
+    : statRate_(config.squStatBytesPerCycle),
       quantRate_(config.squQuantBytesPerCycle)
 {
-    CQ_ASSERT(blockBytes_ > 0 && statRate_ > 0 && quantRate_ > 0);
+    CQ_ASSERT(statRate_ > 0 && quantRate_ > 0);
 }
 
 Tick
@@ -29,7 +28,7 @@ Squ::streamCycles(Bytes bytes, unsigned ways) const
     // One block of fill before the first quantized output appears
     // (statistic must close over block 0 before its quantization).
     const double fill =
-        static_cast<double>(std::min<Bytes>(bytes, blockBytes_)) /
+        static_cast<double>(std::min<Bytes>(bytes, kSquBufBytes)) /
         static_cast<double>(statRate_);
     return static_cast<Tick>(static_cast<double>(bytes) / rate + fill) +
            1;

@@ -20,6 +20,10 @@
 
 namespace cq::arch {
 
+/** Size of each of the two SQU buffers: the block (slice) the
+ *  statistics close over. */
+inline constexpr Bytes kSquBufBytes = 4096;
+
 /** Timing model of one SQU instance. */
 class Squ
 {
@@ -41,8 +45,6 @@ class Squ
     double bytesPerCycle(unsigned ways) const;
 
   private:
-    /** Block (slice) size the SQU statistics close over. */
-    Bytes blockBytes_;
     unsigned statRate_;
     unsigned quantRate_;
 };

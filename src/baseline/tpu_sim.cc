@@ -31,12 +31,4 @@ compileTpu(const compiler::WorkloadIR &ir,
     return compiler::generateProgram(ir, tpuConfig(), opts);
 }
 
-arch::PerfReport
-simulateTpu(const compiler::WorkloadIR &ir,
-            const compiler::CodegenOptions &base)
-{
-    arch::Accelerator acc(tpuConfig());
-    return acc.run(compileTpu(ir, base));
-}
-
 } // namespace cq::baseline

@@ -31,11 +31,6 @@ arch::Program compileTpu(const compiler::WorkloadIR &ir,
                          const compiler::CodegenOptions &base =
                              compiler::CodegenOptions{});
 
-/** Simulate one training minibatch of @p ir on the TPU baseline. */
-arch::PerfReport simulateTpu(const compiler::WorkloadIR &ir,
-                             const compiler::CodegenOptions &base =
-                                 compiler::CodegenOptions{});
-
 } // namespace cq::baseline
 
 #endif // CQ_BASELINE_TPU_SIM_H

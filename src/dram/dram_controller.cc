@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/logging.h"
 
@@ -30,54 +29,43 @@ DramConfig::scaled(unsigned factor)
 
 namespace {
 
-void
-requirePowerOfTwo(std::uint64_t value, const char *field)
+// The address map splits an address into power-of-two fields.
+static_assert(std::has_single_bit(kNumBanks) &&
+              std::has_single_bit(kRowBytes) &&
+              std::has_single_bit(kBurstBytes) &&
+              kRowBytes % kBurstBytes == 0);
+
+/** True when @p e is a whole number of pJ below 2^53. */
+constexpr bool
+wholePj(PicoJoule e)
 {
-    CQ_ASSERT_MSG(std::has_single_bit(value),
-                  "DramConfig::%s = %llu is not a power of two", field,
-                  static_cast<unsigned long long>(value));
+    return e >= 0.0 && e < 0x1p53 &&
+           static_cast<double>(static_cast<std::uint64_t>(e)) == e;
 }
 
-void
-requireWholePj(PicoJoule value, const char *field)
-{
-    CQ_ASSERT_MSG(std::isfinite(value) && std::trunc(value) == value,
-                  "DramConfig::%s = %g is not a whole number of pJ",
-                  field, value);
-}
+// Whole-pJ energies keep every product and sum in dynamicEnergy()
+// exact, so it equals the per-command running sum bit for bit.
+static_assert(wholePj(kEActPre) && wholePj(kEReadBurst) &&
+              wholePj(kEWriteBurst) && wholePj(kENdpPerElement) &&
+              wholePj(kERefresh));
 
 } // namespace
 
 DramController::DramController(DramConfig config)
-    : config_(config), banks_(config.numBanks * config.channels)
+    : config_(config), banks_(kNumBanks * config.channels)
 {
-    requirePowerOfTwo(config_.burstBytes, "burstBytes");
-    requirePowerOfTwo(config_.rowBytes, "rowBytes");
-    requirePowerOfTwo(config_.numBanks, "numBanks");
-    requirePowerOfTwo(config_.channels, "channels");
-    CQ_ASSERT(config_.rowBytes % config_.burstBytes == 0);
-    // Whole-pJ constants keep every product and sum in dynamicEnergy()
-    // exact, so it equals the per-command running sum bit for bit.
-    requireWholePj(config_.eActPre, "eActPre");
-    requireWholePj(config_.eReadBurst, "eReadBurst");
-    requireWholePj(config_.eWriteBurst, "eWriteBurst");
-    requireWholePj(config_.eNdpPerElement, "eNdpPerElement");
-    requireWholePj(config_.eRefresh, "eRefresh");
-
-    burstShift_ = std::countr_zero(config_.burstBytes);
-    bankShift_ = std::countr_zero(config_.numBanks);
-    windowShift_ = std::countr_zero(config_.rowBytes) - burstShift_ +
+    CQ_ASSERT_MSG(std::has_single_bit(config_.channels),
+                  "DramConfig::channels = %u is not a power of two",
+                  config_.channels);
+    windowShift_ = std::countr_zero(kRowBytes) - kBurstShift +
                    std::countr_zero(config_.channels);
     channelMask_ = config_.channels - 1;
-    bankMask_ = config_.numBanks - 1;
 
     for (unsigned p = 0; p < 4; ++p) {
-        // 4/4/4/3 pattern: average 3.75 ticks -> 17.06 GB/s on 64 B.
-        burstDur_[p] = p == 3 ? config_.tBurst - 1 : config_.tBurst;
         // With multiple channels each channel has its own bus; we model
         // the aggregate as `channels` bursts being able to overlap by
         // crediting the shared-bus time 1/channels per burst.
-        burstBus_[p] = std::max<Tick>(1, burstDur_[p] / config_.channels);
+        burstBus_[p] = std::max<Tick>(1, kBurstDur[p] / config_.channels);
     }
 
     // A row hit starts the moment the bus frees if its bank is ready by
@@ -89,7 +77,7 @@ DramController::DramController(DramConfig config)
     bool bus_bound = true;
     for (unsigned p = 0; p < 4; ++p)
         bus_bound = bus_bound &&
-                    busSpan(p, config_.channels) >= burstDur_[p];
+                    busSpan(p, config_.channels) >= kBurstDur[p];
     stepBursts_ = bus_bound ? config_.channels
                             : std::uint64_t{1} << windowShift_;
     nextRefresh_ = config_.tREFI;
@@ -103,7 +91,7 @@ DramController::applyRefreshUpTo(Tick now)
         for (auto &b : banks_) {
             b.rowOpen = false;
             b.readyAt = std::max(b.readyAt, nextRefresh_) +
-                        config_.tRFC;
+                        kTRFC;
         }
         ++nRefreshes_;
         nextRefresh_ += config_.tREFI;
@@ -115,7 +103,7 @@ DramController::checkRange(Addr addr, Bytes bytes, std::uint64_t stripes,
                            Bytes stride) const
 {
     const Bytes capacity =
-        config_.capacityBytes * static_cast<Bytes>(config_.channels);
+        kCapacityBytes * static_cast<Bytes>(config_.channels);
     // The last stripe starts highest; an offset or start that does not
     // fit in 64 bits is out of range too.
     Bytes offset = 0, last = 0, extent = 0;
@@ -131,7 +119,7 @@ DramController::checkRange(Addr addr, Bytes bytes, std::uint64_t stripes,
                   static_cast<unsigned long long>(extent),
                   static_cast<unsigned long long>(capacity),
                   config_.channels,
-                  static_cast<unsigned long long>(config_.capacityBytes));
+                  static_cast<unsigned long long>(kCapacityBytes));
 }
 
 void
@@ -142,8 +130,8 @@ DramController::mapBurst(std::uint64_t burst, std::size_t &bank,
     // then Row : Bank : Column within the channel. Bank bits above the
     // column bits keep sequential streams inside one open row.
     const std::uint64_t window = burst >> windowShift_;
-    row = window >> bankShift_;
-    bank = ((burst & channelMask_) << bankShift_) | (window & bankMask_);
+    row = window >> kBankShift;
+    bank = ((burst & channelMask_) << kBankShift) | (window & kBankMask);
 }
 
 inline Tick
@@ -159,14 +147,14 @@ DramController::prepareRow(Tick earliest, std::size_t bank,
     // Row miss: PRECHARGE (if open) then ACTIVATE.
     if (b.rowOpen) {
         // Enforce tRAS since the last ACTIVATE before precharging.
-        t = std::max(t, b.lastActivate + config_.tRAS);
-        t += config_.tRP;
+        t = std::max(t, b.lastActivate + kTRAS);
+        t += kTRP;
         ++nPrecharges_;
     }
     ++nRowMisses_;
     ++nActivates_;
     b.lastActivate = t;
-    t += config_.tRCD;
+    t += kTRCD;
     b.rowOpen = true;
     b.openRow = row;
     return t;
@@ -178,8 +166,8 @@ DramController::startBurst(std::size_t bank, Tick start)
     const unsigned phase = burstPhase_;
     burstPhase_ = (phase + 1) & 3;
     busFreeAt_ = start + burstBus_[phase];
-    banks_[bank].readyAt = start + burstDur_[phase];
-    return start + config_.tCAS + burstDur_[phase];
+    banks_[bank].readyAt = start + kBurstDur[phase];
+    return start + kTCAS + kBurstDur[phase];
 }
 
 inline Tick
@@ -217,9 +205,9 @@ DramController::window(Tick earliest, Tick done, std::uint64_t burst,
 {
     // Each channel's bursts in the window share one (bank, row).
     const std::uint64_t win = burst >> windowShift_;
-    const std::uint64_t row = win >> bankShift_;
+    const std::uint64_t row = win >> kBankShift;
     const auto bankOf = [&](std::uint64_t b) -> std::size_t {
-        return ((b & channelMask_) << bankShift_) | (win & bankMask_);
+        return ((b & channelMask_) << kBankShift) | (win & kBankMask);
     };
     const auto refreshDue = [&] { return done >= nextRefresh_; };
     for (;;) {
@@ -257,15 +245,15 @@ DramController::window(Tick earliest, Tick done, std::uint64_t burst,
         Tick start = busFreeAt_ + busSpan(phase, run - tail);
         for (std::uint64_t j = run - tail; j < run; ++j) {
             const unsigned p = (phase + j) & 3;
-            banks_[bankOf(burst + j)].readyAt = start + burstDur_[p];
+            banks_[bankOf(burst + j)].readyAt = start + kBurstDur[p];
             start += burstBus_[p];
         }
         busFreeAt_ = start;
         burstPhase_ = (phase + run) & 3;
         nRowHits_ += run;
         const unsigned last = (phase + run - 1) & 3;
-        done = std::max(done, start - burstBus_[last] + config_.tCAS +
-                                  burstDur_[last]);
+        done = std::max(done, start - burstBus_[last] + kTCAS +
+                                  kBurstDur[last]);
         burst += run;
         count -= run;
         if (count == 0)
@@ -285,9 +273,9 @@ DramController::oneChannelWindow(Tick earliest, Tick done,
     // One row of one bank: the first burst steps, and burst j starts
     // busSpan(phase, j) after it.
     const std::uint64_t win = burst >> windowShift_;
-    const std::size_t bank = win & bankMask_;
+    const std::size_t bank = win & kBankMask;
     const Tick first =
-        std::max(prepareRow(earliest, bank, win >> bankShift_), busFreeAt_);
+        std::max(prepareRow(earliest, bank, win >> kBankShift), busFreeAt_);
     const unsigned phase = burstPhase_;
     const Tick last = first + busSpan(phase, count - 1);
     const unsigned last_phase = (phase + count - 1) & 3;
@@ -297,8 +285,8 @@ DramController::oneChannelWindow(Tick earliest, Tick done,
     // the next tREFI. Then only the first stripe's bursts go now (a
     // visit's stripes go one at a time): the first burst, and the
     // general routine for the rest, which splits them at the refresh.
-    if (count > 1 && last - burstBus_[prev_phase] + config_.tCAS +
-                             burstDur_[prev_phase] >=
+    if (count > 1 && last - burstBus_[prev_phase] + kTCAS +
+                             kBurstDur[prev_phase] >=
                          nextRefresh_) {
         count = own;
         const Tick started = std::max(done, startBurst(bank, first));
@@ -306,10 +294,10 @@ DramController::oneChannelWindow(Tick earliest, Tick done,
                        : started;
     }
     busFreeAt_ = last + burstBus_[last_phase];
-    banks_[bank].readyAt = last + burstDur_[last_phase];
+    banks_[bank].readyAt = last + kBurstDur[last_phase];
     burstPhase_ = (phase + count) & 3;
     nRowHits_ += count - 1;
-    return std::max(done, last + config_.tCAS + burstDur_[last_phase]);
+    return std::max(done, last + kTCAS + kBurstDur[last_phase]);
 }
 
 Tick
@@ -327,19 +315,19 @@ DramController::transfer(Tick earliest, Addr addr, Bytes bytes,
     applyRefreshUpTo(earliest);
     busBytes_ += stripes * bytes;
 
-    // Burst k carries bytes [k, k + 1) x burstBytes; a stripe from a
-    // covers bursts [a >> burstShift_, endOf(a)).
+    // Burst k carries bytes [k, k + 1) x kBurstBytes; a stripe from a
+    // covers bursts [a >> kBurstShift, endOf(a)).
     const auto endOf = [&](Addr a) {
-        return ((a + bytes - 1) >> burstShift_) + 1;
+        return ((a + bytes - 1) >> kBurstShift) + 1;
     };
     const bool one_channel = config_.channels == 1;
     // Two stripes share a window only at a stride below the window.
     const bool visits =
-        one_channel && (stride >> (windowShift_ + burstShift_)) == 0;
+        one_channel && (stride >> (windowShift_ + kBurstShift)) == 0;
     Tick last = earliest;
     std::uint64_t bursts = 0;
     for (std::uint64_t i = 0; i < stripes; ++i, addr += stride) {
-        std::uint64_t burst = addr >> burstShift_;
+        std::uint64_t burst = addr >> kBurstShift;
         const std::uint64_t end = endOf(addr);
         const std::uint64_t win = burst >> windowShift_;
         if (visits && ((end - 1) >> windowShift_) == win) {
@@ -351,12 +339,12 @@ DramController::transfer(Tick earliest, Addr addr, Bytes bytes,
                 const std::uint64_t e = endOf(a);
                 if (((e - 1) >> windowShift_) != win)
                     break;
-                count += e - (a >> burstShift_);
+                count += e - (a >> kBurstShift);
                 ++n;
             }
             bursts += count;
             for (;; ++i, addr += stride, --n) {
-                burst = addr >> burstShift_;
+                burst = addr >> kBurstShift;
                 std::uint64_t run = count;
                 last = std::max(last, oneChannelWindow(earliest, earliest,
                                                        burst, run,
@@ -393,14 +381,14 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
 {
     CQ_ASSERT_MSG(num_elements > 0, "zero-element NDP update at 0x%llx",
                   static_cast<unsigned long long>(addr));
-    CQ_ASSERT_MSG(element_bytes > 0 && element_bytes <= config_.rowBytes,
+    CQ_ASSERT_MSG(element_bytes > 0 && element_bytes <= kRowBytes,
                   "NDP element size %llu outside (0, rowBytes=%llu]",
                   static_cast<unsigned long long>(element_bytes),
-                  static_cast<unsigned long long>(config_.rowBytes));
+                  static_cast<unsigned long long>(kRowBytes));
     checkRange(addr, static_cast<Bytes>(num_elements) * element_bytes);
     applyRefreshUpTo(earliest);
     const std::size_t per_row =
-        static_cast<std::size_t>(config_.rowBytes / element_bytes);
+        static_cast<std::size_t>(kRowBytes / element_bytes);
     const std::size_t bank_wrap = banks_.size() - 1;
     Tick t = earliest;
     std::size_t remaining = num_elements;
@@ -416,26 +404,26 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
         // row commands).
         std::size_t bank;
         std::uint64_t row;
-        mapBurst(cur >> burstShift_, bank, row);
+        mapBurst(cur >> kBurstShift, bank, row);
         Tick row_ready = 0;
         for (int r = 0; r < 3; ++r) {
             // The m/v rows track the weight row index within their
             // banks; modeling them as the same row id in neighbour
             // banks preserves the timing behaviour.
             BankState &bs = banks_[(bank + r) & bank_wrap];
-            Tick bt = std::max(t + static_cast<Tick>(r) * config_.tCmd,
+            Tick bt = std::max(t + static_cast<Tick>(r) * kTCmd,
                                bs.readyAt);
             if (bs.rowOpen) {
-                bt = std::max(bt, bs.lastActivate + config_.tRAS);
-                bt += config_.tRP;
+                bt = std::max(bt, bs.lastActivate + kTRAS);
+                bt += kTRP;
                 ++nPrecharges_;
             }
             ++nActivates_;
             bs.rowOpen = true;
             bs.openRow = row;
             bs.lastActivate = bt;
-            bs.readyAt = bt + config_.tRCD;
-            row_ready = std::max(row_ready, bt + config_.tRCD);
+            bs.readyAt = bt + kTRCD;
+            row_ready = std::max(row_ready, bt + kTRCD);
         }
 
         // Gradient WRITE bursts cross the bus; w/m/v do not. They touch
@@ -446,14 +434,14 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
         const Bytes grad_bytes =
             static_cast<Bytes>(in_row) * element_bytes;
         const std::uint64_t bursts =
-            (grad_bytes + config_.burstBytes - 1) >> burstShift_;
+            (grad_bytes + kBurstBytes - 1) >> kBurstShift;
         const unsigned phase = burstPhase_;
         const unsigned last = (phase + bursts - 1) & 3;
         busFreeAt_ = std::max(row_ready, busFreeAt_) +
                      busSpan(phase, bursts);
         burstPhase_ = (phase + bursts) & 3;
-        Tick data_done = busFreeAt_ - burstBus_[last] + config_.tCAS +
-                         burstDur_[last];
+        Tick data_done = busFreeAt_ - burstBus_[last] + kTCAS +
+                         kBurstDur[last];
         nWrites_ += bursts;
         busBytes_ += grad_bytes;
 
@@ -465,11 +453,11 @@ DramController::ndpUpdate(Tick earliest, Addr addr,
         for (int r = 0; r < 3; ++r) {
             BankState &bs = banks_[(bank + r) & bank_wrap];
             const Tick pt =
-                std::max({data_done + static_cast<Tick>(r) * config_.tCmd,
-                          bs.lastActivate + config_.tRAS,
+                std::max({data_done + static_cast<Tick>(r) * kTCmd,
+                          bs.lastActivate + kTRAS,
                           bs.readyAt});
             bs.rowOpen = false;
-            bs.readyAt = pt + config_.tRP;
+            bs.readyAt = pt + kTRP;
             ++nPrecharges_;
         }
         ++nNdpRowGroups_;
@@ -487,11 +475,11 @@ DramController::dynamicEnergy() const
     const auto pj = [](PicoJoule e, std::uint64_t n) {
         return e * static_cast<double>(n);
     };
-    return pj(config_.eActPre, nActivates_) +
-           pj(config_.eReadBurst, nReads_) +
-           pj(config_.eWriteBurst, nWrites_) +
-           pj(config_.eNdpPerElement, nNdpElements_) +
-           pj(config_.eRefresh * static_cast<double>(config_.channels),
+    return pj(kEActPre, nActivates_) +
+           pj(kEReadBurst, nReads_) +
+           pj(kEWriteBurst, nWrites_) +
+           pj(kENdpPerElement, nNdpElements_) +
+           pj(kERefresh * static_cast<double>(config_.channels),
               nRefreshes_);
 }
 
@@ -499,7 +487,7 @@ PicoJoule
 DramController::standbyEnergy(Tick total_ticks) const
 {
     // mW * ns = pJ.
-    return config_.standbyPowerMw * static_cast<double>(total_ticks) *
+    return kStandbyPowerMw * static_cast<double>(total_ticks) *
            static_cast<double>(config_.channels);
 }
 

@@ -139,13 +139,6 @@ writeCheckpointEx(const std::string &path, const TrainerSnapshot &snap,
                   std::uint32_t *fileCrcOut = nullptr);
 
 /**
- * Write @p snap to @p path (durable rename-on-write). Returns false
- * on any failure (the previous snapshot, if any, is left untouched).
- */
-bool writeCheckpoint(const std::string &path,
-                     const TrainerSnapshot &snap);
-
-/**
  * Read a snapshot from @p path into @p out. On anything but Ok,
  * @p out is left in an unspecified but valid state and must not be
  * used for a rollback.

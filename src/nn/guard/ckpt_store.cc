@@ -510,14 +510,18 @@ CheckpointStore::loadLatest(TrainerSnapshot &out) const
 
 // ------------------------------------------------- AsyncCheckpointWriter
 
-AsyncCheckpointWriter::AsyncCheckpointWriter(CheckpointStore &store)
-    : AsyncCheckpointWriter(store, RetryPolicy())
-{
-}
+namespace {
 
-AsyncCheckpointWriter::AsyncCheckpointWriter(CheckpointStore &store,
-                                             RetryPolicy retry)
-    : store_(store), retry_(retry), worker_([this] { writerLoop(); })
+/** Additional attempts after a commit's first failure. */
+constexpr unsigned kMaxRetries = 2;
+/** Backoff before retry k (0-based): min(cap, base * 2^k). */
+constexpr unsigned kBackoffBaseMicros = 500;
+constexpr unsigned kBackoffCapMicros = 20000;
+
+} // namespace
+
+AsyncCheckpointWriter::AsyncCheckpointWriter(CheckpointStore &store)
+    : store_(store), worker_([this] { writerLoop(); })
 {
 }
 
@@ -616,18 +620,15 @@ AsyncCheckpointWriter::writerLoop()
                 }
                 if (!err && res == CheckpointWriteResult::Ok)
                     break;
-                if (attempt >= retry_.maxRetries)
+                if (attempt >= kMaxRetries)
                     break; // budget spent: surface the last failure
                 // Transient-failure retry: capped exponential backoff
                 // keeps a genuinely broken disk from spinning hot,
                 // while an EINTR storm or flaky injected hook gets a
                 // second (and third) chance before poisoning the run.
-                const std::uint64_t backoff =
-                    cappedBackoff(retry_.backoffBaseMicros,
-                                  retry_.backoffCapMicros, attempt);
-                if (backoff > 0)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(backoff));
+                std::this_thread::sleep_for(std::chrono::microseconds(
+                    cappedBackoff(kBackoffBaseMicros, kBackoffCapMicros,
+                                  attempt)));
                 ++attemptRetries;
                 retriesMetric.inc();
             }

@@ -163,36 +163,23 @@ class CheckpointStore
  * ThreadPool::parallelFor's exception contract. The destructor drains
  * pending work before joining, so a trainer going out of scope never
  * loses its last snapshot.
+ *
+ * Transient commit failures are retried within a fixed budget.
+ * Checkpoint I/O shares a disk with everything else on the host; a
+ * commit that fails because of a transient condition (EINTR storm,
+ * momentary ENOSPC, a flaky injected onWrite hook) should not
+ * immediately poison the training run when simply trying again would
+ * succeed. Each failed commit (an exception out of the store, or any
+ * non-Ok CheckpointWriteResult) is retried up to twice, after 500 and
+ * then 1000 us (capped exponential backoff, common/backoff.h); only
+ * after the budget is spent is the last exception surfaced on
+ * submit()/drain() (or the non-Ok result recorded). Every retry
+ * increments the `ckpt.write_retries` metric.
  */
 class AsyncCheckpointWriter
 {
   public:
-    /**
-     * Bounded retry of transient commit failures. Checkpoint I/O
-     * shares a disk with everything else on the host; a commit that
-     * fails because of a transient condition (EINTR storm, momentary
-     * ENOSPC, a flaky injected onWrite hook) should not immediately
-     * poison the training run when simply trying again would succeed.
-     * Each failed commit (an exception out of the store, or any
-     * non-Ok CheckpointWriteResult) is retried up to maxRetries times
-     * with capped exponential backoff; only after the budget is spent
-     * is the last exception surfaced on submit()/drain() (or the
-     * non-Ok result recorded). Every retry increments the
-     * `ckpt.write_retries` metric.
-     */
-    struct RetryPolicy
-    {
-        /** Additional attempts after the first failure (0 = the
-         *  pre-retry behaviour: fail straight through). */
-        unsigned maxRetries = 2;
-        /** Backoff before retry k (0-based): min(cap, base * 2^k),
-         *  saturating (common/backoff.h). */
-        unsigned backoffBaseMicros = 500;
-        unsigned backoffCapMicros = 20000;
-    };
-
     explicit AsyncCheckpointWriter(CheckpointStore &store);
-    AsyncCheckpointWriter(CheckpointStore &store, RetryPolicy retry);
     ~AsyncCheckpointWriter();
 
     AsyncCheckpointWriter(const AsyncCheckpointWriter &) = delete;
@@ -225,7 +212,6 @@ class AsyncCheckpointWriter
     void rethrowPendingErrorLocked();
 
     CheckpointStore &store_;
-    RetryPolicy retry_;
     mutable std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable done_;

@@ -74,7 +74,6 @@ CircuitBreakerBank::trip(std::size_t layer)
                   "breaker layer %zu out of range (%zu layers)", layer,
                   remaining_.size());
     remaining_[layer] = kBreakerCooldown;
-    ++trips_;
 }
 
 void
@@ -82,7 +81,6 @@ CircuitBreakerBank::tripAll()
 {
     for (auto &r : remaining_)
         r = kBreakerCooldown;
-    ++trips_;
 }
 
 bool
@@ -97,16 +95,6 @@ CircuitBreakerBank::countDown()
     for (auto &r : remaining_)
         if (r > 0)
             --r;
-}
-
-std::size_t
-CircuitBreakerBank::openCount() const
-{
-    std::size_t n = 0;
-    for (std::size_t r : remaining_)
-        if (r > 0)
-            ++n;
-    return n;
 }
 
 HealthMonitor::HealthMonitor(std::size_t num_layers)

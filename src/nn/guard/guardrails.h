@@ -126,14 +126,8 @@ class CircuitBreakerBank
      *  re-arming. */
     void countDown();
 
-    /** Total trip events since construction. */
-    std::size_t trips() const { return trips_; }
-    /** Layers currently on the FP32 fallback path. */
-    std::size_t openCount() const;
-
   private:
     std::vector<std::size_t> remaining_;
-    std::size_t trips_ = 0;
 };
 
 /**

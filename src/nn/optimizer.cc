@@ -28,7 +28,6 @@ NdpoConstants
 NdpoConstants::fromConfig(const OptimizerConfig &config)
 {
     NdpoConstants k;
-    k.eps = config.eps;
     switch (config.kind) {
       case OptimizerKind::SGD:
         // w = w - eta * g
@@ -48,8 +47,8 @@ NdpoConstants::fromConfig(const OptimizerConfig &config)
         break;
       case OptimizerKind::RMSProp:
         // v = beta*v + (1-beta)*g^2 ; w = w - eta * g / sqrt(v)
-        k.c3 = config.beta;
-        k.c4 = 1.0 - config.beta;
+        k.c3 = kRmsPropBeta;
+        k.c4 = 1.0 - kRmsPropBeta;
         k.c5 = config.lr;
         k.s1UseM = false;
         k.s2UseV = true;
@@ -58,12 +57,12 @@ NdpoConstants::fromConfig(const OptimizerConfig &config)
         // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2 ;
         // w = w - c5 * m / sqrt(v), c5 = eta*sqrt(1-b2)/(1-b1)
         // (the paper's fixed approximation of the bias correction)
-        k.c1 = config.beta1;
-        k.c2 = 1.0 - config.beta1;
-        k.c3 = config.beta2;
-        k.c4 = 1.0 - config.beta2;
-        k.c5 = config.lr * std::sqrt(1.0 - config.beta2) /
-               (1.0 - config.beta1);
+        k.c1 = kAdamBeta1;
+        k.c2 = 1.0 - kAdamBeta1;
+        k.c3 = kAdamBeta2;
+        k.c4 = 1.0 - kAdamBeta2;
+        k.c5 = config.lr * std::sqrt(1.0 - kAdamBeta2) /
+               (1.0 - kAdamBeta1);
         k.s1UseM = true;
         k.s2UseV = true;
         break;
@@ -78,9 +77,9 @@ NdpoConstants::forStep(const OptimizerConfig &config, std::size_t t)
     if (config.kind == OptimizerKind::Adam) {
         CQ_ASSERT(t >= 1);
         const double bc1 =
-            1.0 - std::pow(config.beta1, static_cast<double>(t));
+            1.0 - std::pow(kAdamBeta1, static_cast<double>(t));
         const double bc2 =
-            1.0 - std::pow(config.beta2, static_cast<double>(t));
+            1.0 - std::pow(kAdamBeta2, static_cast<double>(t));
         k.c5 = config.lr * std::sqrt(bc2) / bc1;
     }
     return k;
@@ -94,7 +93,7 @@ NdpoConstants::apply(float &w, float &m, float &v, float g) const
     v = static_cast<float>(c3 * v + c4 * static_cast<double>(g) * g);
     const float t1 = s1UseM ? m : g;
     const float t2 =
-        s2UseV ? 1.0f / std::sqrt(v + static_cast<float>(eps)) : 1.0f;
+        s2UseV ? 1.0f / std::sqrt(v + static_cast<float>(kNdpoEps)) : 1.0f;
     w = static_cast<float>(w - c5 * t1 * t2);
 }
 

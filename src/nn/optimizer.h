@@ -31,15 +31,20 @@ enum class OptimizerKind { SGD, AdaGrad, RMSProp, Adam };
 
 const char *optimizerKindName(OptimizerKind kind);
 
+/** @name Fixed hyperparameters */
+/** @{ */
+inline constexpr double kRmsPropBeta = 0.9; ///< RMSProp decay
+inline constexpr double kAdamBeta1 = 0.9;   ///< Adam first-moment decay
+inline constexpr double kAdamBeta2 = 0.999; ///< Adam second-moment decay
+/** Added inside the inverse square root. */
+inline constexpr double kNdpoEps = 1e-8;
+/** @} */
+
 /** Hyperparameters. */
 struct OptimizerConfig
 {
     OptimizerKind kind = OptimizerKind::SGD;
     double lr = 0.01;
-    double beta = 0.9;    ///< RMSProp decay
-    double beta1 = 0.9;   ///< Adam first-moment decay
-    double beta2 = 0.999; ///< Adam second-moment decay
-    double eps = 1e-8;    ///< added inside the inverse square root
 };
 
 /**
@@ -52,7 +57,6 @@ struct NdpoConstants
     double c1 = 0.0, c2 = 0.0, c3 = 0.0, c4 = 0.0, c5 = 0.0;
     bool s1UseM = false; ///< t1 = m_t when true, else g
     bool s2UseV = false; ///< t2 = (v_t + eps)^-1/2 when true, else 1
-    double eps = 1e-8;
 
     /** Constants for the configured optimizer (paper's fixed-c5 Adam). */
     static NdpoConstants fromConfig(const OptimizerConfig &config);

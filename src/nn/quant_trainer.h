@@ -270,9 +270,6 @@ class QuantTrainer
      *  Returns false when the last commit failed. */
     bool drainCheckpoints();
 
-    /** The generation store, when checkpointDir is configured. */
-    guard::CheckpointStore *checkpointStore() { return store_.get(); }
-
     /**
      * Merged guard.* / faults.* counters (monitor plus any attached
      * injector) for benches and tests.

@@ -30,7 +30,7 @@ class ReferenceDram
 {
   public:
     explicit ReferenceDram(dram::DramConfig config)
-        : config_(config), banks_(config.numBanks * config.channels),
+        : config_(config), banks_(dram::kNumBanks * config.channels),
           nextRefresh_(config.tREFI)
     {
     }
@@ -47,8 +47,8 @@ class ReferenceDram
                 applyRefreshUpTo(done);
             const Bytes in_burst =
                 std::min<Bytes>(remaining,
-                                config_.burstBytes -
-                                    cur % config_.burstBytes);
+                                dram::kBurstBytes -
+                                    cur % dram::kBurstBytes);
             std::size_t bank;
             std::uint64_t row;
             mapAddress(cur, bank, row);
@@ -57,15 +57,15 @@ class ReferenceDram
             const Tick dur = burstDuration();
             busFreeAt_ = start + std::max<Tick>(1, dur / config_.channels);
             banks_[bank].readyAt = start + dur;
-            done = std::max(done, start + config_.tCAS + dur);
+            done = std::max(done, start + dram::kTCAS + dur);
 
             busBytes_ += in_burst;
             if (is_write) {
                 ++nWrites_;
-                dynamicEnergy_ += config_.eWriteBurst;
+                dynamicEnergy_ += dram::kEWriteBurst;
             } else {
                 ++nReads_;
-                dynamicEnergy_ += config_.eReadBurst;
+                dynamicEnergy_ += dram::kEReadBurst;
             }
             cur += in_burst;
             remaining -= in_burst;
@@ -79,7 +79,7 @@ class ReferenceDram
     {
         applyRefreshUpTo(earliest);
         const std::size_t per_row =
-            static_cast<std::size_t>(config_.rowBytes / element_bytes);
+            static_cast<std::size_t>(dram::kRowBytes / element_bytes);
         Tick t = earliest;
         std::size_t remaining = num_elements;
         Addr cur = addr;
@@ -93,20 +93,20 @@ class ReferenceDram
             Tick row_ready = 0;
             for (int r = 0; r < 3; ++r) {
                 dram::BankState &bs = banks_[(bank + r) % banks_.size()];
-                Tick bt = std::max(t + static_cast<Tick>(r) * config_.tCmd,
+                Tick bt = std::max(t + static_cast<Tick>(r) * dram::kTCmd,
                                    bs.readyAt);
                 if (bs.rowOpen) {
-                    bt = std::max(bt, bs.lastActivate + config_.tRAS);
-                    bt += config_.tRP;
+                    bt = std::max(bt, bs.lastActivate + dram::kTRAS);
+                    bt += dram::kTRP;
                     ++nPrecharges_;
                 }
                 ++nActivates_;
-                dynamicEnergy_ += config_.eActPre;
+                dynamicEnergy_ += dram::kEActPre;
                 bs.rowOpen = true;
                 bs.openRow = row;
                 bs.lastActivate = bt;
-                bs.readyAt = bt + config_.tRCD;
-                row_ready = std::max(row_ready, bt + config_.tRCD);
+                bs.readyAt = bt + dram::kTRCD;
+                row_ready = std::max(row_ready, bt + dram::kTRCD);
             }
 
             const Bytes grad_bytes =
@@ -115,29 +115,29 @@ class ReferenceDram
             Bytes sent = 0;
             while (sent < grad_bytes) {
                 const Bytes chunk =
-                    std::min<Bytes>(config_.burstBytes, grad_bytes - sent);
+                    std::min<Bytes>(dram::kBurstBytes, grad_bytes - sent);
                 const Tick start = std::max(row_ready, busFreeAt_);
                 const Tick dur = burstDuration();
                 busFreeAt_ =
                     start + std::max<Tick>(1, dur / config_.channels);
-                data_done = start + config_.tCAS + dur;
+                data_done = start + dram::kTCAS + dur;
                 sent += chunk;
                 ++nWrites_;
                 busBytes_ += chunk;
-                dynamicEnergy_ += config_.eWriteBurst;
+                dynamicEnergy_ += dram::kEWriteBurst;
             }
             dynamicEnergy_ +=
-                config_.eNdpPerElement * static_cast<double>(in_row);
+                dram::kENdpPerElement * static_cast<double>(in_row);
             nNdpElements_ += in_row;
             data_done += 4;
 
             for (int r = 0; r < 3; ++r) {
                 dram::BankState &bs = banks_[(bank + r) % banks_.size()];
                 const Tick pt = std::max(
-                    {data_done + static_cast<Tick>(r) * config_.tCmd,
-                     bs.lastActivate + config_.tRAS, bs.readyAt});
+                    {data_done + static_cast<Tick>(r) * dram::kTCmd,
+                     bs.lastActivate + dram::kTRAS, bs.readyAt});
                 bs.rowOpen = false;
-                bs.readyAt = pt + config_.tRP;
+                bs.readyAt = pt + dram::kTRP;
                 ++nPrecharges_;
             }
             ++nNdpRowGroups_;
@@ -180,10 +180,10 @@ class ReferenceDram
             for (auto &b : banks_) {
                 b.rowOpen = false;
                 b.readyAt = std::max(b.readyAt, nextRefresh_) +
-                            config_.tRFC;
+                            dram::kTRFC;
             }
             dynamicEnergy_ +=
-                config_.eRefresh * static_cast<double>(config_.channels);
+                dram::kERefresh * static_cast<double>(config_.channels);
             ++nRefreshes_;
             nextRefresh_ += config_.tREFI;
         }
@@ -193,14 +193,14 @@ class ReferenceDram
     void
     mapAddress(Addr addr, std::size_t &bank, std::uint64_t &row) const
     {
-        const Bytes chan_stride = config_.burstBytes;
+        const Bytes chan_stride = dram::kBurstBytes;
         const std::size_t chan = (addr / chan_stride) % config_.channels;
         const Addr in_chan = addr / (chan_stride * config_.channels) *
                                  chan_stride +
                              addr % chan_stride;
-        const std::uint64_t row_global = in_chan / config_.rowBytes;
-        row = row_global / config_.numBanks;
-        bank = chan * config_.numBanks + row_global % config_.numBanks;
+        const std::uint64_t row_global = in_chan / dram::kRowBytes;
+        row = row_global / dram::kNumBanks;
+        bank = chan * dram::kNumBanks + row_global % dram::kNumBanks;
     }
 
     Tick
@@ -213,15 +213,15 @@ class ReferenceDram
             return t;
         }
         if (b.rowOpen) {
-            t = std::max(t, b.lastActivate + config_.tRAS);
-            t += config_.tRP;
+            t = std::max(t, b.lastActivate + dram::kTRAS);
+            t += dram::kTRP;
             ++nPrecharges_;
         }
         ++nRowMisses_;
         ++nActivates_;
-        dynamicEnergy_ += config_.eActPre;
+        dynamicEnergy_ += dram::kEActPre;
         b.lastActivate = t;
-        t += config_.tRCD;
+        t += dram::kTRCD;
         b.rowOpen = true;
         b.openRow = row;
         return t;
@@ -231,7 +231,7 @@ class ReferenceDram
     Tick
     burstDuration()
     {
-        Tick d = config_.tBurst;
+        Tick d = dram::kTBurst;
         if (burstPhase_ == 3)
             d -= 1;
         burstPhase_ = (burstPhase_ + 1) % 4;

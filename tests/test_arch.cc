@@ -69,7 +69,7 @@ TEST(PeArray, MmCyclesInt8FullTile)
     CambriconQConfig cfg; // 64x64 4-bit
     PeArray pe(cfg);
     // One full 64x64 tile at INT8: m=1, passes=4 -> 4 cycles + fill.
-    EXPECT_EQ(pe.mmCycles(1, 64, 64, 8, 8), 4u + cfg.peFill);
+    EXPECT_EQ(pe.mmCycles(1, 64, 64, 8, 8), 4u + kPeFill);
 }
 
 TEST(PeArray, MmCyclesScalesWithM)
@@ -78,15 +78,15 @@ TEST(PeArray, MmCyclesScalesWithM)
     PeArray pe(cfg);
     const Tick t1 = pe.mmCycles(100, 64, 64, 8, 8);
     const Tick t2 = pe.mmCycles(200, 64, 64, 8, 8);
-    EXPECT_EQ(t2 - cfg.peFill, 2 * (t1 - cfg.peFill));
+    EXPECT_EQ(t2 - kPeFill, 2 * (t1 - kPeFill));
 }
 
 TEST(PeArray, Int4IsFourTimesFasterThanInt8)
 {
     CambriconQConfig cfg;
     PeArray pe(cfg);
-    const Tick t8 = pe.mmCycles(512, 512, 512, 8, 8) - cfg.peFill;
-    const Tick t4 = pe.mmCycles(512, 512, 512, 4, 4) - cfg.peFill;
+    const Tick t8 = pe.mmCycles(512, 512, 512, 8, 8) - kPeFill;
+    const Tick t4 = pe.mmCycles(512, 512, 512, 4, 4) - kPeFill;
     EXPECT_EQ(t8, 4 * t4);
 }
 
@@ -138,7 +138,7 @@ TEST(Squ, OneWayKeepsUpWithDram)
     Squ squ(cfg);
     // Statistic rate 32 B/cycle > DRAM's ~17 B/cycle, so one-way
     // streaming cannot be the bottleneck.
-    EXPECT_GE(squ.bytesPerCycle(1), cfg.dram.peakBytesPerTick());
+    EXPECT_GE(squ.bytesPerCycle(1), dram::kPeakBytesPerTick);
 }
 
 TEST(Squ, FourWayHalvesThroughput)
@@ -350,26 +350,28 @@ TEST(Isa, ProgramInternsEachTagOnce)
     ASSERT_EQ(prog.deps(2).size(), 2u);
     EXPECT_EQ(prog.deps(2)[0], 0u);
     EXPECT_EQ(prog.deps(2)[1], 1u);
-    EXPECT_TRUE(validateProgram(prog));
 }
 
+// Program::append validates each instruction as it is added: every
+// dependence strictly earlier, the tag id in the table.
 TEST(Isa, ValidateRejectsForwardDeps)
 {
     Program prog;
-    prog.append(Instr{}, {1});
     prog.append(Instr{});
-    std::string err;
-    EXPECT_FALSE(validateProgram(prog, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_DEATH(prog.append(Instr{}, {1}),
+                 "instr 1 depends on 1 \\(not strictly earlier\\)");
+    EXPECT_DEATH(prog.append(Instr{}, {0, 2}),
+                 "instr 1 depends on 2 \\(not strictly earlier\\)");
 }
 
 TEST(Isa, ValidateAcceptsBackwardDeps)
 {
     Program prog;
-    prog.append(Instr{});
-    prog.append(Instr{});
-    prog.append(Instr{}, {0, 1});
-    EXPECT_TRUE(validateProgram(prog));
+    EXPECT_EQ(prog.append(Instr{}), 0u);
+    EXPECT_EQ(prog.append(Instr{}), 1u);
+    EXPECT_EQ(prog.append(Instr{}, {0, 1}), 2u);
+    ASSERT_EQ(prog.size(), 3u);
+    EXPECT_EQ(prog.deps(2).size(), 2u);
 }
 
 TEST(Isa, ValidateRejectsTagIdOutsideTable)
@@ -377,13 +379,10 @@ TEST(Isa, ValidateRejectsTagIdOutsideTable)
     Program prog;
     Instr ins;
     ins.tagId = prog.internTag("fc1");
-    prog.append(ins);
-    EXPECT_TRUE(validateProgram(prog));
+    EXPECT_EQ(prog.append(ins), 0u);
     ins.tagId = static_cast<std::uint32_t>(prog.numTags());
-    prog.append(ins);
-    std::string err;
-    EXPECT_FALSE(validateProgram(prog, &err));
-    EXPECT_NE(err.find("tag id"), std::string::npos) << err;
+    EXPECT_DEATH(prog.append(ins),
+                 "instr 1 has tag id 2 outside the table of 2");
 }
 
 // ---------------------------------------------------------------- Executor

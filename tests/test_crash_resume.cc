@@ -28,6 +28,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/fileutil.h"
 #include "common/isolated_trial.h"
 #include "common/rng.h"
@@ -455,15 +456,12 @@ TEST(AsyncCkpt, RetryBudgetExhaustionSurfacesTheError)
         throw std::runtime_error("disk stays on fire");
     };
     CheckpointStore store(cfg);
-    AsyncCheckpointWriter::RetryPolicy retry;
-    retry.maxRetries = 1;
-    retry.backoffBaseMicros = 0; // no sleeping in tests
-    AsyncCheckpointWriter writer(store, retry);
+    AsyncCheckpointWriter writer(store);
     writer.submit(makeSnap(1));
     EXPECT_THROW(writer.drain(), std::runtime_error);
     EXPECT_EQ(writer.committed(), 0u);
-    EXPECT_EQ(writer.retried(), 1u); // budget spent, then surfaced
-    EXPECT_EQ(attempts.load(), 2);   // original + one retry
+    EXPECT_EQ(writer.retried(), 2u); // budget spent, then surfaced
+    EXPECT_EQ(attempts.load(), 3);   // original + two retries
 }
 
 // ------------------------------------------------------ signal shutdown
@@ -507,9 +505,10 @@ TEST(SignalShutdown, TrainerWritesFinalCheckpointAndStops)
 
     // The final synchronous checkpoint is on disk and resumable at
     // exactly the stopped step.
-    ASSERT_NE(trainer.checkpointStore(), nullptr);
+    CheckpointStoreConfig storeCfg;
+    storeCfg.dir = dir;
     TrainerSnapshot snap;
-    const auto out = trainer.checkpointStore()->loadLatest(snap);
+    const auto out = CheckpointStore(storeCfg).loadLatest(snap);
     EXPECT_EQ(out.result, CheckpointLoadResult::Ok);
     EXPECT_EQ(snap.step, 4u);
 }
@@ -543,9 +542,10 @@ TEST(SignalShutdown, CancelTokenStopsTrainerCheckpointClean)
     EXPECT_TRUE(trainer.stopRequested());
     EXPECT_TRUE(trainer.cancelObserved());
 
-    ASSERT_NE(trainer.checkpointStore(), nullptr);
+    CheckpointStoreConfig storeCfg;
+    storeCfg.dir = dir;
     TrainerSnapshot snap;
-    const auto out = trainer.checkpointStore()->loadLatest(snap);
+    const auto out = CheckpointStore(storeCfg).loadLatest(snap);
     EXPECT_EQ(out.result, CheckpointLoadResult::Ok);
     EXPECT_EQ(snap.step, 3u);
 }
@@ -686,10 +686,7 @@ TEST(DirMissing, MissingParentSurfacesTypedResultAfterRetryBudget)
     cfg.dir = ::testing::TempDir() + "dirmiss_noparent/store";
     removeTree(::testing::TempDir() + "dirmiss_noparent");
     CheckpointStore store(cfg);
-    AsyncCheckpointWriter::RetryPolicy retry;
-    retry.maxRetries = 2;
-    retry.backoffBaseMicros = 0;
-    AsyncCheckpointWriter writer(store, retry);
+    AsyncCheckpointWriter writer(store);
     writer.submit(makeSnap(3));
     EXPECT_EQ(writer.drain(), CheckpointWriteResult::DirMissing);
     EXPECT_EQ(writer.committed(), 0u);
@@ -698,34 +695,33 @@ TEST(DirMissing, MissingParentSurfacesTypedResultAfterRetryBudget)
 
 TEST(DirMissing, ParentRestoredMidRetryRecoversWithinBudget)
 {
-    // ENOENT as a *transient* failure: the parent reappears while the
-    // writer is still inside its retry budget (an operator restoring
-    // a mount, say). The drain must come back Ok with retries > 0.
+    // ENOENT as a *transient* failure: the whole tree vanishes while a
+    // commit is in flight, and the parent is back before the writer's
+    // next attempt (an operator restoring a mount, say). A one-shot
+    // fs.listdir delay holds the first attempt between its mkdir and
+    // its directory scan while the tree goes and the parent returns,
+    // so the scan fails ENOENT; the retry, inside the writer's budget,
+    // recreates the store directory and lands.
     const std::string parent = ::testing::TempDir() + "dirmiss_flaky";
     CheckpointStoreConfig cfg;
     cfg.dir = parent + "/store";
     removeTree(cfg.dir);
     removeTree(parent);
+    ASSERT_TRUE(ensureDir(parent));
     CheckpointStore store(cfg);
-    AsyncCheckpointWriter::RetryPolicy retry;
-    retry.maxRetries = 5;
-    retry.backoffBaseMicros = 20000;
-    auto &retriesMetric =
-        obs::MetricRegistry::instance().counter("ckpt.write_retries");
-    const double retriesBefore = retriesMetric.value();
-    AsyncCheckpointWriter writer(store, retry);
+    auto &reg = fp::Registry::instance();
+    reg.reset();
+    ASSERT_TRUE(reg.configureOne("fs.listdir", "delay,us=200000,once=1"));
+    AsyncCheckpointWriter writer(store);
     writer.submit(makeSnap(4));
-    // Wait for the first failed attempt to enter retry (observable
-    // via the retries metric), then restore the parent; at least four
-    // budgeted attempts remain to pick it up.
-    for (int spin = 0; spin < 4000; ++spin) {
-        if (retriesMetric.value() > retriesBefore)
-            break;
+    const fp::Site &scan = reg.site("fs.listdir");
+    for (int spin = 0; spin < 4000 && scan.fires() == 0; ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_GT(retriesMetric.value(), retriesBefore);
+    ASSERT_EQ(scan.fires(), 1u);
+    removeTree(parent);
     ASSERT_TRUE(ensureDir(parent));
     ASSERT_EQ(writer.drain(), CheckpointWriteResult::Ok);
+    reg.reset();
     EXPECT_EQ(writer.committed(), 1u);
     EXPECT_GE(writer.retried(), 1u);
     TrainerSnapshot snap;

@@ -305,10 +305,12 @@ TEST(FaultInjectorCoded, DeterministicAcrossThreadCounts)
             inj.corruptCoded(buf.data(), n, ecc.checkBits(),
                              ecc.numWords(),
                              sim::FaultSite::MasterWeights);
-        std::vector<std::uint8_t> image(n * sizeof(float));
-        std::memcpy(image.data(), buf.data(), image.size());
-        image.insert(image.end(), ecc.checkBits(),
-                     ecc.checkBits() + ecc.numWords());
+        // Data bytes, then check bytes, in one buffer sized up front.
+        const std::size_t data_bytes = n * sizeof(float);
+        std::vector<std::uint8_t> image(data_bytes + ecc.numWords());
+        std::memcpy(image.data(), buf.data(), data_bytes);
+        std::memcpy(image.data() + data_bytes, ecc.checkBits(),
+                    ecc.numWords());
         return image;
     };
     const auto serial = runOnce(1);
@@ -580,7 +582,8 @@ TEST(CheckpointDiagnostics, CorruptTensorNamedInWarnLog)
     snap.masters = {t};
     snap.m = {t};
     snap.v = {t};
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, snap));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, snap),
+              nn::guard::CheckpointWriteResult::Ok);
 
     // Flip one payload byte inside the last tensor record (group v).
     std::FILE *f = std::fopen(path.c_str(), "rb+");
@@ -613,7 +616,8 @@ TEST(CheckpointDiagnostics, TruncationNamedInWarnLog)
     snap.masters = {t};
     snap.m = {t};
     snap.v = {t};
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, snap));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, snap),
+              nn::guard::CheckpointWriteResult::Ok);
     std::FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);

@@ -769,10 +769,10 @@ TEST(OptimizerTest, AdaGradAccumulatesSquares)
     OptimizerConfig cfg;
     cfg.kind = OptimizerKind::AdaGrad;
     cfg.lr = 1.0;
-    cfg.eps = 0.0;
     Optimizer opt(cfg);
     opt.attach({&p});
-    // Two steps with g = 3, then g = 4: v = 9 then 25.
+    // Two steps with g = 3, then g = 4: v = 9 then 25 (9f and 25f
+    // absorb kNdpoEps = 1e-8 exactly).
     p.grad[0] = 3.0f;
     opt.step();
     EXPECT_NEAR(p.value[0], -3.0 / 3.0, 1e-5);
@@ -787,13 +787,12 @@ TEST(OptimizerTest, RmsPropDecaysHistory)
     OptimizerConfig cfg;
     cfg.kind = OptimizerKind::RMSProp;
     cfg.lr = 0.01;
-    cfg.beta = 0.9;
-    cfg.eps = 0.0;
     Optimizer opt(cfg);
     opt.attach({&p});
     p.grad[0] = 2.0f;
     opt.step();
-    // v = 0.1 * 4 = 0.4; step = 0.01 * 2 / sqrt(0.4).
+    // beta = 0.9: v = 0.1 * 4 = 0.4 (0.4f + 1e-8 rounds back to 0.4f);
+    // step = 0.01 * 2 / sqrt(0.4).
     EXPECT_NEAR(p.value[0], -0.01 * 2.0 / std::sqrt(0.4), 1e-6);
 }
 
@@ -803,13 +802,12 @@ TEST(OptimizerTest, AdamBiasCorrectionExact)
     OptimizerConfig cfg;
     cfg.kind = OptimizerKind::Adam;
     cfg.lr = 0.001;
-    cfg.eps = 0.0;
     Optimizer opt(cfg);
     opt.attach({&p});
     p.grad[0] = 0.5f;
     opt.step();
     // After step 1 with exact bias correction, the update equals
-    // -lr * g / |g| = -lr.
+    // -lr * g / |g| = -lr (eps moves it by about 2e-8).
     EXPECT_NEAR(p.value[0], -0.001, 1e-6);
 }
 

@@ -274,7 +274,7 @@ TEST_P(DramPatterns, NeverExceedsPeakAndMonotone)
     const double achieved =
         static_cast<double>(moved) / static_cast<double>(t);
     EXPECT_LE(achieved,
-              ctrl.config().peakBytesPerTick() * channels + 0.01);
+              dram::kPeakBytesPerTick * channels + 0.01);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -404,19 +404,23 @@ TEST_P(QuantizedGemm, TracksFp32WithinQuantizationNoise)
 TEST_P(QuantizedGemm, FinerBlocksNeverHurtMuch)
 {
     const auto [bits, block_k] = GetParam();
-    if (block_k >= 96)
-        GTEST_SKIP() << "needs a finer block than the k extent";
+    // The coarse reference is one block over the whole k extent, twice
+    // the largest instantiated block, so every block_k is finer.
+    constexpr std::size_t k = 192;
     Rng rng(56);
-    Tensor a({8, 96});
-    Tensor b({96, 8});
+    Tensor a({8, k});
+    Tensor b({k, 8});
     // Segment-varying magnitudes: fine blocks must win clearly.
     for (std::size_t i = 0; i < a.numel(); ++i)
         a[i] = static_cast<float>(
             rng.gaussian(0.0, i % 96 < 48 ? 0.001 : 1.0));
     b.fillGaussian(rng, 0.0f, 0.5f);
 
-    arch::QuantizedGemmOptions fine{bits, block_k};
-    arch::QuantizedGemmOptions coarse{bits, 96};
+    arch::QuantizedGemmOptions fine;
+    fine.bits = bits;
+    fine.blockK = block_k;
+    arch::QuantizedGemmOptions coarse = fine;
+    coarse.blockK = k;
     const Tensor want = matmul(a, b);
     EXPECT_LE(rmse(arch::quantizedMatmul(a, b, fine), want),
               rmse(arch::quantizedMatmul(a, b, coarse), want) * 1.5);

@@ -286,7 +286,7 @@ TEST(Guardrails, CircuitBreakerCooldownAndRearm)
     bank.trip(1);
     EXPECT_FALSE(bank.open(0));
     EXPECT_TRUE(bank.open(1));
-    EXPECT_EQ(bank.openCount(), 1u);
+    EXPECT_FALSE(bank.open(2));
     for (std::size_t i = 1; i < nn::guard::kBreakerCooldown; ++i) {
         bank.countDown();
         EXPECT_TRUE(bank.open(1)) << i << " healthy steps";
@@ -294,8 +294,9 @@ TEST(Guardrails, CircuitBreakerCooldownAndRearm)
     bank.countDown();
     EXPECT_FALSE(bank.open(1)); // re-armed
     bank.tripAll();
-    EXPECT_EQ(bank.openCount(), 3u);
-    EXPECT_EQ(bank.trips(), 2u);
+    for (std::size_t layer = 0; layer < 3; ++layer)
+        EXPECT_TRUE(bank.open(layer)) << "layer " << layer;
+    EXPECT_FALSE(bank.open(3)); // out of range: never open
 }
 
 TEST(Guardrails, MonitorCountsAndTrips)
@@ -345,7 +346,8 @@ TEST(Checkpoint, RoundTripsBitwise)
 {
     const std::string path = tempPath("ckpt_roundtrip.bin");
     const TrainerSnapshot snap = makeSnapshot();
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, snap));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, snap),
+              nn::guard::CheckpointWriteResult::Ok);
 
     TrainerSnapshot back;
     ASSERT_EQ(nn::guard::readCheckpoint(path, back),
@@ -382,7 +384,8 @@ TEST(Checkpoint, MissingFileClassified)
 TEST(Checkpoint, CorruptedTensorPayloadDetected)
 {
     const std::string path = tempPath("ckpt_corrupt.bin");
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, makeSnapshot()));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, makeSnapshot()),
+              nn::guard::CheckpointWriteResult::Ok);
 
     // Flip one byte deep in the tensor payload region.
     FILE *f = std::fopen(path.c_str(), "r+b");
@@ -402,7 +405,8 @@ TEST(Checkpoint, CorruptedTensorPayloadDetected)
 TEST(Checkpoint, TruncatedFileDetected)
 {
     const std::string path = tempPath("ckpt_truncated.bin");
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, makeSnapshot()));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, makeSnapshot()),
+              nn::guard::CheckpointWriteResult::Ok);
     FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);
